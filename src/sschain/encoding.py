@@ -109,11 +109,7 @@ def hex_encode(data: bytes) -> Nibbles:
     The output is twice as long as the input; element ``2i`` is the high
     nibble of byte ``i`` and element ``2i + 1`` the low nibble.
     """
-    out = bytearray()
-    for b in data:
-        out.append(b >> 4)
-        out.append(b & 0x0F)
-    return bytes(out)
+    return data.hex().encode().translate(_HEX_DIGIT_TO_NIBBLE)
 
 
 def hex_decode(nibbles: Nibbles) -> bytes:
@@ -138,16 +134,9 @@ def hp_encode(nibbles: Nibbles, is_leaf: bool) -> bytes:
     """
     _check_nibbles(nibbles)
     flag = HP_FLAG_LEAF if is_leaf else 0
-    if len(nibbles) % 2:
-        first = ((flag | HP_FLAG_ODD) << 4) | nibbles[0]
-        rest = nibbles[1:]
-    else:
-        first = flag << 4
-        rest = nibbles
-    out = bytearray([first])
-    for i in range(0, len(rest), 2):
-        out.append((rest[i] << 4) | rest[i + 1])
-    return bytes(out)
+    # An odd path puts its first nibble beside the flag; an even one pads.
+    prefix = "%x" % (flag | HP_FLAG_ODD) if len(nibbles) % 2 else "%x0" % flag
+    return bytes.fromhex(prefix + nibbles.translate(_NIBBLE_TO_HEX_DIGIT).decode())
 
 
 def hp_decode(data: bytes) -> tuple[Nibbles, bool]:
@@ -184,11 +173,21 @@ def rlp_encode(item: RlpItem) -> bytes:
         TypeError: if ``item`` contains anything but bytes-like values
             and lists.
     """
-    if isinstance(item, (bytes, bytearray, memoryview)):
-        return _encode_string(bytes(item))
+    if type(item) is not bytes and isinstance(item, (bytes, bytearray, memoryview)):
+        item = bytes(item)
+    if type(item) is bytes:
+        length = len(item)
+        if length == 1 and item[0] <= SINGLE_BYTE_MAX:
+            return item
+        if length <= SHORT_PAYLOAD_MAX:
+            return _SHORT_STRING_HEADS[length] + item
+        return _long_head(length, LONG_STRING_BASE) + item
     if isinstance(item, (list, tuple)):
-        payload = b"".join(rlp_encode(child) for child in item)
-        return _length_prefix(payload, SHORT_LIST_PREFIX, LONG_LIST_BASE) + payload
+        payload = b"".join([rlp_encode(child) for child in item])
+        length = len(payload)
+        if length <= SHORT_PAYLOAD_MAX:
+            return _SHORT_LIST_HEADS[length] + payload
+        return _long_head(length, LONG_LIST_BASE) + payload
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 
@@ -207,22 +206,26 @@ def rlp_decode(data: bytes) -> RlpItem:
     return item
 
 
+_HEX_DIGITS = b"0123456789abcdef"
+_HEX_DIGIT_TO_NIBBLE = bytes.maketrans(_HEX_DIGITS, bytes(range(16)))
+_NIBBLE_TO_HEX_DIGIT = bytes.maketrans(bytes(range(16)), _HEX_DIGITS)
+_SHORT_STRING_HEADS = [
+    bytes([SHORT_STRING_PREFIX + n]) for n in range(SHORT_PAYLOAD_MAX + 1)
+]
+_SHORT_LIST_HEADS = [
+    bytes([SHORT_LIST_PREFIX + n]) for n in range(SHORT_PAYLOAD_MAX + 1)
+]
+
+
 def _check_nibbles(nibbles: Nibbles) -> None:
-    for n in nibbles:
-        if n > 15:
-            raise CodecError(f"nibble value {n} out of range [0, 15]")
+    # The translation tables map every byte, so a value above 15 must be
+    # refused here rather than packed.
+    if nibbles and max(nibbles) > 15:
+        raise CodecError(f"nibble value {max(nibbles)} out of range [0, 15]")
 
 
-def _encode_string(data: bytes) -> bytes:
-    if len(data) == 1 and data[0] <= SINGLE_BYTE_MAX:
-        return data
-    return _length_prefix(data, SHORT_STRING_PREFIX, LONG_STRING_BASE) + data
-
-
-def _length_prefix(payload: bytes, short_prefix: int, long_base: int) -> bytes:
-    length = len(payload)
-    if length <= SHORT_PAYLOAD_MAX:
-        return bytes([short_prefix + length])
+def _long_head(length: int, long_base: int) -> bytes:
+    """Prefix of a payload over 55 bytes: base + length-of-length, length."""
     length_bytes = length.to_bytes((length.bit_length() + 7) // 8, "big")
     return bytes([long_base + len(length_bytes)]) + length_bytes
 

@@ -11,9 +11,13 @@ Identical content always produces the same Cid, so storing the same
 payload twice costs one entry.
 
 Account states serialize to a small fixed-shape JSON document whose
-field hashes make every field individually checkable. Directory nodes
-group state files; version nodes wrap a root and link back to the prior
-version, giving a rollback trail (``account_history``). A ``NameRegistry``
+field hashes make every field individually checkable. Its byte form is a
+fixed contract: exactly ``json.dumps(doc, indent=2) + "\n"`` with the
+keys in the order ``AccountState.to_json_bytes`` writes them. Leaf Cids,
+version Cids and state roots all hash these bytes, so any change to the
+form changes every root. Directory nodes group state files; version
+nodes wrap a root and link back to the prior version, giving a rollback
+trail (``account_history``). A ``NameRegistry``
 maps a publisher's node id to its latest root, latest-sequence-wins.
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .encoding import (
@@ -133,22 +138,28 @@ class AccountState:
     @property
     def data_hash(self) -> str:
         """Digest over the concatenated hex texts of the three field hashes."""
-        combined = self.seq_number_hash + self.balance_hash + self.code_hash
-        return hash256(combined.encode()).hex()
+        return self._field_hashes()[3]
+
+    def _field_hashes(self) -> tuple[str, str, str, str]:
+        """(seqNumberHash, balanceHash, codeHash, dataHash), each hashed once."""
+        seq_hash = self.seq_number_hash
+        balance_hash = self.balance_hash
+        code_hash = self.code_hash
+        data_hash = hash256((seq_hash + balance_hash + code_hash).encode()).hex()
+        return seq_hash, balance_hash, code_hash, data_hash
 
     def to_json_bytes(self) -> bytes:
-        doc = {
-            "result": {
-                "seqNumber": self.seq_number,
-                "balance": self.balance,
-                "code": self.code.hex(),
-                "seqNumberHash": self.seq_number_hash,
-                "balanceHash": self.balance_hash,
-                "codeHash": self.code_hash,
-                "dataHash": self.data_hash,
-            }
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        """The account document; byte-identical to ``json.dumps(indent=2)``."""
+        hashes = self._field_hashes()
+        return (
+            _ACCOUNT_JSON
+            % (
+                encode_basestring_ascii(self.seq_number),
+                encode_basestring_ascii(self.balance),
+                self.code.hex(),
+                *hashes,
+            )
+        ).encode()
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "AccountState":
@@ -172,15 +183,25 @@ class AccountState:
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptError(f"malformed account state document: {exc}") from exc
-        computed = (
-            state.seq_number_hash,
-            state.balance_hash,
-            state.code_hash,
-            state.data_hash,
-        )
-        if stored != computed:
+        if stored != state._field_hashes():
             raise CorruptError("account state field hash mismatch")
         return state
+
+
+# ``json.dumps(doc, indent=2) + "\n"`` of the account document, with the
+# string fields already quoted. The hex fields need no escaping.
+_ACCOUNT_JSON = """{
+  "result": {
+    "seqNumber": %s,
+    "balance": %s,
+    "code": "%s",
+    "seqNumberHash": "%s",
+    "balanceHash": "%s",
+    "codeHash": "%s",
+    "dataHash": "%s"
+  }
+}
+"""
 
 
 def dag_put(store: KvStore, node: DagNode) -> Cid:
@@ -210,10 +231,7 @@ def dag_get(store: KvStore, cid: Cid) -> DagNode:
         CorruptError: stored bytes do not hash to the cid or do not
             decode as a canonical node.
     """
-    raw = store.get(cid.digest)
-    if hash256(raw) != cid.digest:
-        raise CorruptError(f"content of {cid} does not match its digest")
-    return _decode_node(raw)
+    return _decode_node(_get_verified(store, cid))
 
 
 def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Cid:
@@ -269,10 +287,8 @@ PREV_LINK = "prev"
 def version_put(store: KvStore, root: Cid, prev: Optional[Cid] = None) -> Cid:
     """Wrap ``root`` in a version node, optionally chained to ``prev``."""
     root_size = len(store.get(root.digest))
-    links = [Link(ROOT_LINK, root, root_size)]
-    if prev is not None:
-        links.append(Link(PREV_LINK, prev, len(store.get(prev.digest))))
-    return dag_put(store, DagNode(links=tuple(links)))
+    prev_size = len(store.get(prev.digest)) if prev is not None else 0
+    return _put_version(store, root, root_size, prev, prev_size)
 
 
 def version_root(store: KvStore, version: Cid) -> Cid:
@@ -281,10 +297,32 @@ def version_root(store: KvStore, version: Cid) -> Cid:
     Raises:
         CorruptError: node has no root link.
     """
-    link = dag_get(store, version).link(ROOT_LINK)
-    if link is None:
-        raise CorruptError(f"{version} is not a version node (no root link)")
-    return link.cid
+    return _root_link(dag_get(store, version), version).cid
+
+
+def version_append(
+    store: KvStore, payload: bytes, prev: Optional[Cid] = None
+) -> Optional[Cid]:
+    """Store ``payload`` as a leaf and wrap it in a version chained to ``prev``.
+
+    ``prev`` is read once, and its digest verified as :func:`dag_get`
+    does. Returns None when ``prev`` already wraps identical content; only
+    the (already present) leaf is written then. The version node is the
+    one :func:`version_put` would write for the same leaf and ``prev``.
+
+    Raises:
+        NotFoundError: prev absent.
+        CorruptError: prev fails its digest or is not a version node.
+    """
+    leaf = _encode_node(DagNode(data=payload))
+    leaf_cid = Cid(store.put(leaf))
+    prev_size = 0
+    if prev is not None:
+        raw = _get_verified(store, prev)
+        if _root_link(_decode_node(raw), prev).cid == leaf_cid:
+            return None
+        prev_size = len(raw)
+    return _put_version(store, leaf_cid, len(leaf), prev, prev_size)
 
 
 def account_history(store: KvStore, version_head: Cid) -> list[Cid]:
@@ -350,6 +388,30 @@ def name_resolve(registry: NameRegistry, node_id: Digest) -> Cid:
     if record is None:
         raise NotFoundError(f"no name published by {node_id.hex()}")
     return record.target
+
+
+def _put_version(
+    store: KvStore, root: Cid, root_size: int, prev: Optional[Cid], prev_size: int
+) -> Cid:
+    """Store a version node from link sizes the caller already holds."""
+    links = [Link(ROOT_LINK, root, root_size)]
+    if prev is not None:
+        links.append(Link(PREV_LINK, prev, prev_size))
+    return dag_put(store, DagNode(links=tuple(links)))
+
+
+def _root_link(node: DagNode, version: Cid) -> Link:
+    link = node.link(ROOT_LINK)
+    if link is None:
+        raise CorruptError(f"{version} is not a version node (no root link)")
+    return link
+
+
+def _get_verified(store: KvStore, cid: Cid) -> bytes:
+    raw = store.get(cid.digest)
+    if hash256(raw) != cid.digest:
+        raise CorruptError(f"content of {cid} does not match its digest")
+    return raw
 
 
 def _encode_node(node: DagNode) -> bytes:

@@ -129,11 +129,13 @@ class Trie:
         if root_hash is None or root_hash == EMPTY_ROOT:
             self._root: Ref = None
             return
-        if len(store) == 0:
-            raise StoreEmptyError("cannot load a root from an empty store")
         try:
             raw = store.get(root_hash)
         except NotFoundError:
+            # Counting a file store lists its whole directory, so only a
+            # missing root pays for telling the two errors apart.
+            if len(store) == 0:
+                raise StoreEmptyError("cannot load a root from an empty store") from None
             raise RootNotFoundError(f"root {root_hash.hex()} not in store") from None
         self._root = _decode_node(_parse_rlp(raw))
         self._committed = root_hash

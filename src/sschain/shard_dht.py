@@ -37,14 +37,7 @@ from .encoding import (
     rlp_encode,
 )
 from .errors import NotFoundError, SSChainError
-from .merkle_dag import (
-    AccountState,
-    Cid,
-    DagNode,
-    dag_put,
-    version_put,
-    version_root,
-)
+from .merkle_dag import AccountState, Cid, version_append
 from .mpt import Trie
 from .store import KvStore, MemoryKvStore, StoreEntry
 
@@ -160,12 +153,21 @@ def assign_key(ring: Sequence[NodeIdentity], key_pos: int) -> NodeIdentity:
     Raises:
         EmptyRingError: no nodes given.
     """
+    return _ring_owner(ring)(key_pos)
+
+
+def _ring_owner(ring: Sequence[NodeIdentity]) -> Callable[[int], NodeIdentity]:
+    """Sort ``ring`` once; return the clockwise-owner lookup over it."""
     if not ring:
         raise EmptyRingError("cannot assign a key on an empty ring")
     members = sorted(ring, key=lambda n: (n.position, n.node_id))
     positions = [n.position for n in members]
-    idx = bisect_left(positions, key_pos % RING_MODULUS)
-    return members[idx % len(members)]
+
+    def owner(key_pos: int) -> NodeIdentity:
+        idx = bisect_left(positions, key_pos % RING_MODULUS)
+        return members[idx % len(members)]
+
+    return owner
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,11 +210,11 @@ class Shard:
 
     def assignments(self) -> dict[Digest, Digest]:
         """Current key -> owning node id map over this shard's entries."""
-        members = list(self.members.values())
-        return {
-            key: assign_key(members, int.from_bytes(key, "big")).node_id
-            for key in self.store.named_keys()
-        }
+        keys = self.store.named_keys()
+        if not keys:
+            return {}
+        owner = _ring_owner(list(self.members.values()))
+        return {key: owner(int.from_bytes(key, "big")).node_id for key in keys}
 
 
 StoreFactory = Callable[[ShardId], KvStore]
@@ -337,10 +339,9 @@ class ShardTable:
         """
         _authorize(requester)
         shard = self.shard_for(address)
-        leaf_cid = dag_put(shard.store, DagNode(data=state.to_json_bytes()))
-        if prev_cid is not None and version_root(shard.store, prev_cid) == leaf_cid:
+        version_cid = version_append(shard.store, state.to_json_bytes(), prev_cid)
+        if version_cid is None:
             return trie, prev_cid, False
-        version_cid = version_put(shard.store, leaf_cid, prev_cid)
         new_trie = trie.insert(address, version_cid.digest)
         if update_pointer:
             shard.store.put_named(pipeline_key(address), version_cid.digest)

@@ -6,6 +6,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sschain.encoding import hash256
 from sschain.errors import CorruptError, NotFoundError
@@ -278,6 +280,13 @@ class TestNameRegistry:
         assert name_resolve(registry, hash256(b"p2")) == t2
 
 
+# Text for the account document's string fields, weighted towards the
+# characters JSON must escape (quote, backslash, controls, non-ASCII).
+DOC_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(),
+    max_size=12,
+)
+
 REFERENCE_DOC_HASHES = {
     "seqNumberHash": "e7f6c011776e8db7cd330b54174fd76f7d0216b612387a5ffcfb81e6f0919683",
     "balanceHash": "be293da5be477078cbeee7feef7b384f879f730ef26f51a674ce59f6ee0251d4",
@@ -318,6 +327,25 @@ class TestAccountState:
         doc["result"]["balance"] = "14.0"
         with pytest.raises(CorruptError):
             AccountState.from_json_bytes(json.dumps(doc).encode())
+
+    @given(DOC_TEXT, DOC_TEXT, st.binary(max_size=8))
+    def test_json_bytes_match_json_dumps(self, seq: str, balance: str, code: bytes) -> None:
+        """The document's byte form is exactly ``json.dumps(indent=2)``."""
+        state = AccountState(seq, balance, code=code)
+        doc = {
+            "result": {
+                "seqNumber": seq,
+                "balance": balance,
+                "code": code.hex(),
+                "seqNumberHash": state.seq_number_hash,
+                "balanceHash": state.balance_hash,
+                "codeHash": state.code_hash,
+                "dataHash": state.data_hash,
+            }
+        }
+        raw = state.to_json_bytes()
+        assert raw == (json.dumps(doc, indent=2) + "\n").encode()
+        assert AccountState.from_json_bytes(raw) == state
 
     def test_malformed_document_rejected(self) -> None:
         with pytest.raises(CorruptError):

@@ -131,6 +131,15 @@ class TestCommitAndReload:
         with pytest.raises(RootNotFoundError):
             Trie(store, hash256(b"missing root"))
 
+    def test_open_at_existing_root_does_not_count_store(self) -> None:
+        class NoLenStore(MemoryKvStore):
+            def __len__(self) -> int:
+                raise AssertionError("Trie opened an existing root via len(store)")
+
+        store = NoLenStore()
+        root = build(store, [(b"k1", b"v1"), (b"k2", b"v2")]).commit()
+        assert Trie(store, root).get(b"k2") == b"v2"
+
     def test_decode_error_on_garbage_root(self) -> None:
         store = MemoryKvStore()
         key = store.put(b"not rlp at all")

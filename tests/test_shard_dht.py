@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sschain.errors import NotFoundError
-from sschain.merkle_dag import AccountState, Cid, account_history, dag_get, version_root
+from sschain.errors import CorruptError, NotFoundError
+from sschain.merkle_dag import (
+    AccountState,
+    Cid,
+    account_history,
+    dag_get,
+    version_put,
+    version_root,
+)
 from sschain.shard_dht import (
     RING_BITS,
     RING_MODULUS,
@@ -34,6 +41,7 @@ from sschain.shard_dht import (
     table_from_config,
     table_to_config,
 )
+from sschain.store import MemoryKvStore
 
 # --- independent oracles -------------------------------------------------
 
@@ -296,6 +304,59 @@ class TestShardTable:
         root0 = table.state_root
         shard_update(table, AUTH, b"\x55" * 20, AccountState("1", "2.0"))
         assert table.state_root != root0
+
+
+class CountingStore(MemoryKvStore):
+    """Memory store that counts ``get`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets = 0
+
+    def get(self, key: bytes) -> bytes:
+        self.gets += 1
+        return super().get(key)
+
+
+class TestWriteAccount:
+    ADDRESS = b"\x66" * 20
+
+    def first_version(self) -> tuple[ShardTable, CountingStore, Cid]:
+        table = ShardTable(1, store_factory=lambda _sid: CountingStore())
+        _, cid, _ = table.write_account(
+            AUTH, self.ADDRESS, AccountState("0", "5.0"), trie=table.trie, prev_cid=None
+        )
+        return table, table.shard_for(self.ADDRESS).store, cid
+
+    def test_reads_previous_version_once(self) -> None:
+        table, store, prev = self.first_version()
+        store.gets = 0
+        _, cid, changed = table.write_account(
+            AUTH, self.ADDRESS, AccountState("1", "4.0"), trie=table.trie, prev_cid=prev
+        )
+        assert changed and store.gets == 1
+        leaf = version_root(store, cid)
+        assert version_put(store, leaf, prev) == cid
+        assert account_history(store, cid) == [cid, prev]
+
+    def test_corrupt_previous_version_rejected(self) -> None:
+        table, store, prev = self.first_version()
+        raw = bytearray(store._entries[prev.digest])
+        raw[-1] ^= 1
+        store._entries[prev.digest] = bytes(raw)
+        with pytest.raises(CorruptError):
+            table.write_account(
+                AUTH, self.ADDRESS, AccountState("1", "4.0"), trie=table.trie, prev_cid=prev
+            )
+
+    def test_unchanged_write_adds_nothing(self) -> None:
+        table, store, prev = self.first_version()
+        size = len(store)
+        result = table.write_account(
+            AUTH, self.ADDRESS, AccountState("0", "5.0"), trie=table.trie, prev_cid=prev
+        )
+        assert result == (table.trie, prev, False)
+        assert len(store) == size
 
 
 class TestMembership:
