@@ -6,13 +6,17 @@ digest chains blocks together. Balances are decimal strings with one
 fractional digit, held internally as integer tenths so arithmetic is
 exact and the hashed text never wobbles.
 
-Applying a block debits each sender, credits each receiver (creating it
-at zero on first contact), bumps the sender's transaction count, and
-writes both accounts through the shard table. A transaction that fails
-its checks is skipped whole and reported on ``last_rejected``; nothing
-of it lands in the state. Every committed root stays readable forever,
-so ``rollback`` is nothing more than moving the head pointer, and
-``validate_block`` is a replay of the body against the parent root.
+One executor is the state transition: it debits each sender, credits
+each receiver (creating it at zero on first contact), bumps the sender's
+transaction count, and writes both accounts through the shard table. A
+transaction that fails its checks is skipped whole; nothing of it lands
+in the state. ``apply_block`` runs the executor to produce a block and
+reports the skipped transactions on ``last_rejected``.
+``validate_block`` is strict re-execution through the same executor
+against the parent root; any rejected transaction fails the block, so a
+block validates only if an honest producer could have made it. Every
+committed root stays readable forever, so ``rollback`` is nothing more
+than moving the head pointer.
 """
 
 from __future__ import annotations
@@ -212,16 +216,26 @@ class Chain:
     """
 
     def __init__(self, table: ShardTable, producer: Optional[NodeIdentity] = None):
-        self.table = table
-        self.producer = producer or default_producer(table.num_shards)
         genesis = Block(
             BlockHeader(ZERO_DIGEST, 0, 0, table.state_root, tx_root(())), ()
         )
-        self.blocks: list[Block] = [genesis]
-        self.head_height = 0
+        self._set_fields(table, producer, [genesis], 0)
+
+    def _set_fields(
+        self,
+        table: ShardTable,
+        producer: Optional[NodeIdentity],
+        blocks: list[Block],
+        head_height: int,
+    ) -> None:
+        """Every instance field, for both ``__init__`` and :meth:`load`."""
+        self.table = table
+        self.producer = producer or default_producer(table.num_shards)
+        self.blocks = blocks
+        self.head_height = head_height
         self.last_rejected: tuple[Rejection, ...] = ()
         self.last_credits_out: tuple[tuple[bytes, int], ...] = ()
-        self._trie = Trie(table.trie_store, table.state_root)
+        self._trie = Trie(table.trie_store, blocks[head_height].header.state_root)
 
     @property
     def head(self) -> Block:
@@ -253,24 +267,68 @@ class Chain:
         head = self.head
         if self.head_height < len(self.blocks) - 1:
             del self.blocks[self.head_height + 1 :]
-        trie = self._trie
-        pending: dict[bytes, AccountState] = {}
+        trie, accepted, rejected, credits_out = self._execute(
+            self._trie, txs, credits, is_local, update_pointer=True
+        )
+        self._trie = trie
+        header = BlockHeader(
+            head.header.digest(),
+            head.header.number + 1,
+            head.header.timestamp + 1,
+            trie.commit(),
+            tx_root(accepted),
+        )
+        block = Block(header, tuple(accepted))
+        self.blocks.append(block)
+        self.head_height += 1
+        self.last_rejected = tuple(rejected)
+        self.last_credits_out = tuple(credits_out)
+        return block
+
+    def _execute(
+        self,
+        trie: Trie,
+        txs: Iterable[Transaction],
+        credits: Iterable[tuple[bytes, int]],
+        is_local: Optional[Callable[[bytes], bool]],
+        *,
+        update_pointer: bool,
+    ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]]]:
+        """The state transition: run a body and credits against ``trie``.
+
+        Returns (new trie, accepted, rejected, credits owed elsewhere). Each
+        account is read from the trie once; later reads and the ``prev_cid``
+        of each write come from the (state, version Cid) pairs held here.
+        """
+        pending: dict[bytes, tuple[Optional[AccountState], Optional[Cid]]] = {}
         accepted: list[Transaction] = []
         rejected: list[Rejection] = []
         credits_out: list[tuple[bytes, int]] = []
 
         def read(address: bytes) -> Optional[AccountState]:
-            if address in pending:
-                return pending[address]
-            return self._state_from_trie(trie, address)
+            if address not in pending:
+                pending[address] = self._read_account(trie, address) or (None, None)
+            return pending[address][0]
 
         def write(address: bytes, state: AccountState) -> None:
             nonlocal trie
-            prev = self._version_in_trie(trie, address)
-            trie, _, _ = self.table.write_account(
-                self.producer, address, state, trie=trie, prev_cid=prev
+            trie, version, _ = self.table.write_account(
+                self.producer,
+                address,
+                state,
+                trie=trie,
+                prev_cid=pending[address][1],
+                update_pointer=update_pointer,
             )
-            pending[address] = state
+            pending[address] = (state, version)
+
+        def credit(address: bytes, tenths: int) -> None:
+            state = read(address) or AccountState("0", "0.0")
+            balance = tenths_from_text(state.balance) + tenths
+            write(
+                address,
+                AccountState(state.seq_number, text_from_tenths(balance), state.code),
+            )
 
         for tx in txs:
             sender = read(tx.sender)
@@ -294,45 +352,14 @@ class Chain:
                 ),
             )
             if is_local is None or is_local(tx.receiver):
-                receiver = read(tx.receiver) or AccountState("0", "0.0")
-                write(
-                    tx.receiver,
-                    AccountState(
-                        receiver.seq_number,
-                        text_from_tenths(tenths_from_text(receiver.balance) + amount),
-                        receiver.code,
-                    ),
-                )
+                credit(tx.receiver, amount)
             else:
                 credits_out.append((tx.receiver, amount))
             accepted.append(tx)
 
         for address, amount in credits:
-            state = read(address) or AccountState("0", "0.0")
-            write(
-                address,
-                AccountState(
-                    state.seq_number,
-                    text_from_tenths(tenths_from_text(state.balance) + amount),
-                    state.code,
-                ),
-            )
-
-        state_root = trie.commit()
-        self._trie = trie
-        header = BlockHeader(
-            head.header.digest(),
-            head.header.number + 1,
-            head.header.timestamp + 1,
-            state_root,
-            tx_root(accepted),
-        )
-        block = Block(header, tuple(accepted))
-        self.blocks.append(block)
-        self.head_height += 1
-        self.last_rejected = tuple(rejected)
-        self.last_credits_out = tuple(credits_out)
-        return block
+            credit(address, amount)
+        return trie, accepted, rejected, credits_out
 
     def query_account(
         self, address: bytes, at_root: Optional[Digest] = None
@@ -347,10 +374,10 @@ class Chain:
         trie = self._trie if root == self._trie.commit() else Trie(
             self.table.trie_store, root
         )
-        state = self._state_from_trie(trie, address)
-        if state is None:
+        found = self._read_account(trie, address)
+        if found is None:
             raise NotFoundError(f"account {address.hex()} not at root {root.hex()}")
-        return state
+        return found[0]
 
     def rollback(self, to_height: int) -> "Chain":
         """Move the head; nothing is deleted, later blocks stay adoptable.
@@ -370,9 +397,13 @@ class Chain:
         """Re-derive the header from the parent and body; true iff equal.
 
         Checks height and timestamp against the parent, recomputes the
-        transaction root from the body, and replays the body against the
-        parent state root. Replays never move the shard lookup pointers,
-        so validating old or foreign blocks leaves live reads untouched.
+        transaction root from the body, then re-executes the body against
+        the parent state root: strict re-execution through the same
+        executor as :meth:`apply_block`, so any rejected transaction fails
+        the block. Blocks made with cross-shard credits, owed out or
+        folded in, do not validate yet: the credits are not in the body.
+        Replays never move the shard lookup pointers, so validating old or
+        foreign blocks leaves live reads untouched.
 
         Raises:
             UnknownParentError: parent hash matches no block held here.
@@ -395,53 +426,14 @@ class Chain:
             return False
         if tx_root(block.txs) != block.header.tx_root:
             return False
-        trie = Trie(self.table.trie_store, parent.header.state_root)
-        pending: dict[bytes, AccountState] = {}
-
-        def read(address: bytes) -> Optional[AccountState]:
-            if address in pending:
-                return pending[address]
-            return self._state_from_trie(trie, address)
-
-        def write(address: bytes, state: AccountState) -> None:
-            nonlocal trie
-            prev = self._version_in_trie(trie, address)
-            trie, _, _ = self.table.write_account(
-                self.producer,
-                address,
-                state,
-                trie=trie,
-                prev_cid=prev,
-                update_pointer=False,
-            )
-            pending[address] = state
-
-        for tx in block.txs:
-            sender = read(tx.sender)
-            if sender is None or tx.seq != int(sender.seq_number):
-                continue
-            amount = tenths_from_text(tx.amount)
-            balance = tenths_from_text(sender.balance)
-            if balance < amount:
-                continue
-            write(
-                tx.sender,
-                AccountState(
-                    str(int(sender.seq_number) + 1),
-                    text_from_tenths(balance - amount),
-                    sender.code,
-                ),
-            )
-            receiver = read(tx.receiver) or AccountState("0", "0.0")
-            write(
-                tx.receiver,
-                AccountState(
-                    receiver.seq_number,
-                    text_from_tenths(tenths_from_text(receiver.balance) + amount),
-                    receiver.code,
-                ),
-            )
-        return trie.commit() == block.header.state_root
+        trie, _, rejected, _ = self._execute(
+            Trie(self.table.trie_store, parent.header.state_root),
+            block.txs,
+            (),
+            None,
+            update_pointer=False,
+        )
+        return not rejected and trie.commit() == block.header.state_root
 
     def export(self, directory: str | Path) -> None:
         """Write every block as ``<height>.blk`` plus a HEAD pointer file."""
@@ -480,26 +472,17 @@ class Chain:
             if block.header.parent_hash != prev.header.digest():
                 raise CorruptError(f"broken parent link at height {block.header.number}")
         chain = cls.__new__(cls)
-        chain.table = table
-        chain.producer = producer or default_producer(table.num_shards)
-        chain.blocks = blocks
-        chain.head_height = head_height
-        chain.last_rejected = ()
-        chain.last_credits_out = ()
-        chain._trie = Trie(table.trie_store, blocks[head_height].header.state_root)
+        chain._set_fields(table, producer, blocks, head_height)
         return chain
 
-    def _state_from_trie(self, trie: Trie, address: bytes) -> Optional[AccountState]:
+    def _read_account(
+        self, trie: Trie, address: bytes
+    ) -> Optional[tuple[AccountState, Cid]]:
+        """(state, version Cid) stored under ``address`` in ``trie``, if any."""
         try:
-            version_digest = trie.get(address)
+            version = Cid(trie.get(address))
         except NotFoundError:
             return None
         store = self.table.shard_for(address).store
-        leaf = dag_get(store, version_root(store, Cid(version_digest)))
-        return AccountState.from_json_bytes(leaf.data)
-
-    def _version_in_trie(self, trie: Trie, address: bytes) -> Optional[Cid]:
-        try:
-            return Cid(trie.get(address))
-        except NotFoundError:
-            return None
+        leaf = dag_get(store, version_root(store, version))
+        return AccountState.from_json_bytes(leaf.data), version

@@ -112,6 +112,8 @@ def shard_of(address: bytes, num_shards: int) -> ShardId:
     Raises:
         NotPowerOfTwoError: num_shards is not a power of two >= 1.
     """
+    if _prefix_width(num_shards) == 0:
+        return ShardId("")
     return shard_of_position(ring_position(address), num_shards)
 
 
@@ -378,29 +380,6 @@ class ShardTable:
         _authorize(requester)
         key = pipeline_key(address)
         return StoreEntry(key, self.shard_for(address).store.get(key))
-
-
-def node_join(table: ShardTable, node: NodeIdentity) -> RemapReport:
-    return table.node_join(node)
-
-
-def node_leave(table: ShardTable, node_id: Digest) -> RemapReport:
-    return table.node_leave(node_id)
-
-
-def shard_inquire(
-    table: ShardTable, requester: NodeIdentity, address: bytes
-) -> StoreEntry:
-    return table.shard_inquire(requester, address)
-
-
-def shard_update(
-    table: ShardTable,
-    requester: NodeIdentity,
-    address: bytes,
-    new_state: AccountState,
-) -> tuple[Digest, Cid]:
-    return table.shard_update(requester, address, new_state)
 
 
 def table_to_config(table: ShardTable) -> str:

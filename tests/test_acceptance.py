@@ -41,7 +41,6 @@ from sschain.shard_dht import (
     ShardTable,
     assign_key,
     shard_of,
-    shard_update,
 )
 from sschain.simulator import (
     INITIAL_BALANCE_TENTHS,
@@ -246,7 +245,7 @@ def test_criterion_5_shard_distribution() -> str:
         table.node_join(NodeIdentity.derive(hash256(f"member-{i}".encode()), 1))
     writer = NodeIdentity.derive(hash256(b"writer"), 1, book=True, authority=True)
     for i in range(100):
-        shard_update(table, writer, rng.randbytes(20), AccountState("0", "1.0"))
+        table.shard_update(writer, rng.randbytes(20), AccountState("0", "1.0"))
     shard = next(iter(table.shards.values()))
 
     def owners() -> dict[bytes, bytes]:

@@ -25,7 +25,7 @@ from sschain.chain import (
 from sschain.encoding import hash256
 from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import AccountState
-from sschain.mpt import EMPTY_ROOT, RootNotFoundError
+from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable
 
 
@@ -241,6 +241,20 @@ class TestApplyBlock:
         assert [r.reason for r in chain.last_rejected] == ["bad-seq"]
         assert chain.query_account(addr(2)).balance == "2.0"
 
+    def test_transfer_reads_each_account_once(self, monkeypatch) -> None:
+        """Writes take the previous version Cid from the executor's own read."""
+        chain = build_chain({addr(1): "10.0", addr(2): "5.0"})
+        keys: list[bytes] = []
+        original = Trie.get
+
+        def counting_get(trie: Trie, key: bytes) -> bytes:
+            keys.append(key)
+            return original(trie, key)
+
+        monkeypatch.setattr(Trie, "get", counting_get)
+        chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
+        assert keys == [addr(1), addr(2)]
+
     def test_timestamps_are_a_logical_clock(self) -> None:
         chain = build_chain({addr(1): "10.0"})
         blocks = [chain.apply_block([]) for _ in range(3)]
@@ -447,6 +461,37 @@ class TestValidateBlock:
             if not ok:
                 rejections += 1
         assert rejections == len(raw)
+
+    @pytest.mark.parametrize(
+        "extra,reason",
+        [
+            (lambda: Transaction(addr(9), addr(2), "1.0", 0), "unknown-sender"),
+            (lambda: Transaction(addr(1), addr(2), "1.0", 99), "bad-seq"),
+            (lambda: Transaction(addr(1), addr(2), "20.1", 1), "insufficient-balance"),
+        ],
+    )
+    def test_body_with_rejectable_tx_fails(self, extra, reason: str) -> None:
+        """An honest block plus one tx a producer would reject must not validate."""
+        chain = build_chain({addr(1): "10.0", addr(3): "10.0"})
+        honest = chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
+        assert chain.validate_block(honest)
+        body = honest.txs + (extra(),)
+        header = honest.header
+        forged = Block(
+            BlockHeader(
+                header.parent_hash,
+                header.number,
+                header.timestamp,
+                header.state_root,
+                tx_root(body),
+            ),
+            body,
+        )
+        assert chain.validate_block(forged) is False
+        chain.rollback(0)
+        chain.apply_block(body)
+        assert [r.reason for r in chain.last_rejected] == [reason]
+        assert chain.head.header.state_root == header.state_root
 
     def test_validation_leaves_live_state_alone(self) -> None:
         chain, _ = TestRollback()._three_blocks()

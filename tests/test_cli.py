@@ -410,3 +410,53 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestReadmeTranscripts:
+    """The README's command transcripts, replayed byte for byte."""
+
+    ALICE = "a7dcb39d30d146219809f933e86b9501a221256f"
+    BOB = "4c789b5c8f688321b1c211b3004e9782ab26ad5e"
+
+    @staticmethod
+    def _run(argv: list[str], capture) -> list[str]:
+        assert main(argv) == 0
+        return capture.readouterr().out.decode().splitlines()
+
+    def test_chain_init_apply_query(self, store, capsysbinary) -> None:
+        fund = f"{self.ALICE}=50.0"
+        assert self._run(
+            ["--store", store, "chain", "init", "--fund", fund], capsysbinary
+        ) == [
+            "head 0 root "
+            "bec3cd5d8dc367af311ebe85ac58894714aa262b71406cbae20d37e4a3c43f5d"
+        ]
+        tx = f"{self.ALICE}:{self.BOB}:3.5:0"
+        assert self._run(
+            ["--store", store, "chain", "apply", "--tx", tx], capsysbinary
+        ) == [
+            "block 1 root "
+            "64b173bc6a73b485ced3b53ee438098f08a455efa36b5d198383df123b5ea638"
+            " accepted 1 rejected 0"
+        ]
+        query = self._run(["--store", store, "chain", "query", self.BOB], capsysbinary)
+        result = json.loads("\n".join(query))["result"]
+        assert (result["seqNumber"], result["balance"]) == ("0", "3.5")
+
+    def test_trie_put(self, store, capsysbinary) -> None:
+        argv = ["--store", store, "trie", "put", "cafe01", '{"balance":"13.0"}']
+        assert self._run(argv, capsysbinary) == [
+            "ab3b2b1d2a5d76f94af0ef874a72740980a37144baca4c85df70ababf9256af3"
+        ]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_sim_run(self, capsysbinary, parallelism: str) -> None:
+        argv = "sim run --txs 2000 --shards 4 --nodes 16 --accounts 50 --seed 7"
+        lines = self._run(argv.split() + ["--parallelism", parallelism], capsysbinary)
+        assert lines[0].startswith("processed 2000 txs in ")
+        assert lines[1].endswith(" over 1 block window(s)")
+        assert lines[2:] == [
+            "final state root "
+            "b8cdead796bf77bb817f1215ff189e12d5579c21c1027a7b8f022c2c83c74f06",
+            "per-shard loads 455 564 438 543",
+        ]

@@ -36,8 +36,6 @@ from sschain.shard_dht import (
     ring_position,
     shard_of,
     shard_of_position,
-    shard_update,
-    shard_inquire,
     table_from_config,
     table_to_config,
 )
@@ -139,6 +137,15 @@ class TestShardId:
     def test_shard_of_hashes_key(self) -> None:
         key = b"account-key"
         assert shard_of(key, 16) == shard_of_position(oracle_position(key), 16)
+
+    def test_single_shard_needs_no_hash(self, monkeypatch) -> None:
+        def fail(_data: bytes) -> int:
+            raise AssertionError("ring_position called")
+
+        monkeypatch.setattr("sschain.shard_dht.ring_position", fail)
+        assert shard_of(b"account-key", 1) == ShardId("")
+        with pytest.raises(NotPowerOfTwoError):
+            shard_of(b"account-key", 3)
 
     def test_partition_is_total_and_disjoint(self) -> None:
         counts = [0] * 8
@@ -248,8 +255,8 @@ class TestShardTable:
         table = ShardTable(4)
         address = b"\x11" * 20
         state = AccountState("1", "5.0")
-        _, version_cid = shard_update(table, AUTH, address, state)
-        entry = shard_inquire(table, AUTH, address)
+        _, version_cid = table.shard_update(AUTH, address, state)
+        entry = table.shard_inquire(AUTH, address)
         assert entry.key == pipeline_key(address)
         assert entry.value == version_cid.digest
         assert read_state(table, address) == state
@@ -257,15 +264,15 @@ class TestShardTable:
     def test_unchanged_state_keeps_version(self) -> None:
         table = ShardTable(4)
         address = b"\x22" * 20
-        first = shard_update(table, AUTH, address, AccountState("1", "5.0"))
-        again = shard_update(table, AUTH, address, AccountState("1", "5.0"))
+        first = table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        again = table.shard_update(AUTH, address, AccountState("1", "5.0"))
         assert again == first
 
     def test_new_state_advances_version(self) -> None:
         table = ShardTable(4)
         address = b"\x22" * 20
-        root1, cid1 = shard_update(table, AUTH, address, AccountState("1", "5.0"))
-        root2, cid2 = shard_update(table, AUTH, address, AccountState("2", "4.0"))
+        root1, cid1 = table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        root2, cid2 = table.shard_update(AUTH, address, AccountState("2", "4.0"))
         assert (root2, cid2) != (root1, cid1)
         store = table.shard_for(address).store
         assert account_history(store, table.pointer(address)) == [cid2, cid1]
@@ -273,14 +280,14 @@ class TestShardTable:
     def test_write_requires_authority(self) -> None:
         table = ShardTable(4)
         with pytest.raises(NotAuthorizedError):
-            shard_update(table, PLAIN, b"\x33" * 20, AccountState("0", "0.0"))
+            table.shard_update(PLAIN, b"\x33" * 20, AccountState("0", "0.0"))
         with pytest.raises(NotAuthorizedError):
-            shard_inquire(table, PLAIN, b"\x33" * 20)
+            table.shard_inquire(PLAIN, b"\x33" * 20)
 
     def test_inquire_unknown_address(self) -> None:
         table = ShardTable(4)
         with pytest.raises(NotFoundError):
-            shard_inquire(table, AUTH, b"\x44" * 20)
+            table.shard_inquire(AUTH, b"\x44" * 20)
 
     def test_shard_stores_isolated(self) -> None:
         table = ShardTable(2)
@@ -294,15 +301,15 @@ class TestShardTable:
             for i in range(256)
             if table.shard_for(bytes([i]) * 20).shard_id.index == 1
         )
-        shard_update(table, AUTH, in_zero, AccountState("1", "1.0"))
+        table.shard_update(AUTH, in_zero, AccountState("1", "1.0"))
         assert len(shard_by_index(table, 1).store) == 0
-        shard_update(table, AUTH, in_one, AccountState("1", "1.0"))
+        table.shard_update(AUTH, in_one, AccountState("1", "1.0"))
         assert len(shard_by_index(table, 1).store) > 0
 
     def test_trie_root_tracks_writes(self) -> None:
         table = ShardTable(4)
         root0 = table.state_root
-        shard_update(table, AUTH, b"\x55" * 20, AccountState("1", "2.0"))
+        table.shard_update(AUTH, b"\x55" * 20, AccountState("1", "2.0"))
         assert table.state_root != root0
 
 
@@ -391,7 +398,7 @@ class TestMembership:
         table = ShardTable(1)
         node = make_nodes(1, 1)[0]
         table.node_join(node)
-        shard_update(table, AUTH, b"\x66" * 20, AccountState("0", "1.0"))
+        table.shard_update(AUTH, b"\x66" * 20, AccountState("0", "1.0"))
         with pytest.raises(ShardEmptyError):
             table.node_leave(node.node_id)
 
@@ -403,7 +410,7 @@ class TestMigration:
             table.node_join(node)
         rng = random.Random(11)
         for i in range(num_keys):
-            shard_update(table, AUTH, rng.randbytes(20), AccountState("0", f"{i}.0"))
+            table.shard_update(AUTH, rng.randbytes(20), AccountState("0", f"{i}.0"))
         return table
 
     @staticmethod
