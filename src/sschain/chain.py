@@ -17,10 +17,16 @@ against the parent root; any rejected transaction fails the block, so a
 block validates only if an honest producer could have made it. Every
 committed root stays readable forever, so ``rollback`` is nothing more
 than moving the head pointer.
+
+On disk a chain is one ``<height>.blk`` file per block plus a ``HEAD``
+file naming the head height and its state root. ``export`` writes each
+block once, removes the files of a replaced branch, and replaces ``HEAD``
+atomically, last.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +46,7 @@ from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, dag_get, version_root
 from .mpt import Trie
 from .shard_dht import NodeIdentity, ShardTable
-from .store import MemoryKvStore
+from .store import MemoryKvStore, replace_file
 
 ADDRESS_SIZE = 20
 ZERO_DIGEST = bytes(DIGEST_SIZE)
@@ -67,6 +73,8 @@ class UnknownParentError(ChainError):
 
 
 _AMOUNT_RE = re.compile(r"^(\d+)(?:\.(\d))?$")
+_BLOCK_FILE_RE = re.compile(r"(0|[1-9][0-9]*)\.blk")
+_HEAD_RE = re.compile(rb"([0-9]{1,20}) ([0-9a-f]{%d})\s*" % (2 * DIGEST_SIZE))
 
 
 def tenths_from_text(text: str) -> int:
@@ -219,16 +227,23 @@ class Chain:
         genesis = Block(
             BlockHeader(ZERO_DIGEST, 0, 0, table.state_root, tx_root(())), ()
         )
-        self._set_fields(table, producer, [genesis], 0)
+        self._set_fields(table, producer, [genesis], [genesis.header.digest()], 0)
 
     def _set_fields(
         self,
         table: ShardTable,
         producer: Optional[NodeIdentity],
         blocks: list[Block],
+        digests: list[Digest],
         head_height: int,
+        saved_in: Optional[Path] = None,
     ) -> None:
-        """Every instance field, for both ``__init__`` and :meth:`load`."""
+        """Every instance field, for both ``__init__`` and :meth:`load`.
+
+        ``digests`` holds each block's header digest, in height order.
+        ``saved_in`` names a directory that already holds all of
+        ``blocks``, as written by :meth:`export`.
+        """
         self.table = table
         self.producer = producer or default_producer(table.num_shards)
         self.blocks = blocks
@@ -236,6 +251,13 @@ class Chain:
         self.last_rejected: tuple[Rejection, ...] = ()
         self.last_credits_out: tuple[tuple[bytes, int], ...] = ()
         self._trie = Trie(table.trie_store, blocks[head_height].header.state_root)
+        # Header digest -> height for every block in ``blocks``. Keys are
+        # inserted in height order, so the last key is the tip's digest and
+        # ``popitem`` drops the tip.
+        self._heights = {digest: height for height, digest in enumerate(digests)}
+        # The leading run of ``blocks`` already on disk in ``_saved_dir``.
+        self._saved_dir = saved_in
+        self._saved = len(blocks) if saved_in is not None else 0
 
     @property
     def head(self) -> Block:
@@ -265,20 +287,23 @@ class Chain:
         can re-derive every field.
         """
         head = self.head
-        if self.head_height < len(self.blocks) - 1:
-            del self.blocks[self.head_height + 1 :]
+        while len(self.blocks) > self.head_height + 1:
+            self.blocks.pop()
+            self._heights.popitem()
+        self._saved = min(self._saved, len(self.blocks))
         trie, accepted, rejected, credits_out = self._execute(
             self._trie, txs, credits, is_local, update_pointer=True
         )
         self._trie = trie
         header = BlockHeader(
-            head.header.digest(),
+            next(reversed(self._heights)),
             head.header.number + 1,
             head.header.timestamp + 1,
             trie.commit(),
             tx_root(accepted),
         )
         block = Block(header, tuple(accepted))
+        self._heights[header.digest()] = len(self.blocks)
         self.blocks.append(block)
         self.head_height += 1
         self.last_rejected = tuple(rejected)
@@ -408,18 +433,12 @@ class Chain:
         Raises:
             UnknownParentError: parent hash matches no block held here.
         """
-        parent = next(
-            (
-                b
-                for b in self.blocks
-                if b.header.digest() == block.header.parent_hash
-            ),
-            None,
-        )
-        if parent is None:
+        parent_height = self._heights.get(block.header.parent_hash)
+        if parent_height is None:
             raise UnknownParentError(
                 f"no parent with digest {block.header.parent_hash.hex()}"
             )
+        parent = self.blocks[parent_height]
         if block.header.number != parent.header.number + 1:
             return False
         if block.header.timestamp != parent.header.timestamp + 1:
@@ -436,13 +455,36 @@ class Chain:
         return not rejected and trie.commit() == block.header.state_root
 
     def export(self, directory: str | Path) -> None:
-        """Write every block as ``<height>.blk`` plus a HEAD pointer file."""
+        """Save the chain as ``<height>.blk`` files plus a ``HEAD`` file.
+
+        Each block is written once: heights this chain already loaded from,
+        or wrote to, the same directory are skipped (assuming nothing else
+        writes it), so after :meth:`load` and one :meth:`apply_block` only
+        the new block and ``HEAD`` are written, and after :meth:`rollback`
+        only ``HEAD``. Block files past the last block, such as a branch
+        :meth:`apply_block` replaced, are removed first, highest first, so
+        the heights on disk never have a gap. Every file goes through a
+        temporary file and a rename, ``HEAD`` last, so an interrupted
+        export leaves the previous ``HEAD``; it stays loadable when no
+        block at or below it was replaced, as after a load and one apply
+        or rollback.
+        """
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
-        for height, block in enumerate(self.blocks):
-            (out / f"{height}.blk").write_bytes(block.to_bytes())
-        (out / "HEAD").write_text(
-            f"{self.head_height} {self.head.header.state_root.hex()}\n"
+        base = os.fspath(out)
+        for height in sorted(_block_heights(base), reverse=True):
+            if height < len(self.blocks):
+                break
+            os.remove(os.path.join(base, f"{height}.blk"))
+        start = self._saved if self._saved_dir == out else 0
+        for height in range(start, len(self.blocks)):
+            replace_file(
+                os.path.join(base, f"{height}.blk"), self.blocks[height].to_bytes()
+            )
+        self._saved_dir, self._saved = out, len(self.blocks)
+        replace_file(
+            os.path.join(base, "HEAD"),
+            f"{self.head_height} {self.head.header.state_root.hex()}\n".encode(),
         )
 
     @classmethod
@@ -454,25 +496,50 @@ class Chain:
     ) -> "Chain":
         """Rebuild a chain exported by :meth:`export`.
 
+        Lists the directory once and reads the contiguous run of block
+        files from height 0. Every one must decode and link to its parent,
+        the run must reach the height in ``HEAD``, and the root in ``HEAD``
+        must be that block's state root. The loaded chain remembers that
+        the directory holds all its blocks, so its next :meth:`export`
+        there writes only what changed.
+
         Raises:
             NotFoundError: no HEAD file.
-            CorruptError: gap in heights or broken parent links.
+            CorruptError: malformed HEAD, gap in heights, undecodable
+                block, broken parent link, or a HEAD root that is not the
+                head block's state root.
         """
-        src = Path(directory)
-        head_file = src / "HEAD"
-        if not head_file.exists():
-            raise NotFoundError(f"no chain at {src}")
-        head_height = int(head_file.read_text().split()[0])
+        src = os.fspath(directory)
+        try:
+            with open(os.path.join(src, "HEAD"), "rb") as fh:
+                head_text = fh.read()
+        except FileNotFoundError:
+            raise NotFoundError(f"no chain at {src}") from None
+        match = _HEAD_RE.fullmatch(head_text)
+        if match is None:
+            raise CorruptError(f"HEAD at {src} is not '<height> <state root hex>'")
+        head_height = int(match.group(1))
+        on_disk = _block_heights(src)
         blocks: list[Block] = []
-        while (src / f"{len(blocks)}.blk").exists():
-            blocks.append(Block.from_bytes((src / f"{len(blocks)}.blk").read_bytes()))
-        if not blocks or head_height >= len(blocks):
+        while len(blocks) in on_disk:
+            with open(os.path.join(src, f"{len(blocks)}.blk"), "rb") as fh:
+                raw = fh.read()
+            try:
+                blocks.append(Block.from_bytes(raw))
+            except SSChainError as exc:
+                raise CorruptError(f"block {len(blocks)} at {src}: {exc}") from exc
+        if head_height >= len(blocks):
             raise CorruptError(f"chain at {src} is missing blocks up to its HEAD")
-        for prev, block in zip(blocks, blocks[1:]):
-            if block.header.parent_hash != prev.header.digest():
+        digests = [block.header.digest() for block in blocks]
+        for parent_digest, block in zip(digests, blocks[1:]):
+            if block.header.parent_hash != parent_digest:
                 raise CorruptError(f"broken parent link at height {block.header.number}")
+        if blocks[head_height].header.state_root.hex().encode() != match.group(2):
+            raise CorruptError(
+                f"HEAD at {src} names a root that is not block {head_height}'s"
+            )
         chain = cls.__new__(cls)
-        chain._set_fields(table, producer, blocks, head_height)
+        chain._set_fields(table, producer, blocks, digests, head_height, Path(src))
         return chain
 
     def _read_account(
@@ -486,3 +553,12 @@ class Chain:
         store = self.table.shard_for(address).store
         leaf = dag_get(store, version_root(store, version))
         return AccountState.from_json_bytes(leaf.data), version
+
+
+def _block_heights(directory: str) -> set[int]:
+    """Heights of the ``<height>.blk`` files in ``directory``, one listing."""
+    return {
+        int(match.group(1))
+        for match in map(_BLOCK_FILE_RE.fullmatch, os.listdir(directory))
+        if match is not None
+    }

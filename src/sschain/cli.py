@@ -8,7 +8,14 @@ Everything stateful lives under one directory (``--store``, default
 * ``names.txt``  published name records
 * ``table.cfg``  shard count and member nodes
 * ``shards/<i>`` per-shard stores, ``trie/`` the account trie store
-* ``chain/``     exported blocks plus the HEAD pointer
+* ``chain/``     one ``<height>.blk`` per block plus the HEAD pointer
+
+Each block file is written once, by the command that made the block:
+``chain apply`` writes its new block, ``chain rollback`` writes only
+HEAD, and the first ``chain apply`` after a rollback removes the
+abandoned branch's files. HEAD is replaced atomically, last, so an
+interrupted command leaves the previous head loadable. Two commands
+must not write one workspace at the same time.
 
 Exit codes: 0 on success, 1 on a domain error (missing key, bad root,
 rejected precondition), 2 on a usage error.

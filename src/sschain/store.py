@@ -187,9 +187,7 @@ class FileKvStore(KvStore):
             path = self._path(key)
             if not named and path.exists() and key not in self._named:
                 return
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(value)
-            os.replace(tmp, path)
+            replace_file(path, value)
             if named and key not in self._named:
                 self._named.setdefault(key)
                 with self._named_idx.open("a") as fh:
@@ -206,6 +204,17 @@ class FileKvStore(KvStore):
 
     def _is_named(self, key: Digest) -> bool:
         return key in self._named
+
+
+def replace_file(path: str | os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and a rename, so
+    a reader sees the old bytes or the new, never a part. The temporary
+    name carries the pid, so writers in two processes never write into
+    each other's temporary file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def _check_key(key: Digest) -> None:

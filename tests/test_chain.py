@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -172,6 +173,19 @@ class TestHeaderAndBlock:
     def test_malformed_block_bytes(self) -> None:
         with pytest.raises(SSChainError):
             Block.from_bytes(b"\xc1\x80")
+
+
+def counting(monkeypatch, owner: type, name: str) -> list:
+    """Patch method ``name`` of ``owner`` to record each instance it runs on."""
+    calls: list = []
+    real = getattr(owner, name)
+
+    def wrapper(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def build_chain(balances: dict[bytes, str], num_shards: int = 4) -> Chain:
@@ -441,6 +455,23 @@ class TestValidateBlock:
         with pytest.raises(UnknownParentError):
             chain.validate_block(Block(header, ()))
 
+    def test_parent_lookup_does_not_hash_history(self, monkeypatch) -> None:
+        chain = build_chain({addr(1): "10.0"})
+        for _ in range(300):
+            chain.apply_block([])
+        hashed = counting(monkeypatch, BlockHeader, "digest")
+        assert chain.validate_block(chain.blocks[-1])
+        assert len(hashed) <= 2
+
+    def test_replaced_branch_is_forgotten(self) -> None:
+        chain, _ = TestRollback()._three_blocks()
+        old = chain.blocks[3]
+        chain.rollback(1)
+        chain.apply_block([Transaction(addr(1), addr(3), "2.0", 1)])
+        with pytest.raises(UnknownParentError):
+            chain.validate_block(old)
+        assert chain.validate_block(chain.blocks[2])
+
     def test_single_byte_mutations_rejected(self) -> None:
         chain, _ = TestRollback()._three_blocks()
         raw = chain.blocks[2].to_bytes()
@@ -540,6 +571,74 @@ class TestExportLoad:
         (tmp_path / "chain" / "2.blk").write_bytes(stray.to_bytes())
         with pytest.raises(CorruptError):
             Chain.load(tmp_path / "chain", chain.table)
+
+    @pytest.mark.parametrize(
+        "head",
+        ["", "zz\n", "-1 {root}\n", "1 {root}\n", "3\n"],
+        ids=["empty", "not-a-number", "negative", "root-of-another-block", "no-root"],
+    )
+    def test_malformed_head_rejected(self, tmp_path, head: str) -> None:
+        chain, _ = TestRollback()._three_blocks()
+        chain.export(tmp_path / "chain")
+        root = chain.head.header.state_root.hex()
+        (tmp_path / "chain" / "HEAD").write_text(head.format(root=root))
+        with pytest.raises(CorruptError):
+            Chain.load(tmp_path / "chain", chain.table)
+
+    def test_undecodable_block_rejected(self, tmp_path) -> None:
+        chain, _ = TestRollback()._three_blocks()
+        chain.export(tmp_path / "chain")
+        raw = chain.blocks[2].to_bytes()
+        (tmp_path / "chain" / "2.blk").write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(CorruptError):
+            Chain.load(tmp_path / "chain", chain.table)
+
+    def test_export_after_load_writes_only_the_new_block(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        chain, _ = TestRollback()._three_blocks()
+        chain.export(tmp_path / "chain")
+        loaded = Chain.load(tmp_path / "chain", chain.table)
+        sentinel = b"not rewritten"
+        (tmp_path / "chain" / "1.blk").write_bytes(sentinel)
+        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
+        encoded = counting(monkeypatch, Block, "to_bytes")
+        loaded.export(tmp_path / "chain")
+        assert encoded == [loaded.blocks[4]]
+        assert (tmp_path / "chain" / "1.blk").read_bytes() == sentinel
+        assert (tmp_path / "chain" / "4.blk").read_bytes() == loaded.blocks[4].to_bytes()
+
+    def test_rollback_export_writes_only_head(self, tmp_path, monkeypatch) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        chain.export(tmp_path / "chain")
+        loaded = Chain.load(tmp_path / "chain", chain.table)
+        encoded = counting(monkeypatch, Block, "to_bytes")
+        loaded.rollback(1).export(tmp_path / "chain")
+        assert encoded == []
+        reloaded = Chain.load(tmp_path / "chain", chain.table)
+        assert reloaded.head.header.state_root == roots[1]
+
+    def test_interrupted_export_keeps_previous_head(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        chain.export(tmp_path / "chain")
+        loaded = Chain.load(tmp_path / "chain", chain.table)
+        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
+        real_replace = os.replace
+
+        def replace(src, dst) -> None:
+            if os.path.basename(dst) == "HEAD":
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            with pytest.raises(OSError):
+                loaded.export(tmp_path / "chain")
+        reloaded = Chain.load(tmp_path / "chain", chain.table)
+        assert reloaded.head_height == 3
+        assert reloaded.head.header.state_root == roots[3]
 
 
 class TestGenesisAdoption:

@@ -281,6 +281,28 @@ class TestChain:
             capsysbinary.readouterr().out == AccountState("0", "50.0").to_json_bytes()
         )
 
+    def test_applies_after_rollback(self, store, capsysbinary, tmp_path) -> None:
+        self._init(store, capsysbinary)
+
+        def apply(seq: int) -> int:
+            tx = f"{ADDR_A}:{ADDR_B}:1.0:{seq}"
+            return main(["--store", store, "chain", "apply", "--tx", tx])
+
+        assert [apply(seq) for seq in range(4)] == [0, 0, 0, 0]
+        assert main(["--store", store, "chain", "rollback", "1"]) == 0
+        assert [apply(seq) for seq in (1, 2)] == [0, 0]
+        capsysbinary.readouterr()
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 0
+        assert capsysbinary.readouterr().out == AccountState("3", "47.0").to_json_bytes()
+        chain_dir = tmp_path / "ws" / "chain"
+        assert sorted(p.name for p in chain_dir.iterdir()) == [
+            "0.blk",
+            "1.blk",
+            "2.blk",
+            "3.blk",
+            "HEAD",
+        ]
+
     def test_rollback_past_head(self, store, capsys) -> None:
         self._init(store, capsys)
         assert main(["--store", store, "chain", "rollback", "5"]) == 1

@@ -111,6 +111,13 @@ class TestFilePersistence:
         assert s2.named_keys() == [named_key]
         assert len(s2) == 2
 
+    def test_put_ignores_another_writers_temp_name(self, tmp_path) -> None:
+        store = FileKvStore(tmp_path / "kv")
+        key = hash256(b"value")
+        (tmp_path / "kv" / "blocks" / f"{key.hex()}.tmp").mkdir()
+        assert store.put(b"value") == key
+        assert FileKvStore(tmp_path / "kv").get(key) == b"value"
+
     def test_manifest_written_and_checked(self, tmp_path) -> None:
         FileKvStore(tmp_path / "kv")
         manifest = tmp_path / "kv" / "MANIFEST"
