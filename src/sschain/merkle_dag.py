@@ -19,6 +19,23 @@ form changes every root. Directory nodes group state files; version
 nodes wrap a root and link back to the prior version, giving a rollback
 trail (``account_history``). A ``NameRegistry``
 maps a publisher's node id to its latest root, latest-sequence-wins.
+
+A version node is the DAG node ``[b"", [[b"prev", prev, prev_size],
+[b"root", root, root_size]]]`` (no ``prev`` link on a first version),
+and its bytes are a fixed contract too. In hex, with ``S(n)`` the RLP of
+the minimal big-endian form of ``n`` (``80`` for 0, the byte itself
+below 128, else ``80+len`` and the bytes) and ``R``/``P`` the two link
+triples::
+
+    R = c0+len(rest) | 84 "root" | a0 root digest | S(root_size)
+    P = c0+len(rest) | 84 "prev" | a0 prev digest | S(prev_size)
+    first version:   c2+len(R) | 80 | c0+len(R) | R
+    later versions:  f8 | 3+len(P R) | 80 | f8 | len(P R) | P R
+
+Sizes are byte counts below 2**64, so every head has the form shown.
+Only ``_encode_version`` writes these bytes, and ``_parse_version``
+accepts exactly what it writes: a node with any other bytes, such as
+extra data, extra links or a padded size, is not a version node.
 """
 
 from __future__ import annotations
@@ -280,24 +297,25 @@ def account_update(
     return dag_put(store, DagNode(data=directory.data, links=links))
 
 
-ROOT_LINK = "root"
-PREV_LINK = "prev"
-
-
 def version_put(store: KvStore, root: Cid, prev: Optional[Cid] = None) -> Cid:
-    """Wrap ``root`` in a version node, optionally chained to ``prev``."""
+    """Wrap ``root`` in a version node, optionally chained to ``prev``.
+
+    Raises:
+        NotFoundError: root or prev absent.
+    """
     root_size = len(store.get(root.digest))
     prev_size = len(store.get(prev.digest)) if prev is not None else 0
-    return _put_version(store, root, root_size, prev, prev_size)
+    return Cid(store.put(_encode_version(root, root_size, prev, prev_size)))
 
 
 def version_root(store: KvStore, version: Cid) -> Cid:
     """The content root a version node wraps.
 
     Raises:
-        CorruptError: node has no root link.
+        NotFoundError: version absent.
+        CorruptError: node fails its digest or is not a version node.
     """
-    return _root_link(dag_get(store, version), version).cid
+    return _parse_version(_get_verified(store, version), version)[0]
 
 
 def version_append(
@@ -319,10 +337,10 @@ def version_append(
     prev_size = 0
     if prev is not None:
         raw = _get_verified(store, prev)
-        if _root_link(_decode_node(raw), prev).cid == leaf_cid:
+        if _parse_version(raw, prev)[0] == leaf_cid:
             return None
         prev_size = len(raw)
-    return _put_version(store, leaf_cid, len(leaf), prev, prev_size)
+    return Cid(store.put(_encode_version(leaf_cid, len(leaf), prev, prev_size)))
 
 
 def account_history(store: KvStore, version_head: Cid) -> list[Cid]:
@@ -333,14 +351,14 @@ def account_history(store: KvStore, version_head: Cid) -> list[Cid]:
 
     Raises:
         NotFoundError: head or any prev link does not resolve.
+        CorruptError: a node on the trail fails its digest or is not a
+            version node.
     """
     history = []
     cursor: Optional[Cid] = version_head
     while cursor is not None:
-        node = dag_get(store, cursor)
         history.append(cursor)
-        prev = node.link(PREV_LINK)
-        cursor = prev.cid if prev else None
+        cursor = _parse_version(_get_verified(store, cursor), cursor)[2]
     return history
 
 
@@ -390,23 +408,6 @@ def name_resolve(registry: NameRegistry, node_id: Digest) -> Cid:
     return record.target
 
 
-def _put_version(
-    store: KvStore, root: Cid, root_size: int, prev: Optional[Cid], prev_size: int
-) -> Cid:
-    """Store a version node from link sizes the caller already holds."""
-    links = [Link(ROOT_LINK, root, root_size)]
-    if prev is not None:
-        links.append(Link(PREV_LINK, prev, prev_size))
-    return dag_put(store, DagNode(links=tuple(links)))
-
-
-def _root_link(node: DagNode, version: Cid) -> Link:
-    link = node.link(ROOT_LINK)
-    if link is None:
-        raise CorruptError(f"{version} is not a version node (no root link)")
-    return link
-
-
 def _get_verified(store: KvStore, cid: Cid) -> bytes:
     raw = store.get(cid.digest)
     if hash256(raw) != cid.digest:
@@ -449,3 +450,70 @@ def _decode_node(raw: bytes) -> DagNode:
     if names != sorted(names) or len(set(names)) != len(names):
         raise CorruptError("dag links are not uniquely named in sorted order")
     return DagNode(data=data, links=tuple(links))
+
+
+# The RLP of a link name followed by the head of the 32-byte digest.
+_ROOT_FIELD = b"\x84root\xa0"
+_PREV_FIELD = b"\x84prev\xa0"
+# Bytes of a link triple between its head and its size field.
+_LINK_FIXED = len(_ROOT_FIELD) + DIGEST_SIZE
+
+
+def _encode_version(
+    root: Cid, root_size: int, prev: Optional[Cid], prev_size: int
+) -> bytes:
+    """A version node's bytes, as the module docstring lays them out.
+
+    Equal to ``_encode_node`` of the node's ``root`` and ``prev`` links.
+    """
+    links = _version_link(_ROOT_FIELD, root, root_size)
+    if prev is None:
+        return bytes((0xC2 + len(links), 0x80, 0xC0 + len(links))) + links
+    links = _version_link(_PREV_FIELD, prev, prev_size) + links
+    return bytes((0xF8, 3 + len(links), 0x80, 0xF8, len(links))) + links
+
+
+def _version_link(field: bytes, cid: Cid, size: int) -> bytes:
+    """RLP of one ``[name, cid, size]`` triple; ``field`` is the name part."""
+    if 0 < size < 0x80:
+        size_item = bytes((size,))
+    else:
+        size_raw = int_to_bytes(size)
+        size_item = bytes((0x80 + len(size_raw),)) + size_raw
+    head = bytes((0xC0 + _LINK_FIXED + len(size_item),))
+    return head + field + cid.digest + size_item
+
+
+def _parse_version(raw: bytes, cid: Cid) -> tuple[Cid, int, Optional[Cid], int]:
+    """(root, root size, prev or None, prev size) of the version node ``cid``.
+
+    The link fields are read at their fixed offsets and re-encoded; the
+    node is accepted only if that gives back ``raw`` exactly.
+
+    Raises:
+        CorruptError: ``raw`` is not what :func:`_encode_version` writes.
+    """
+    # A first version's root triple starts at byte 3; a later version's
+    # two long-form heads put its prev triple at byte 5, the root after it.
+    prev, prev_size, at = None, 0, 3
+    if raw[:1] == b"\xf8":
+        prev, prev_size, at = _read_link(raw, 5)
+    root, root_size, _ = _read_link(raw, at)
+    if _encode_version(root, root_size, prev, prev_size) != raw:
+        raise CorruptError(f"{cid} is not a version node")
+    return root, root_size, prev, prev_size
+
+
+def _read_link(raw: bytes, at: int) -> tuple[Cid, int, int]:
+    """(cid, size, end) of the link triple whose head is at ``at``, unchecked.
+
+    A size field longer than 8 bytes is read as its first 8, so it cannot
+    re-encode to the same bytes.
+    """
+    at += 1 + _LINK_FIXED
+    head = raw[at] if at < len(raw) else 0
+    cid = Cid(raw[at - DIGEST_SIZE : at])
+    if head < 0x80:
+        return cid, head, at + 1
+    end = at + 1 + min(head - 0x80, 8)
+    return cid, int.from_bytes(raw[at + 1 : end], "big"), end

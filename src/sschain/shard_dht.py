@@ -29,13 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .encoding import (
-    Digest,
-    hash256,
-    hex_encode,
-    hp_encode,
-    rlp_encode,
-)
+from .encoding import Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, version_append
 from .mpt import Trie
@@ -196,8 +190,12 @@ class RemapReport:
 
 
 def pipeline_key(address: bytes) -> Digest:
-    """Lookup key for an address: hash of the RLP of its HP-packed nibbles."""
-    return hash256(rlp_encode(hp_encode(hex_encode(address), True)))
+    """Lookup key for an address: hash of the RLP of its HP-packed nibbles.
+
+    An address's nibble path has even length, so its leaf hex-prefix form
+    is the flag byte ``0x20`` followed by the address bytes.
+    """
+    return hash256(rlp_encode(b"\x20" + address))
 
 
 class Shard:

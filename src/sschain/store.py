@@ -12,9 +12,11 @@ Two kinds of entry share one namespace:
 
 The file backend keeps one ``<lowercase hex digest>.dat`` file per entry
 under ``<root>/blocks/``, a ``MANIFEST`` recording the store parameters,
-and a ``named.idx`` listing which keys are pointer entries. Verification
-on read is on by default for the file backend (bytes on disk are outside
-the process's control) and off for the in-memory backend.
+and a ``named.idx`` listing which keys are pointer entries, one lowercase
+hex key per line; opening a store whose index holds any other line (a
+torn append, say) raises ``CorruptError``. Verification on read is on by
+default for the file backend (bytes on disk are outside the process's
+control) and off for the in-memory backend.
 
 There is no delete: the chain layer keeps every historical node readable
 for rollback.
@@ -23,6 +25,7 @@ for rollback.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -33,6 +36,7 @@ from .errors import CorruptError, NotFoundError, SSChainError
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_PARAMS = (("hash", "sha-256"), ("version", "1"))
+_NAMED_LINE = re.compile(rb"[0-9a-f]{%d}" % (2 * DIGEST_SIZE))
 
 
 class StoreError(SSChainError):
@@ -162,10 +166,14 @@ class FileKvStore(KvStore):
         self._init_manifest()
         self._named: dict[Digest, None] = {}
         if self._named_idx.exists():
-            for line in self._named_idx.read_text().splitlines():
-                line = line.strip()
-                if line:
-                    self._named.setdefault(bytes.fromhex(line))
+            lines = self._named_idx.read_bytes().splitlines()
+            for number, line in enumerate(lines, 1):
+                if _NAMED_LINE.fullmatch(line) is None:
+                    raise CorruptError(
+                        f"{self._named_idx} line {number} is not a key of"
+                        f" {2 * DIGEST_SIZE} lowercase hex digits: {line!r}"
+                    )
+                self._named.setdefault(bytes.fromhex(line.decode()))
 
     def __len__(self) -> int:
         return sum(1 for p in self._blocks.iterdir() if p.suffix == ".dat")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +303,17 @@ class TestChain:
             "3.blk",
             "HEAD",
         ]
+
+    def test_torn_named_index_is_an_error(self, store, capsys) -> None:
+        self._init(store, capsys)
+        indexes = list(Path(store, "shards").glob("*/named.idx"))
+        assert indexes
+        for index in indexes:
+            with index.open("a") as fh:
+                fh.write("abc")
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "named.idx" in err
 
     def test_rollback_past_head(self, store, capsys) -> None:
         self._init(store, capsys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sschain.encoding import hash256
+from sschain.encoding import hash256, rlp_encode
 from sschain.errors import CorruptError, NotFoundError
 from sschain.merkle_dag import (
     AccountState,
@@ -28,9 +28,13 @@ from sschain.merkle_dag import (
     dag_put,
     name_publish,
     name_resolve,
+    _encode_node,
+    _encode_version,
+    _parse_version,
     version_put,
     version_root,
 )
+from sschain.shard_dht import NodeIdentity, ShardTable
 from sschain.store import MemoryKvStore
 
 FOUR_FILES = [
@@ -237,6 +241,128 @@ class TestVersionHistory:
         del store._entries[head.digest]
         with pytest.raises(NotFoundError):
             account_history(store, head2)
+
+
+LINK_SIZES = [0, 1, 127, 128, 255, 256, 65535, 65536]
+ROOT = Cid(hash256(b"root"))
+PREV = Cid(hash256(b"prev"))
+
+
+def generic_version(
+    root: Cid, root_size: int, prev: Cid | None, prev_size: int
+) -> bytes:
+    """A version node through the generic DAG encoder."""
+    links = [Link("root", root, root_size)]
+    if prev is not None:
+        links.append(Link("prev", prev, prev_size))
+    return _encode_node(DagNode(links=tuple(links)))
+
+
+class TestVersionCodec:
+    @pytest.mark.parametrize("prev_size", [None, *LINK_SIZES])
+    @pytest.mark.parametrize("root_size", LINK_SIZES)
+    def test_matches_generic_encoding(
+        self, root_size: int, prev_size: int | None
+    ) -> None:
+        prev = None if prev_size is None else PREV
+        fields = (ROOT, root_size, prev, prev_size or 0)
+        raw = _encode_version(*fields)
+        assert raw == generic_version(*fields)
+        assert _parse_version(raw, ROOT) == fields
+
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**64 - 1),
+        st.none() | st.binary(min_size=32, max_size=32),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_oracle_property(
+        self, root: bytes, root_size: int, prev: bytes | None, prev_size: int
+    ) -> None:
+        fields = (Cid(root), root_size, None, 0)
+        if prev is not None:
+            fields = (Cid(root), root_size, Cid(prev), prev_size)
+        raw = _encode_version(*fields)
+        assert raw == generic_version(*fields)
+        assert _parse_version(raw, ROOT) == fields
+
+    @given(
+        st.sampled_from(LINK_SIZES),
+        st.booleans(),
+        st.integers(0, 120),
+        st.binary(max_size=3),
+        st.integers(0, 3),
+    )
+    def test_parse_accepts_only_what_encode_writes(
+        self, size: int, chained: bool, at: int, insert: bytes, cut: int
+    ) -> None:
+        """A version node with bytes spliced in or cut out parses only if it
+        is still exactly what the encoder writes for the fields read."""
+        valid = _encode_version(ROOT, size, PREV if chained else None, size)
+        raw = valid[:at] + insert + valid[at + cut :]
+        try:
+            fields = _parse_version(raw, ROOT)
+        except CorruptError:
+            return
+        assert _encode_version(*fields) == raw
+
+
+WRITER = NodeIdentity.derive(hash256(b"writer"), 1, book=True, authority=True)
+
+
+def store_not_a_version(store: MemoryKvStore, kind: str) -> Cid:
+    """Store a node that is not a version node and return its Cid."""
+    payload = AccountState("0", "5.0").to_json_bytes()
+    leaf = dag_put(store, DagNode(data=payload))
+    root_link = Link("root", leaf, len(store.get(leaf.digest)))
+    if kind == "account leaf":
+        return leaf
+    if kind == "directory":
+        return dag_build_directory(store, FOUR_FILES)
+    if kind == "extra data":
+        return dag_put(store, DagNode(data=b"x", links=(root_link,)))
+    if kind == "extra link":
+        extra = Link("zzz", leaf, root_link.size)
+        return dag_put(store, DagNode(links=(root_link, extra)))
+    assert kind == "padded size"
+    size = b"\x00" + root_link.size.to_bytes(2, "big")
+    return Cid(store.put(rlp_encode([b"", [[b"root", leaf.digest, size]]])))
+
+
+NOT_VERSION_KINDS = [
+    "account leaf",
+    "directory",
+    "extra data",
+    "extra link",
+    "padded size",
+]
+
+
+class TestNotAVersionNode:
+    @pytest.mark.parametrize("kind", NOT_VERSION_KINDS)
+    def test_version_root_refuses(self, kind: str) -> None:
+        store = MemoryKvStore()
+        cid = store_not_a_version(store, kind)
+        with pytest.raises(CorruptError, match="is not a version node"):
+            version_root(store, cid)
+
+    @pytest.mark.parametrize("kind", NOT_VERSION_KINDS)
+    def test_account_history_refuses(self, kind: str) -> None:
+        store = MemoryKvStore()
+        cid = store_not_a_version(store, kind)
+        head = Cid(store.put(_encode_version(cid, 1, cid, 1)))
+        with pytest.raises(CorruptError, match="is not a version node"):
+            account_history(store, head)
+
+    @pytest.mark.parametrize("kind", NOT_VERSION_KINDS)
+    def test_write_account_refuses_prev(self, kind: str) -> None:
+        table = ShardTable(1)
+        address = b"\x66" * 20
+        prev = store_not_a_version(table.shard_for(address).store, kind)
+        with pytest.raises(CorruptError, match="is not a version node"):
+            table.write_account(
+                WRITER, address, AccountState("1", "4.0"), trie=table.trie, prev_cid=prev
+            )
 
 
 class TestNameRegistry:

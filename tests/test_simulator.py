@@ -193,6 +193,16 @@ class TestRunExperiment:
         assert parallel.final_state_root == serial.final_state_root
         assert parallel.per_shard_loads == serial.per_shard_loads
 
+    def test_big_block_root_is_pinned(self) -> None:
+        """10,000 transfers in one block on one shard, the benchmark's
+        ``sim-bigblock`` run at seed 8, keep their state root."""
+        config = SimConfig(
+            num_txs=10000, num_shards=1, num_nodes=8, parallelism=1, seed=8
+        )
+        assert run_experiment(config).final_state_root.hex() == (
+            "d5b304153f728f122988a229de6367650f30d8d666b63538663237bbf7fe91ec"
+        )
+
     def test_windows_follow_block_size(self) -> None:
         report = run_experiment(
             replace(self.CONFIG, num_shards=1, num_nodes=8, txs_per_block=50)

@@ -118,6 +118,15 @@ class TestFilePersistence:
         assert store.put(b"value") == key
         assert FileKvStore(tmp_path / "kv").get(key) == b"value"
 
+    @pytest.mark.parametrize("torn", ["abc", "abcd"])
+    def test_torn_named_index_rejected(self, tmp_path, torn: str) -> None:
+        store = FileKvStore(tmp_path / "kv")
+        store.put_named(hash256(b"head"), b"pointer")
+        with (tmp_path / "kv" / "named.idx").open("a") as fh:
+            fh.write(torn)
+        with pytest.raises(CorruptError, match="named.idx line 2"):
+            FileKvStore(tmp_path / "kv")
+
     def test_manifest_written_and_checked(self, tmp_path) -> None:
         FileKvStore(tmp_path / "kv")
         manifest = tmp_path / "kv" / "MANIFEST"
