@@ -18,18 +18,18 @@ block validates only if an honest producer could have made it. Every
 committed root stays readable forever, so ``rollback`` is nothing more
 than moving the head pointer.
 
-On disk a chain is one ``<height>.blk`` file per block plus a ``HEAD``
-file naming the head height and its state root. ``export`` writes each
-block once, removes the files of a replaced branch, and replaces ``HEAD``
-atomically, last.
+On disk a chain is two tables of a SQLite database, owned by this
+module: ``chain_blocks`` holds each block's bytes by height and
+``chain_head`` one row naming the head height and its state root.
+``export`` writes each block once, deletes the rows of a replaced branch
+and rewrites the head row, all inside the caller's transaction.
 """
 
 from __future__ import annotations
 
-import os
 import re
+import sqlite3
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .encoding import (
@@ -46,7 +46,7 @@ from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, dag_get, version_root
 from .mpt import Trie
 from .shard_dht import NodeIdentity, ShardTable
-from .store import MemoryKvStore, replace_file
+from .store import MemoryKvStore
 
 ADDRESS_SIZE = 20
 ZERO_DIGEST = bytes(DIGEST_SIZE)
@@ -73,8 +73,12 @@ class UnknownParentError(ChainError):
 
 
 _AMOUNT_RE = re.compile(r"^(\d+)(?:\.(\d))?$")
-_BLOCK_FILE_RE = re.compile(r"(0|[1-9][0-9]*)\.blk")
-_HEAD_RE = re.compile(rb"([0-9]{1,20}) ([0-9a-f]{%d})\s*" % (2 * DIGEST_SIZE))
+_CHAIN_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS chain_blocks"
+    " (height INTEGER PRIMARY KEY, block BLOB NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS chain_head (id INTEGER PRIMARY KEY CHECK (id = 0),"
+    " height INTEGER NOT NULL, root BLOB NOT NULL)",
+)
 
 
 def tenths_from_text(text: str) -> int:
@@ -236,13 +240,13 @@ class Chain:
         blocks: list[Block],
         digests: list[Digest],
         head_height: int,
-        saved_in: Optional[Path] = None,
+        saved_in: Optional[sqlite3.Connection] = None,
     ) -> None:
         """Every instance field, for both ``__init__`` and :meth:`load`.
 
         ``digests`` holds each block's header digest, in height order.
-        ``saved_in`` names a directory that already holds all of
-        ``blocks``, as written by :meth:`export`.
+        ``saved_in`` is a database that already holds all of ``blocks``,
+        as written by :meth:`export`.
         """
         self.table = table
         self.producer = producer or default_producer(table.num_shards)
@@ -255,8 +259,8 @@ class Chain:
         # inserted in height order, so the last key is the tip's digest and
         # ``popitem`` drops the tip.
         self._heights = {digest: height for height, digest in enumerate(digests)}
-        # The leading run of ``blocks`` already on disk in ``_saved_dir``.
-        self._saved_dir = saved_in
+        # The leading run of ``blocks`` already saved in ``_saved_in``.
+        self._saved_in = saved_in
         self._saved = len(blocks) if saved_in is not None else 0
 
     @property
@@ -454,92 +458,71 @@ class Chain:
         )
         return not rejected and trie.commit() == block.header.state_root
 
-    def export(self, directory: str | Path) -> None:
-        """Save the chain as ``<height>.blk`` files plus a ``HEAD`` file.
+    def export(self, db: sqlite3.Connection) -> None:
+        """Save the chain in ``db``, inside the caller's transaction if any.
 
         Each block is written once: heights this chain already loaded from,
-        or wrote to, the same directory are skipped (assuming nothing else
+        or wrote to, the same database are skipped (assuming nothing else
         writes it), so after :meth:`load` and one :meth:`apply_block` only
-        the new block and ``HEAD`` are written, and after :meth:`rollback`
-        only ``HEAD``. Block files past the last block, such as a branch
-        :meth:`apply_block` replaced, are removed first, highest first, so
-        the heights on disk never have a gap. Every file goes through a
-        temporary file and a rename, ``HEAD`` last, so an interrupted
-        export leaves the previous ``HEAD``; it stays loadable when no
-        block at or below it was replaced, as after a load and one apply
-        or rollback.
+        the new block and the head row are written, and after
+        :meth:`rollback` only the head row. Rows of a replaced branch go.
         """
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        base = os.fspath(out)
-        for height in sorted(_block_heights(base), reverse=True):
-            if height < len(self.blocks):
-                break
-            os.remove(os.path.join(base, f"{height}.blk"))
-        start = self._saved if self._saved_dir == out else 0
-        for height in range(start, len(self.blocks)):
-            replace_file(
-                os.path.join(base, f"{height}.blk"), self.blocks[height].to_bytes()
-            )
-        self._saved_dir, self._saved = out, len(self.blocks)
-        replace_file(
-            os.path.join(base, "HEAD"),
-            f"{self.head_height} {self.head.header.state_root.hex()}\n".encode(),
+        for statement in _CHAIN_SCHEMA:
+            db.execute(statement)
+        db.execute("DELETE FROM chain_blocks WHERE height >= ?", (len(self.blocks),))
+        start = self._saved if self._saved_in is db else 0
+        db.executemany(
+            "INSERT OR REPLACE INTO chain_blocks VALUES (?, ?)",
+            [(h, self.blocks[h].to_bytes()) for h in range(start, len(self.blocks))],
         )
+        db.execute(
+            "INSERT OR REPLACE INTO chain_head VALUES (0, ?, ?)",
+            (self.head_height, self.head.header.state_root),
+        )
+        self._saved_in, self._saved = db, len(self.blocks)
 
     @classmethod
     def load(
         cls,
-        directory: str | Path,
+        db: sqlite3.Connection,
         table: ShardTable,
         producer: Optional[NodeIdentity] = None,
     ) -> "Chain":
-        """Rebuild a chain exported by :meth:`export`.
+        """Rebuild a chain saved by :meth:`export`; its next export to
+        ``db`` writes only what changed.
 
-        Lists the directory once and reads the contiguous run of block
-        files from height 0. Every one must decode and link to its parent,
-        the run must reach the height in ``HEAD``, and the root in ``HEAD``
-        must be that block's state root. The loaded chain remembers that
-        the directory holds all its blocks, so its next :meth:`export`
-        there writes only what changed.
+        The block heights must run from 0 without a gap, every block must
+        decode and link to its parent, the head height must be one of them,
+        and the head root must be that block's state root.
 
         Raises:
-            NotFoundError: no HEAD file.
-            CorruptError: malformed HEAD, gap in heights, undecodable
-                block, broken parent link, or a HEAD root that is not the
-                head block's state root.
+            NotFoundError: no chain saved in ``db``.
+            CorruptError: any of the above fails.
         """
-        src = os.fspath(directory)
-        try:
-            with open(os.path.join(src, "HEAD"), "rb") as fh:
-                head_text = fh.read()
-        except FileNotFoundError:
-            raise NotFoundError(f"no chain at {src}") from None
-        match = _HEAD_RE.fullmatch(head_text)
-        if match is None:
-            raise CorruptError(f"HEAD at {src} is not '<height> <state root hex>'")
-        head_height = int(match.group(1))
-        on_disk = _block_heights(src)
+        head = stored_head(db)
+        if head is None:
+            raise NotFoundError("no chain in the database")
+        head_height, head_root = head
         blocks: list[Block] = []
-        while len(blocks) in on_disk:
-            with open(os.path.join(src, f"{len(blocks)}.blk"), "rb") as fh:
-                raw = fh.read()
+        for height, raw in db.execute("SELECT height, block FROM chain_blocks ORDER BY height"):
+            if height != len(blocks):
+                raise CorruptError(f"chain is missing block {len(blocks)}")
             try:
+                if not isinstance(raw, bytes):
+                    raise CorruptError("not a byte string")
                 blocks.append(Block.from_bytes(raw))
             except SSChainError as exc:
-                raise CorruptError(f"block {len(blocks)} at {src}: {exc}") from exc
-        if head_height >= len(blocks):
-            raise CorruptError(f"chain at {src} is missing blocks up to its HEAD")
+                raise CorruptError(f"block {height}: {exc}") from exc
+        if not (type(head_height) is int and 0 <= head_height < len(blocks)):
+            raise CorruptError(f"chain head {head_height!r} is not a stored height")
         digests = [block.header.digest() for block in blocks]
         for parent_digest, block in zip(digests, blocks[1:]):
             if block.header.parent_hash != parent_digest:
                 raise CorruptError(f"broken parent link at height {block.header.number}")
-        if blocks[head_height].header.state_root.hex().encode() != match.group(2):
-            raise CorruptError(
-                f"HEAD at {src} names a root that is not block {head_height}'s"
-            )
+        if blocks[head_height].header.state_root != head_root:
+            raise CorruptError(f"chain head names a root that is not block {head_height}'s")
         chain = cls.__new__(cls)
-        chain._set_fields(table, producer, blocks, digests, head_height, Path(src))
+        chain._set_fields(table, producer, blocks, digests, head_height, db)
         return chain
 
     def _read_account(
@@ -555,10 +538,8 @@ class Chain:
         return AccountState.from_json_bytes(leaf.data), version
 
 
-def _block_heights(directory: str) -> set[int]:
-    """Heights of the ``<height>.blk`` files in ``directory``, one listing."""
-    return {
-        int(match.group(1))
-        for match in map(_BLOCK_FILE_RE.fullmatch, os.listdir(directory))
-        if match is not None
-    }
+def stored_head(db: sqlite3.Connection) -> Optional[tuple[object, object]]:
+    """Unchecked (height, state root) head row of ``db``'s chain, or None."""
+    for statement in _CHAIN_SCHEMA:
+        db.execute(statement)
+    return db.execute("SELECT height, root FROM chain_head").fetchone()

@@ -1,21 +1,14 @@
 """Command-line front end.
 
-Everything stateful lives under one directory (``--store``, default
-``./sschain-store``):
+Everything stateful lives in one SQLite database, ``sschain.db``, under
+``--store`` (default ``./sschain-store``): the store spaces ``objects``,
+``trie`` and ``shards/<i>``, the chain's tables, and this module's
+``workspace`` (trie root, shard table) and ``names`` tables.
 
-* ``objects/``   content store backing store/dag/name/trie commands
-* ``TRIE_ROOT``  current root of the standalone trie commands
-* ``names.txt``  published name records
-* ``table.cfg``  shard count and member nodes
-* ``shards/<i>`` per-shard stores, ``trie/`` the account trie store
-* ``chain/``     one ``<height>.blk`` per block plus the HEAD pointer
-
-Each block file is written once, by the command that made the block:
-``chain apply`` writes its new block, ``chain rollback`` writes only
-HEAD, and the first ``chain apply`` after a rollback removes the
-abandoned branch's files. HEAD is replaced atomically, last, so an
-interrupted command leaves the previous head loadable. Two commands
-must not write one workspace at the same time.
+Each command is one transaction, committed only if it succeeds, so a
+failed or killed command leaves the workspace as it was. Writing
+commands start with ``BEGIN IMMEDIATE``, so two writers take turns. A
+directory in the old file-per-entry layout is refused, not read.
 
 Exit codes: 0 on success, 1 on a domain error (missing key, bad root,
 rejected precondition), 2 on a usage error.
@@ -25,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional
@@ -33,11 +27,20 @@ from . import chain as chainmod
 from . import merkle_dag as dagmod
 from . import shard_dht as shardmod
 from . import simulator as simmod
-from .encoding import DIGEST_SIZE
-from .errors import SSChainError
-from .merkle_dag import AccountState, Cid, DagNode, Link, NameRecord, NameRegistry
+from .encoding import DIGEST_SIZE, Digest
+from .errors import CorruptError, SSChainError
+from .merkle_dag import AccountState, Cid, DagNode, NameRecord, NameRegistry
 from .mpt import EMPTY_ROOT, Trie
-from .store import FileKvStore, KvStore
+from .store import FileKvStore, KvStore, open_database
+
+DB_NAME = "sschain.db"
+_OLD_LAYOUT = ("objects", "trie", "shards", "chain", "table.cfg", "TRIE_ROOT", "names.txt")
+_CLI_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS workspace"
+    " (name TEXT PRIMARY KEY, value NOT NULL) WITHOUT ROWID",
+    "CREATE TABLE IF NOT EXISTS names (node_id BLOB PRIMARY KEY,"
+    " sequence INTEGER NOT NULL, target BLOB NOT NULL) WITHOUT ROWID",
+)
 
 
 def _hex_arg(text: str) -> bytes:
@@ -84,66 +87,97 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
 
 
 class Workspace:
-    """Paths and lazily opened stores under the --store directory."""
+    """The --store database, opened on first use inside the command's
+    transaction, which :meth:`close` ends. Values read back are checked."""
 
-    def __init__(self, root: Path):
-        self.root = root
+    def __init__(self, root: Path, write: bool):
+        self.root, self.write = root, write
+        self._db: Optional[sqlite3.Connection] = None
 
-    def objects(self) -> FileKvStore:
-        return FileKvStore(self.root / "objects")
+    @property
+    def db(self) -> sqlite3.Connection:
+        if self._db is None:
+            path = self.root / DB_NAME
+            if not path.exists():
+                old = [name for name in _OLD_LAYOUT if (self.root / name).exists()]
+                if old:
+                    raise SSChainError(
+                        f"{self.root} is in the old file-per-entry layout ({', '.join(old)}),"
+                        f" which this version does not read; it keeps one {DB_NAME}"
+                    )
+                self.root.mkdir(parents=True, exist_ok=True)
+            self._db = open_database(path)
+            self._db.execute("BEGIN IMMEDIATE" if self.write else "BEGIN")
+            for statement in _CLI_SCHEMA:
+                self._db.execute(statement)
+        return self._db
 
-    def trie_root_file(self) -> Path:
-        return self.root / "TRIE_ROOT"
+    def close(self, commit: bool = False) -> None:
+        """Commit the transaction if ``commit`` is set, then close the
+        database; closing without a commit rolls the transaction back."""
+        db, self._db = self._db, None
+        if db is not None:
+            try:
+                if commit:
+                    db.commit()
+            finally:
+                db.close()
 
-    def names_file(self) -> Path:
-        return self.root / "names.txt"
+    def store(self, space: str) -> FileKvStore:
+        return FileKvStore(self.db, space)
 
-    def table_file(self) -> Path:
-        return self.root / "table.cfg"
+    def shard_store(self, shard_id: shardmod.ShardId) -> KvStore:
+        return self.store(f"shards/{shard_id.index}")
 
-    def chain_dir(self) -> Path:
-        return self.root / "chain"
+    def _value(self, name: str) -> object:
+        row = self.db.execute("SELECT value FROM workspace WHERE name = ?", (name,)).fetchone()
+        return None if row is None else row[0]
 
-    def shard_factory(self):
-        def factory(shard_id: shardmod.ShardId) -> KvStore:
-            return FileKvStore(self.root / "shards" / str(shard_id.index))
+    def _set_value(self, name: str, value: object) -> None:
+        self.db.execute("INSERT OR REPLACE INTO workspace VALUES (?, ?)", (name, value))
 
-        return factory
+    def trie_root(self) -> Digest:
+        """Root of the standalone trie commands; the empty root at first."""
+        root = self._value("trie_root")
+        if root is not None and not _is_digest(root):
+            raise CorruptError(f"stored trie root {root!r} is not a digest")
+        return EMPTY_ROOT if root is None else root
+
+    def save_trie_root(self, root: Digest) -> None:
+        self._set_value("trie_root", root)
 
     def load_table(self, default_shards: Optional[int] = None) -> shardmod.ShardTable:
-        trie_store = FileKvStore(self.root / "trie")
-        if self.table_file().exists():
-            return shardmod.table_from_config(
-                self.table_file().read_text(), self.shard_factory(), trie_store
-            )
-        if default_shards is None:
-            raise SSChainError(f"no shard table at {self.table_file()}; run chain init")
-        return shardmod.ShardTable(default_shards, self.shard_factory(), trie_store)
+        trie_store = self.store("trie")
+        config = self._value("shard_table")
+        if config is None:
+            if default_shards is None:
+                raise SSChainError(f"no shard table in {self.root / DB_NAME}; run chain init")
+            return shardmod.ShardTable(default_shards, self.shard_store, trie_store)
+        try:
+            if not isinstance(config, str):
+                raise shardmod.ShardError(f"{config!r} is not text")
+            return shardmod.table_from_config(config, self.shard_store, trie_store)
+        except shardmod.ShardError as exc:
+            raise CorruptError(f"stored shard table: {exc}") from exc
 
     def save_table(self, table: shardmod.ShardTable) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.table_file().write_text(shardmod.table_to_config(table))
+        self._set_value("shard_table", shardmod.table_to_config(table))
 
     def load_registry(self, store: KvStore) -> NameRegistry:
         registry = NameRegistry(store)
-        path = self.names_file()
-        if path.exists():
-            for line in path.read_text().splitlines():
-                fields = line.split()
-                if len(fields) == 3:
-                    node_id = bytes.fromhex(fields[0])
-                    registry._records[node_id] = NameRecord(
-                        node_id, Cid.parse(fields[2]), int(fields[1])
-                    )
+        for node_id, sequence, target in self.db.execute("SELECT * FROM names"):
+            if not (_is_digest(node_id) and _is_digest(target) and type(sequence) is int):
+                raise CorruptError(f"stored name record for {node_id!r} is malformed")
+            registry._records[node_id] = NameRecord(node_id, Cid(target), sequence)
         return registry
 
-    def save_registry(self, registry: NameRegistry) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        lines = [
-            f"{r.node_id.hex()} {r.sequence} {r.target}"
-            for r in sorted(registry.records(), key=lambda r: r.node_id)
-        ]
-        self.names_file().write_text("".join(line + "\n" for line in lines))
+    def save_name(self, record: NameRecord) -> None:
+        row = (record.node_id, record.sequence, record.target.digest)
+        self.db.execute("INSERT OR REPLACE INTO names VALUES (?, ?, ?)", row)
+
+
+def _is_digest(value: object) -> bool:
+    return isinstance(value, bytes) and len(value) == DIGEST_SIZE
 
 
 def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> None:
@@ -156,13 +190,13 @@ def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> N
 
 def cmd_store_put(args: argparse.Namespace, ws: Workspace) -> int:
     data = sys.stdin.buffer.read() if args.path == "-" else Path(args.path).read_bytes()
-    key = ws.objects().put(data)
+    key = ws.store("objects").put(data)
     _emit(args, {"key": key.hex()}, [key.hex()])
     return 0
 
 
 def cmd_store_get(args: argparse.Namespace, ws: Workspace) -> int:
-    value = ws.objects().get(args.key)
+    value = ws.store("objects").get(args.key)
     if args.out:
         Path(args.out).write_bytes(value)
         _emit(args, {"key": args.key.hex(), "size": len(value)}, [f"wrote {args.out}"])
@@ -178,23 +212,16 @@ def cmd_dag_add(args: argparse.Namespace, ws: Workspace) -> int:
     path = Path(args.path)
     if not path.exists():
         raise SSChainError(f"path not found: {path}")
-    store = ws.objects()
-    added: list[tuple[Cid, str]] = []
+    store = ws.store("objects")
     if path.is_dir():
         if not args.recursive:
             raise SSChainError(f"{path} is a directory; use -r")
-        files = sorted(p for p in path.iterdir() if p.is_file())
-        links = []
-        for file in files:
-            payload = file.read_bytes()
-            cid = dagmod.dag_put(store, DagNode(data=payload))
-            links.append(Link(file.name, cid, len(payload)))
-            added.append((cid, file.name))
-        dir_cid = dagmod.dag_put(store, DagNode(links=tuple(links)))
+        files = [(p.name, p.read_bytes()) for p in path.iterdir() if p.is_file()]
+        dir_cid = dagmod.dag_build_directory(store, files)
+        added = [(link.cid, link.name) for link in dagmod.dag_get(store, dir_cid).links]
         added.append((dir_cid, path.name))
     else:
-        payload = path.read_bytes()
-        added.append((dagmod.dag_put(store, DagNode(data=payload)), path.name))
+        added = [(dagmod.dag_put(store, DagNode(data=path.read_bytes())), path.name)]
     _emit(
         args,
         [{"cid": str(cid), "name": name} for cid, name in added],
@@ -204,7 +231,7 @@ def cmd_dag_add(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_dag_get(args: argparse.Namespace, ws: Workspace) -> int:
-    node = dagmod.dag_get(ws.objects(), args.cid)
+    node = dagmod.dag_get(ws.store("objects"), args.cid)
     doc = {
         "data": node.data.hex(),
         "links": [
@@ -217,17 +244,16 @@ def cmd_dag_get(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_dag_cat(args: argparse.Namespace, ws: Workspace) -> int:
-    node = dagmod.dag_get(ws.objects(), args.cid)
+    node = dagmod.dag_get(ws.store("objects"), args.cid)
     sys.stdout.buffer.write(node.data)
     sys.stdout.buffer.flush()
     return 0
 
 
 def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
-    store = ws.objects()
-    registry = ws.load_registry(store)
+    registry = ws.load_registry(ws.store("objects"))
     record = dagmod.name_publish(registry, args.node_id, args.cid)
-    ws.save_registry(registry)
+    ws.save_name(record)
     _emit(
         args,
         {
@@ -241,7 +267,7 @@ def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_resolve(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = ws.load_registry(ws.objects())
+    registry = ws.load_registry(ws.store("objects"))
     target = dagmod.name_resolve(registry, args.node_id)
     _emit(
         args,
@@ -252,17 +278,13 @@ def cmd_name_resolve(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def _cli_trie(ws: Workspace) -> Trie:
-    store = ws.objects()
-    root_file = ws.trie_root_file()
-    if root_file.exists():
-        return Trie(store, bytes.fromhex(root_file.read_text().strip()))
-    return Trie(store)
+    return Trie(ws.store("objects"), ws.trie_root())
 
 
 def cmd_trie_put(args: argparse.Namespace, ws: Workspace) -> int:
     trie = _cli_trie(ws).insert(args.key.encode(), args.value.encode())
     root = trie.commit()
-    ws.trie_root_file().write_text(root.hex() + "\n")
+    ws.save_trie_root(root)
     _emit(args, {"root": root.hex()}, [root.hex()])
     return 0
 
@@ -278,18 +300,13 @@ def cmd_trie_get(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_trie_root(args: argparse.Namespace, ws: Workspace) -> int:
-    root_file = ws.trie_root_file()
-    root = bytes.fromhex(root_file.read_text().strip()) if root_file.exists() else EMPTY_ROOT
+    root = ws.trie_root()
     _emit(args, {"root": root.hex()}, [root.hex()])
     return 0
 
 
 def cmd_shard_map(args: argparse.Namespace, ws: Workspace) -> int:
-    if ws.table_file().exists():
-        num_shards = shardmod.table_from_config(ws.table_file().read_text()).num_shards
-    else:
-        num_shards = args.shards
-    shard = shardmod.shard_of(args.address, num_shards)
+    shard = shardmod.shard_of(args.address, ws.load_table(args.shards).num_shards)
     suffix = f" (prefix {shard.bits})" if shard.bits else ""
     _emit(
         args,
@@ -334,14 +351,14 @@ def cmd_shard_leave(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
-    if (ws.chain_dir() / "HEAD").exists():
-        raise SSChainError(f"chain already initialized at {ws.chain_dir()}")
+    if chainmod.stored_head(ws.db) is not None:
+        raise SSChainError(f"chain already initialized in {ws.root / DB_NAME}")
     table = ws.load_table(default_shards=args.shards)
     producer = chainmod.default_producer(table.num_shards)
     for address, amount in args.fund or []:
         table.shard_update(producer, address, AccountState("0", amount))
     chain = chainmod.Chain(table, producer)
-    chain.export(ws.chain_dir())
+    chain.export(ws.db)
     ws.save_table(table)
     root = chain.genesis_root
     _emit(args, {"height": 0, "root": root.hex()}, [f"head 0 root {root.hex()}"])
@@ -349,14 +366,14 @@ def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def _load_chain(ws: Workspace) -> chainmod.Chain:
-    return chainmod.Chain.load(ws.chain_dir(), ws.load_table())
+    return chainmod.Chain.load(ws.db, ws.load_table())
 
 
 def cmd_chain_apply(args: argparse.Namespace, ws: Workspace) -> int:
     chain = _load_chain(ws)
     txs = [chainmod.Transaction(*fields) for fields in args.tx or []]
     block = chain.apply_block(txs)
-    chain.export(ws.chain_dir())
+    chain.export(ws.db)
     rejected = [
         f"REJECTED {r.tx.sender.hex()} {r.reason}" for r in chain.last_rejected
     ]
@@ -391,7 +408,7 @@ def cmd_chain_query(args: argparse.Namespace, ws: Workspace) -> int:
 def cmd_chain_rollback(args: argparse.Namespace, ws: Workspace) -> int:
     chain = _load_chain(ws)
     chain.rollback(args.height)
-    chain.export(ws.chain_dir())
+    chain.export(ws.db)
     root = chain.head.header.state_root
     _emit(
         args,
@@ -570,17 +587,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_WRITERS = {
+    cmd_store_put, cmd_dag_add, cmd_name_publish, cmd_trie_put, cmd_shard_join,
+    cmd_shard_leave, cmd_chain_init, cmd_chain_apply, cmd_chain_rollback,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    ws = Workspace(args.store)
+    ws = Workspace(args.store, write=args.func in _WRITERS)
     try:
-        return args.func(args, ws)
-    except SSChainError as exc:
+        code = args.func(args, ws)
+        ws.close(commit=True)
+        return code
+    except (SSChainError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: not found: {exc}", file=sys.stderr)
         return 1
+    finally:
+        ws.close()
 
 
 if __name__ == "__main__":

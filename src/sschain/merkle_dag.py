@@ -377,9 +377,6 @@ class NameRegistry:
     _records: dict[Digest, NameRecord] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def records(self) -> list[NameRecord]:
-        return list(self._records.values())
-
 
 def name_publish(registry: NameRegistry, node_id: Digest, target: Cid) -> NameRecord:
     """Bind ``node_id`` to ``target`` with the next sequence number.

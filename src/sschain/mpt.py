@@ -132,8 +132,6 @@ class Trie:
         try:
             raw = store.get(root_hash)
         except NotFoundError:
-            # Counting a file store lists its whole directory, so only a
-            # missing root pays for telling the two errors apart.
             if len(store) == 0:
                 raise StoreEmptyError("cannot load a root from an empty store") from None
             raise RootNotFoundError(f"root {root_hash.hex()} not in store") from None

@@ -24,12 +24,13 @@ stores, not sockets.
 
 from __future__ import annotations
 
+import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .encoding import Digest, hash256, rlp_encode
+from .encoding import DIGEST_SIZE, Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, version_append
 from .mpt import Trie
@@ -380,6 +381,10 @@ class ShardTable:
         return StoreEntry(key, self.shard_for(address).store.get(key))
 
 
+_COUNT = re.compile(r"[0-9]+")
+_NODE_ID = re.compile(r"[0-9a-fA-F]{%d}" % (2 * DIGEST_SIZE))
+
+
 def table_to_config(table: ShardTable) -> str:
     """Text form: shard count plus one line per member node."""
     lines = [f"shards {table.num_shards}"]
@@ -398,7 +403,8 @@ def table_from_config(
     """Parse :func:`table_to_config` output and rebuild the membership.
 
     Raises:
-        ShardError: malformed line or missing shard count.
+        ShardError: malformed line, a shard count that is not a decimal
+            integer, a node id that is not a hex digest, or no shard count.
     """
     num_shards: Optional[int] = None
     nodes: list[tuple[Digest, bool, bool]] = []
@@ -407,9 +413,9 @@ def table_from_config(
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if fields[0] == "shards" and len(fields) == 2:
+        if fields[0] == "shards" and len(fields) == 2 and _COUNT.fullmatch(fields[1]):
             num_shards = int(fields[1])
-        elif fields[0] == "node" and len(fields) == 4:
+        elif fields[0] == "node" and len(fields) == 4 and _NODE_ID.fullmatch(fields[1]):
             nodes.append(
                 (bytes.fromhex(fields[1]), fields[2] == "1", fields[3] == "1")
             )

@@ -10,13 +10,12 @@ Two kinds of entry share one namespace:
   from the address, not the value. These are exempt from the
   hash-on-read check and may be overwritten.
 
-The file backend keeps one ``<lowercase hex digest>.dat`` file per entry
-under ``<root>/blocks/``, a ``MANIFEST`` recording the store parameters,
-and a ``named.idx`` listing which keys are pointer entries, one lowercase
-hex key per line; opening a store whose index holds any other line (a
-torn append, say) raises ``CorruptError``. Verification on read is on by
-default for the file backend (bytes on disk are outside the process's
-control) and off for the in-memory backend.
+The file backend is one space (``trie``, ``shards/0``, ...) of the
+``kv`` table of a SQLite database, one row per entry; its ``named``
+column is NULL for content-addressed entries and a named entry's
+first-write rank otherwise. ``PRAGMA user_version`` records the format.
+Verification on read is on by default for the file backend (bytes on
+disk are outside the process's control) and off for the in-memory one.
 
 There is no delete: the chain layer keeps every historical node readable
 for rollback.
@@ -24,8 +23,7 @@ for rollback.
 
 from __future__ import annotations
 
-import os
-import re
+import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -34,9 +32,25 @@ from pathlib import Path
 from .encoding import DIGEST_SIZE, Digest, hash256
 from .errors import CorruptError, NotFoundError, SSChainError
 
-MANIFEST_NAME = "MANIFEST"
-MANIFEST_PARAMS = (("hash", "sha-256"), ("version", "1"))
-_NAMED_LINE = re.compile(rb"[0-9a-f]{%d}" % (2 * DIGEST_SIZE))
+STORE_VERSION = 1
+
+_KV_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS kv (space TEXT NOT NULL, key BLOB NOT NULL,"
+    " value BLOB NOT NULL, named INTEGER, PRIMARY KEY (space, key)) WITHOUT ROWID",
+    "CREATE INDEX IF NOT EXISTS kv_named ON kv (space, named) WHERE named IS NOT NULL",
+)
+# A content put leaves an existing entry alone unless it was named; a
+# named put overwrites the value and keeps the entry's first-write rank.
+_PUT_CONTENT = (
+    "INSERT INTO kv VALUES (?1, ?2, ?3, NULL) ON CONFLICT (space, key) DO UPDATE"
+    " SET value = excluded.value, named = NULL WHERE named IS NOT NULL"
+)
+_PUT_NAMED = (
+    "INSERT INTO kv VALUES (?1, ?2, ?3, 1 + ifnull((SELECT named FROM kv"
+    " WHERE space = ?1 AND named IS NOT NULL ORDER BY named DESC LIMIT 1), 0))"
+    " ON CONFLICT (space, key) DO UPDATE SET value = excluded.value,"
+    " named = ifnull(named, excluded.named)"
+)
 
 
 class StoreError(SSChainError):
@@ -94,10 +108,11 @@ class KvStore(ABC):
                 entry no longer hashes to its key.
         """
         _check_key(key)
-        value = self._read(key)
-        if value is None:
+        found = self._read(key)
+        if found is None:
             raise NotFoundError(f"no entry for {key.hex()}")
-        if self.verify_on_read and not self._is_named(key) and hash256(value) != key:
+        value, named = found
+        if self.verify_on_read and not named and hash256(value) != key:
             raise CorruptError(f"entry {key.hex()} fails its content hash")
         return value
 
@@ -118,10 +133,8 @@ class KvStore(ABC):
     def _write(self, key: Digest, value: bytes, named: bool) -> None: ...
 
     @abstractmethod
-    def _read(self, key: Digest) -> bytes | None: ...
-
-    @abstractmethod
-    def _is_named(self, key: Digest) -> bool: ...
+    def _read(self, key: Digest) -> tuple[bytes, bool] | None:
+        """(value, whether the entry is named), or None if absent."""
 
 
 class MemoryKvStore(KvStore):
@@ -146,83 +159,60 @@ class MemoryKvStore(KvStore):
             else:
                 self._named.pop(key, None)
 
-    def _read(self, key: Digest) -> bytes | None:
-        return self._entries.get(key)
-
-    def _is_named(self, key: Digest) -> bool:
-        return key in self._named
+    def _read(self, key: Digest) -> tuple[bytes, bool] | None:
+        value = self._entries.get(key)
+        return None if value is None else (value, key in self._named)
 
 
 class FileKvStore(KvStore):
-    """One file per entry under ``<root>/blocks/``; survives reopen."""
+    """One space of the ``kv`` table in a SQLite database; survives reopen.
+    Writes join ``db``'s open transaction, if any, and threads may share it."""
 
-    def __init__(self, root: str | Path, verify_on_read: bool = True):
+    def __init__(self, db: sqlite3.Connection, space: str, verify_on_read: bool = True):
         self.verify_on_read = verify_on_read
-        self.root = Path(root)
-        self._blocks = self.root / "blocks"
-        self._named_idx = self.root / "named.idx"
-        self._lock = threading.Lock()
-        self._blocks.mkdir(parents=True, exist_ok=True)
-        self._init_manifest()
-        self._named: dict[Digest, None] = {}
-        if self._named_idx.exists():
-            lines = self._named_idx.read_bytes().splitlines()
-            for number, line in enumerate(lines, 1):
-                if _NAMED_LINE.fullmatch(line) is None:
-                    raise CorruptError(
-                        f"{self._named_idx} line {number} is not a key of"
-                        f" {2 * DIGEST_SIZE} lowercase hex digits: {line!r}"
-                    )
-                self._named.setdefault(bytes.fromhex(line.decode()))
+        self.db = db
+        self.space = space
+        (version,) = db.execute("PRAGMA user_version").fetchone()
+        if version == 0:
+            for statement in _KV_SCHEMA:
+                db.execute(statement)
+            db.execute(f"PRAGMA user_version = {STORE_VERSION}")
+        elif version != STORE_VERSION:
+            raise StoreError(f"incompatible store format {version}, not {STORE_VERSION}")
 
     def __len__(self) -> int:
-        return sum(1 for p in self._blocks.iterdir() if p.suffix == ".dat")
+        query = "SELECT count(*) FROM kv WHERE space = ?"
+        return self.db.execute(query, (self.space,)).fetchone()[0]
 
-    def _init_manifest(self) -> None:
-        manifest = self.root / MANIFEST_NAME
-        text = "".join(f"{k} {v}\n" for k, v in MANIFEST_PARAMS)
-        if manifest.exists():
-            if manifest.read_text() != text:
-                raise StoreError(f"incompatible store manifest at {manifest}")
-        else:
-            manifest.write_text(text)
-
-    def _path(self, key: Digest) -> Path:
-        return self._blocks / f"{key.hex()}.dat"
+    def named_keys(self) -> list[Digest]:
+        query = "SELECT key FROM kv WHERE space = ? AND named IS NOT NULL ORDER BY named"
+        return [key for (key,) in self.db.execute(query, (self.space,))]
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
-        with self._lock:
-            path = self._path(key)
-            if not named and path.exists() and key not in self._named:
-                return
-            replace_file(path, value)
-            if named and key not in self._named:
-                self._named.setdefault(key)
-                with self._named_idx.open("a") as fh:
-                    fh.write(key.hex() + "\n")
-            elif not named:
-                self._named.pop(key, None)
+        self.db.execute(_PUT_NAMED if named else _PUT_CONTENT, (self.space, key, value))
 
-    def _read(self, key: Digest) -> bytes | None:
-        path = self._path(key)
-        try:
-            return path.read_bytes()
-        except FileNotFoundError:
-            return None
-
-    def _is_named(self, key: Digest) -> bool:
-        return key in self._named
+    def _read(self, key: Digest) -> tuple[bytes, bool] | None:
+        query = "SELECT value, named IS NOT NULL FROM kv WHERE space = ? AND key = ?"
+        row = self.db.execute(query, (self.space, key)).fetchone()
+        if row is not None and not isinstance(row[0], bytes):
+            raise CorruptError(f"entry {key.hex()} in {self.space} is not a byte string")
+        return row
 
 
-def replace_file(path: str | os.PathLike, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file and a rename, so
-    a reader sees the old bytes or the new, never a part. The temporary
-    name carries the pid, so writers in two processes never write into
-    each other's temporary file."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+def open_database(path: str | Path) -> sqlite3.Connection:
+    """Open (creating if absent) the database at ``path`` in WAL mode.
+
+    The connection autocommits unless the caller issues ``BEGIN``, and
+    any thread may use it.
+    """
+    db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    try:
+        db.execute("PRAGMA journal_mode = WAL")
+        db.execute("PRAGMA synchronous = NORMAL")
+    except sqlite3.Error:
+        db.close()
+        raise
+    return db
 
 
 def _check_key(key: Digest) -> None:

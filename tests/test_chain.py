@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -19,6 +18,7 @@ from sschain.chain import (
     Transaction,
     UnknownParentError,
     default_producer,
+    stored_head,
     tenths_from_text,
     text_from_tenths,
     tx_root,
@@ -28,6 +28,7 @@ from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import AccountState
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable
+from sschain.store import open_database
 
 
 def addr(i: int) -> bytes:
@@ -531,114 +532,142 @@ class TestValidateBlock:
         assert chain.table.pointer(addr(1)) == pointer_before
 
 
+@pytest.fixture()
+def db(tmp_path):
+    connection = open_database(tmp_path / "chain.db")
+    yield connection
+    connection.close()
+
+
 class TestExportLoad:
-    def test_round_trip(self, tmp_path) -> None:
+    def test_round_trip(self, db) -> None:
         chain, roots = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        loaded = Chain.load(tmp_path / "chain", chain.table)
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
         assert loaded.head_height == chain.head_height
         assert [b.header.digest() for b in loaded.blocks] == [
             b.header.digest() for b in chain.blocks
         ]
         assert loaded.query_account(addr(2)).balance == "3.0"
 
-    def test_rolled_back_head_survives(self, tmp_path) -> None:
+    def test_rolled_back_head_survives(self, db) -> None:
         chain, roots = TestRollback()._three_blocks()
         chain.rollback(1)
-        chain.export(tmp_path / "chain")
-        loaded = Chain.load(tmp_path / "chain", chain.table)
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
         assert loaded.head_height == 1
         assert loaded.head.header.state_root == roots[1]
         assert len(loaded.blocks) == 4
 
-    def test_missing_head_file(self, tmp_path) -> None:
+    def test_missing_head_file(self, db) -> None:
         with pytest.raises(NotFoundError):
-            Chain.load(tmp_path / "nothing", ShardTable(4))
+            Chain.load(db, ShardTable(4))
+        assert stored_head(db) is None
 
-    def test_height_gap_detected(self, tmp_path) -> None:
+    def test_height_gap_detected(self, db) -> None:
         chain, _ = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        (tmp_path / "chain" / "1.blk").unlink()
+        chain.export(db)
+        db.execute("DELETE FROM chain_blocks WHERE height = 1")
         with pytest.raises(CorruptError):
-            Chain.load(tmp_path / "chain", chain.table)
+            Chain.load(db, chain.table)
 
-    def test_broken_parent_link_detected(self, tmp_path) -> None:
+    def test_broken_parent_link_detected(self, db) -> None:
         chain, _ = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
+        chain.export(db)
         stray = Block(
             BlockHeader(hash256(b"elsewhere"), 2, 2, hash256(b"s"), tx_root(())), ()
         )
-        (tmp_path / "chain" / "2.blk").write_bytes(stray.to_bytes())
+        db.execute(
+            "UPDATE chain_blocks SET block = ? WHERE height = 2", (stray.to_bytes(),)
+        )
         with pytest.raises(CorruptError):
-            Chain.load(tmp_path / "chain", chain.table)
+            Chain.load(db, chain.table)
 
     @pytest.mark.parametrize(
         "head",
-        ["", "zz\n", "-1 {root}\n", "1 {root}\n", "3\n"],
+        [
+            lambda roots: ("", b""),
+            lambda roots: ("zz", roots[3]),
+            lambda roots: (-1, roots[3]),
+            lambda roots: (3, roots[1]),
+            lambda roots: (3, 3),
+        ],
         ids=["empty", "not-a-number", "negative", "root-of-another-block", "no-root"],
     )
-    def test_malformed_head_rejected(self, tmp_path, head: str) -> None:
-        chain, _ = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        root = chain.head.header.state_root.hex()
-        (tmp_path / "chain" / "HEAD").write_text(head.format(root=root))
+    def test_malformed_head_rejected(self, db, head) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        chain.export(db)
+        db.execute("UPDATE chain_head SET height = ?, root = ?", head(roots))
         with pytest.raises(CorruptError):
-            Chain.load(tmp_path / "chain", chain.table)
+            Chain.load(db, chain.table)
 
-    def test_undecodable_block_rejected(self, tmp_path) -> None:
+    def test_undecodable_block_rejected(self, db) -> None:
         chain, _ = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
+        chain.export(db)
         raw = chain.blocks[2].to_bytes()
-        (tmp_path / "chain" / "2.blk").write_bytes(raw[: len(raw) // 2])
+        db.execute(
+            "UPDATE chain_blocks SET block = ? WHERE height = 2", (raw[: len(raw) // 2],)
+        )
         with pytest.raises(CorruptError):
-            Chain.load(tmp_path / "chain", chain.table)
+            Chain.load(db, chain.table)
 
-    def test_export_after_load_writes_only_the_new_block(
-        self, tmp_path, monkeypatch
-    ) -> None:
+    def test_export_after_load_writes_only_the_new_block(self, db, monkeypatch) -> None:
         chain, _ = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        loaded = Chain.load(tmp_path / "chain", chain.table)
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
         sentinel = b"not rewritten"
-        (tmp_path / "chain" / "1.blk").write_bytes(sentinel)
+        db.execute("UPDATE chain_blocks SET block = ? WHERE height = 1", (sentinel,))
         loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
         encoded = counting(monkeypatch, Block, "to_bytes")
-        loaded.export(tmp_path / "chain")
+        loaded.export(db)
         assert encoded == [loaded.blocks[4]]
-        assert (tmp_path / "chain" / "1.blk").read_bytes() == sentinel
-        assert (tmp_path / "chain" / "4.blk").read_bytes() == loaded.blocks[4].to_bytes()
+        rows = dict(db.execute("SELECT height, block FROM chain_blocks"))
+        assert rows[1] == sentinel
+        assert rows[4] == loaded.blocks[4].to_bytes()
 
-    def test_rollback_export_writes_only_head(self, tmp_path, monkeypatch) -> None:
+    def test_rollback_export_writes_only_head(self, db, monkeypatch) -> None:
         chain, roots = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        loaded = Chain.load(tmp_path / "chain", chain.table)
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
         encoded = counting(monkeypatch, Block, "to_bytes")
-        loaded.rollback(1).export(tmp_path / "chain")
+        loaded.rollback(1).export(db)
         assert encoded == []
-        reloaded = Chain.load(tmp_path / "chain", chain.table)
+        reloaded = Chain.load(db, chain.table)
         assert reloaded.head.header.state_root == roots[1]
 
-    def test_interrupted_export_keeps_previous_head(
-        self, tmp_path, monkeypatch
-    ) -> None:
+    def test_apply_after_rollback_drops_the_replaced_branch(self, db) -> None:
         chain, roots = TestRollback()._three_blocks()
-        chain.export(tmp_path / "chain")
-        loaded = Chain.load(tmp_path / "chain", chain.table)
-        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
-        real_replace = os.replace
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
+        loaded.rollback(1).apply_block([Transaction(addr(1), addr(2), "1.0", 1)])
+        loaded.export(db)
+        heights = [h for (h,) in db.execute("SELECT height FROM chain_blocks")]
+        assert heights == [0, 1, 2]
+        reloaded = Chain.load(db, chain.table)
+        assert reloaded.head.header.digest() == loaded.head.header.digest()
 
-        def replace(src, dst) -> None:
-            if os.path.basename(dst) == "HEAD":
-                raise OSError("interrupted")
-            real_replace(src, dst)
+    def test_interrupted_export_keeps_previous_head(self, db, monkeypatch) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        chain.rollback(1)
+        chain.export(db)
+        loaded = Chain.load(db, chain.table)
+        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 1)])
+        real_to_bytes = Block.to_bytes
 
+        def to_bytes(block: Block) -> bytes:
+            real_to_bytes(block)
+            raise OSError("interrupted")
+
+        db.execute("BEGIN")
         with monkeypatch.context() as patch:
-            patch.setattr(os, "replace", replace)
+            patch.setattr(Block, "to_bytes", to_bytes)
             with pytest.raises(OSError):
-                loaded.export(tmp_path / "chain")
-        reloaded = Chain.load(tmp_path / "chain", chain.table)
-        assert reloaded.head_height == 3
-        assert reloaded.head.header.state_root == roots[3]
+                loaded.export(db)
+        db.rollback()
+        reloaded = Chain.load(db, chain.table)
+        assert reloaded.head_height == 1
+        assert len(reloaded.blocks) == 4
+        assert reloaded.head.header.state_root == roots[1]
 
 
 class TestGenesisAdoption:

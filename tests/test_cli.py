@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import signal
+import sqlite3
+import time
 from pathlib import Path
 
 import pytest
 
+from sschain import chain as chainmod
 from sschain.cli import main
 from sschain.encoding import hash256
-from sschain.merkle_dag import AccountState
+from sschain.merkle_dag import AccountState, dag_build_directory
 from sschain.mpt import EMPTY_ROOT
-from sschain.shard_dht import shard_of
+from sschain.shard_dht import ShardTable, shard_of
+from sschain.store import MemoryKvStore, open_database
 
 ADDR_A = hash256(b"cli-a")[:20].hex()
 ADDR_B = hash256(b"cli-b")[:20].hex()
@@ -27,6 +33,41 @@ def store(tmp_path):
 
 def lines_of(capsys) -> list[str]:
     return capsys.readouterr().out.splitlines()
+
+
+def sql(store: str, statement: str, params: tuple = ()) -> None:
+    """Run one statement on the workspace database from outside the CLI."""
+    db = sqlite3.connect(Path(store, "sschain.db"))
+    with db:
+        db.execute(statement, params)
+    db.close()
+
+
+def fork(func) -> int:
+    """Run ``func()`` in a forked child that exits with its return value
+    (70 if it raises); return the child's pid."""
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            code = func()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def wait(pid: int, timeout: float = 60.0) -> int:
+    """Wait status of child ``pid``; kill it and fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError(f"child {pid} still running after {timeout} s")
+        time.sleep(0.01)
 
 
 class TestStore:
@@ -85,6 +126,8 @@ class TestDag:
         assert out[4].split()[2] == "box"
 
         root_cid = out[4].split()[1]
+        expected = dag_build_directory(MemoryKvStore(), list(payloads.items()))
+        assert root_cid == str(expected)
         assert main(["--store", store, "dag", "get", root_cid]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [link["Name"] for link in doc["links"]] == sorted(payloads)
@@ -144,6 +187,14 @@ class TestName:
     def test_resolve_unknown(self, store, capsys) -> None:
         assert main(["--store", store, "name", "resolve", NODE_2]) == 1
 
+    def test_corrupt_record_is_an_error(self, store, tmp_path, capsys) -> None:
+        cid = self._add(store, tmp_path, capsys, "v1")
+        main(["--store", store, "name", "publish", cid, "--node-id", NODE_1])
+        capsys.readouterr()
+        sql(store, "UPDATE names SET node_id = 'zz', target = 'ss1-00'")
+        assert main(["--store", store, "name", "resolve", NODE_1]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_publish_unstored_cid(self, store, capsys) -> None:
         ghost = "ss1-" + hash256(b"ghost").hex()
         assert (
@@ -172,6 +223,13 @@ class TestTrie:
         capsys.readouterr()
         assert main(["--store", store, "trie", "get", "missing"]) == 1
 
+    def test_corrupt_root_is_an_error(self, store, capsys) -> None:
+        main(["--store", store, "trie", "put", "alpha", "1"])
+        capsys.readouterr()
+        sql(store, "UPDATE workspace SET value = 'zz' WHERE name = 'trie_root'")
+        assert main(["--store", store, "trie", "get", "alpha"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestShard:
     def test_map_line(self, store, capsys) -> None:
@@ -190,7 +248,7 @@ class TestShard:
         assert main(["--store", store, "shard", "join", NODE_1, "--shards", "2"]) == 0
         first = lines_of(capsys)[0]
         assert first.startswith(f"joined {NODE_1} shard ")
-        assert (tmp_path / "ws" / "table.cfg").exists()
+        assert [p.name for p in (tmp_path / "ws").iterdir()] == ["sschain.db"]
         assert main(["--store", store, "shard", "join", NODE_1]) == 1
 
     def test_join_then_leave(self, store, capsys) -> None:
@@ -295,25 +353,97 @@ class TestChain:
         capsysbinary.readouterr()
         assert main(["--store", store, "chain", "query", ADDR_A]) == 0
         assert capsysbinary.readouterr().out == AccountState("3", "47.0").to_json_bytes()
-        chain_dir = tmp_path / "ws" / "chain"
-        assert sorted(p.name for p in chain_dir.iterdir()) == [
-            "0.blk",
-            "1.blk",
-            "2.blk",
-            "3.blk",
-            "HEAD",
-        ]
+        assert [p.name for p in (tmp_path / "ws").iterdir()] == ["sschain.db"]
+        db = open_database(tmp_path / "ws" / "sschain.db")
+        heights = [h for (h,) in db.execute("SELECT height FROM chain_blocks")]
+        db.close()
+        assert heights == [0, 1, 2, 3]
 
-    def test_torn_named_index_is_an_error(self, store, capsys) -> None:
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_database_is_an_error(self, store, capsys, damage: str) -> None:
         self._init(store, capsys)
-        indexes = list(Path(store, "shards").glob("*/named.idx"))
-        assert indexes
-        for index in indexes:
-            with index.open("a") as fh:
-                fh.write("abc")
+        path = Path(store, "sschain.db")
+        raw = path.read_bytes()
+        damaged = raw[: len(raw) // 2] if damage == "truncated" else b"\x5a" * len(raw)
+        path.write_bytes(damaged)
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_old_layout_is_refused(self, store, capsys) -> None:
+        Path(store, "chain").mkdir(parents=True)
+        Path(store, "chain", "HEAD").write_text("0 " + "00" * 32 + "\n")
         assert main(["--store", store, "chain", "query", ADDR_A]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "named.idx" in err
+        assert err.startswith("error: ") and "old file-per-entry layout" in err
+        assert not Path(store, "sschain.db").exists()
+
+    def test_killed_mid_command_keeps_previous_head(self, store, capsysbinary) -> None:
+        self._init(store, capsysbinary)
+        tx = f"{ADDR_A}:{ADDR_B}:3.5:0"
+        export = chainmod.Chain.export
+
+        def export_then_die(chain, db) -> None:
+            export(chain, db)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def apply_and_die() -> int:
+            chainmod.Chain.export = export_then_die
+            return main(["--store", store, "chain", "apply", "--tx", tx])
+
+        status = wait(fork(apply_and_die))
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 0
+        assert capsysbinary.readouterr().out == AccountState("0", "50.0").to_json_bytes()
+
+        table = ShardTable(2)
+        alice, bob = bytes.fromhex(ADDR_A), bytes.fromhex(ADDR_B)
+        table.shard_update(chainmod.default_producer(2), alice, AccountState("0", "50.0"))
+        library = chainmod.Chain(table)
+        block = library.apply_block([chainmod.Transaction(alice, bob, "3.5", 0)])
+        assert main(["--store", store, "chain", "apply", "--tx", tx]) == 0
+        assert capsysbinary.readouterr().out.decode().splitlines() == [
+            f"block 1 root {block.header.state_root.hex()} accepted 1 rejected 0"
+        ]
+        assert [p.name for p in Path(store).iterdir()] == ["sschain.db"]
+
+    def test_concurrent_writers_take_turns(self, store, capsys) -> None:
+        applies = 6
+        senders = [hash256(f"writer-{w}".encode())[:20].hex() for w in range(2)]
+        funds = [arg for s in senders for arg in ("--fund", f"{s}=100.0")]
+        assert main(["--store", store, "chain", "init", "--shards", "2", *funds]) == 0
+
+        def writer(sender: str) -> int:
+            codes = [
+                main(["--store", store, "chain", "apply", "--tx", f"{sender}:{ADDR_B}:1.5:{i}"])
+                for i in range(applies)
+            ]
+            return 0 if codes == [0] * applies else 1
+
+        pids = [fork(lambda s=sender: writer(s)) for sender in senders]
+        statuses = [wait(pid) for pid in pids]
+        assert all(os.WIFEXITED(s) and os.WEXITSTATUS(s) == 0 for s in statuses)
+
+        db = open_database(Path(store, "sschain.db"))
+        head = chainmod.stored_head(db)
+        db.close()
+        assert head is not None and head[0] == 2 * applies
+        capsys.readouterr()
+        for sender in senders:
+            assert main(["--store", store, "chain", "query", sender]) == 0
+            doc = json.loads(capsys.readouterr().out)["result"]
+            assert (doc["seqNumber"], doc["balance"]) == (
+                str(applies),
+                chainmod.text_from_tenths(1000 - 15 * applies),
+            )
+        assert main(["--store", store, "chain", "query", ADDR_B]) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["balance"] == chainmod.text_from_tenths(2 * 15 * applies)
+
+    def test_corrupt_shard_table_is_an_error(self, store, capsys) -> None:
+        self._init(store, capsys)
+        sql(store, "UPDATE workspace SET value = 'shards four' WHERE name = 'shard_table'")
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_rollback_past_head(self, store, capsys) -> None:
         self._init(store, capsys)

@@ -511,6 +511,21 @@ class TestConfig:
         with pytest.raises(ShardError):
             table_from_config("node " + "00" * 32 + " 0 0\n")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "shards four\n",
+            "shards 2.0\n",
+            "shards 2\nnode zz 1 1\n",
+            "shards 2\nnode " + "0" * 63 + " 1 1\n",
+            "shards 2\nnode " + "0g" * 32 + " 1 1\n",
+        ],
+        ids=["word", "fraction", "short-hex", "odd-length", "not-hex"],
+    )
+    def test_malformed_value_rejected(self, config: str) -> None:
+        with pytest.raises(ShardError):
+            table_from_config(config)
+
 
 class TestBalance:
     @pytest.mark.parametrize("num_shards", [16, 64, 1024])

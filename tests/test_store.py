@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,14 +15,22 @@ from sschain.store import (
     FileKvStore,
     MemoryKvStore,
     StoreError,
+    open_database,
 )
 
 
+@pytest.fixture()
+def db(tmp_path):
+    connection = open_database(tmp_path / "kv.db")
+    yield connection
+    connection.close()
+
+
 @pytest.fixture(params=["memory", "file"])
-def store(request, tmp_path):
+def store(request, db):
     if request.param == "memory":
         return MemoryKvStore()
-    return FileKvStore(tmp_path / "kv")
+    return FileKvStore(db, "kv")
 
 
 class TestContentAddressing:
@@ -72,21 +83,25 @@ class TestNamedEntries:
         store.put_named(keys[0], b"y")
         assert store.named_keys() == keys
 
-    def test_named_exempt_from_verification(self, tmp_path) -> None:
-        s = FileKvStore(tmp_path / "kv", verify_on_read=True)
+    def test_named_exempt_from_verification(self, db) -> None:
+        s = FileKvStore(db, "kv", verify_on_read=True)
         key = hash256(b"slot")
         s.put_named(key, b"does not hash to key")
         assert s.get(key) == b"does not hash to key"
 
+    def test_content_put_over_named_entry_unnames_it(self, store) -> None:
+        key = hash256(b"value")
+        store.put_named(key, b"pointer")
+        assert store.put(b"value") == key
+        assert store.get(key) == b"value"
+        assert store.named_keys() == []
+
 
 class TestVerifyOnRead:
-    def test_detects_corruption(self, tmp_path) -> None:
-        s = FileKvStore(tmp_path / "kv")
+    def test_detects_corruption(self, db) -> None:
+        s = FileKvStore(db, "kv")
         key = s.put(b"genuine bytes")
-        path = tmp_path / "kv" / "blocks" / f"{key.hex()}.dat"
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0x01
-        path.write_bytes(bytes(raw))
+        db.execute("UPDATE kv SET value = ? WHERE key = ?", (b"Genuine bytes", key))
         with pytest.raises(CorruptError):
             s.get(key)
 
@@ -100,37 +115,70 @@ class TestVerifyOnRead:
 
 class TestFilePersistence:
     def test_reopen_sees_everything(self, tmp_path) -> None:
-        s1 = FileKvStore(tmp_path / "kv")
+        db = open_database(tmp_path / "kv.db")
+        s1 = FileKvStore(db, "kv")
         content_key = s1.put(b"block bytes")
         named_key = hash256(b"head")
         s1.put_named(named_key, b"pointer")
+        db.close()
 
-        s2 = FileKvStore(tmp_path / "kv")
+        db = open_database(tmp_path / "kv.db")
+        s2 = FileKvStore(db, "kv")
         assert s2.get(content_key) == b"block bytes"
         assert s2.get(named_key) == b"pointer"
         assert s2.named_keys() == [named_key]
         assert len(s2) == 2
+        db.close()
 
-    def test_put_ignores_another_writers_temp_name(self, tmp_path) -> None:
-        store = FileKvStore(tmp_path / "kv")
-        key = hash256(b"value")
-        (tmp_path / "kv" / "blocks" / f"{key.hex()}.tmp").mkdir()
-        assert store.put(b"value") == key
-        assert FileKvStore(tmp_path / "kv").get(key) == b"value"
+    def test_spaces_are_separate(self, db) -> None:
+        first, second = FileKvStore(db, "one"), FileKvStore(db, "two")
+        key = first.put(b"only in one")
+        first.put_named(hash256(b"slot"), b"pointer")
+        assert not second.has(key)
+        assert (len(first), len(second)) == (2, 0)
+        assert second.named_keys() == []
 
-    @pytest.mark.parametrize("torn", ["abc", "abcd"])
-    def test_torn_named_index_rejected(self, tmp_path, torn: str) -> None:
-        store = FileKvStore(tmp_path / "kv")
-        store.put_named(hash256(b"head"), b"pointer")
-        with (tmp_path / "kv" / "named.idx").open("a") as fh:
-            fh.write(torn)
-        with pytest.raises(CorruptError, match="named.idx line 2"):
-            FileKvStore(tmp_path / "kv")
+    def test_uncommitted_writes_roll_back(self, db) -> None:
+        store = FileKvStore(db, "kv")
+        kept = store.put(b"kept")
+        db.execute("BEGIN")
+        lost = store.put(b"lost")
+        store.put_named(hash256(b"slot"), b"pointer")
+        db.rollback()
+        assert store.has(kept) and not store.has(lost)
+        assert store.named_keys() == []
 
-    def test_manifest_written_and_checked(self, tmp_path) -> None:
-        FileKvStore(tmp_path / "kv")
-        manifest = tmp_path / "kv" / "MANIFEST"
-        assert manifest.read_text() == "hash sha-256\nversion 1\n"
-        manifest.write_text("hash md5\nversion 1\n")
-        with pytest.raises(StoreError):
-            FileKvStore(tmp_path / "kv")
+    def test_manifest_written_and_checked(self, db) -> None:
+        FileKvStore(db, "kv")
+        assert db.execute("PRAGMA user_version").fetchone() == (1,)
+        db.execute("PRAGMA user_version = 2")
+        with pytest.raises(StoreError, match="incompatible store"):
+            FileKvStore(db, "kv")
+
+    def test_shared_between_threads(self, db) -> None:
+        store = FileKvStore(db, "kv")
+        errors: list[BaseException] = []
+
+        def work(worker: int) -> None:
+            try:
+                for i in range(50):
+                    store.put(f"{worker}-{i}".encode())
+                    store.put_named(hash256(f"slot-{worker}-{i}".encode()), b"p")
+                    assert store.get(hash256(f"{worker}-{i}".encode()))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 400
+        assert len(set(store.named_keys())) == 200
