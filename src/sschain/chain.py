@@ -18,19 +18,21 @@ block validates only if an honest producer could have made it. Every
 committed root stays readable forever, so ``rollback`` is nothing more
 than moving the head pointer.
 
-On disk a chain is two tables of a SQLite database, owned by this
-module: ``chain_blocks`` holds each block's bytes by height and
-``chain_head`` one row naming the head height and its state root.
-``export`` writes each block once, deletes the rows of a replaced branch
-and rewrites the head row, all inside the caller's transaction.
+A chain is stored in the table's trie store and nowhere else: each
+header under its own digest, so a ``parent_hash`` is the key of the
+parent; each body as the transaction trie ``tx_root`` commits; and the
+head header's digest in one named entry under :data:`HEAD_KEY`.
+``apply_block`` writes a header and its body, ``export`` only the head
+pointer. ``load`` reads the pointer, the head block and the head root,
+the same reads at any height; ancestors are read by parent hash only
+when ``blocks``, ``genesis_root`` or ``rollback`` asks for them.
 """
 
 from __future__ import annotations
 
 import re
-import sqlite3
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .encoding import (
     DIGEST_SIZE,
@@ -46,10 +48,12 @@ from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, dag_get, version_root
 from .mpt import Trie
 from .shard_dht import NodeIdentity, ShardTable
-from .store import MemoryKvStore
+from .store import KvStore, MemoryKvStore
 
 ADDRESS_SIZE = 20
 ZERO_DIGEST = bytes(DIGEST_SIZE)
+HEAD_KEY: Digest = hash256(b"sschain chain head")
+"""Key of the named entry that holds the head header's digest."""
 
 REASON_UNKNOWN_SENDER = "unknown-sender"
 REASON_BAD_SEQ = "bad-seq"
@@ -73,12 +77,6 @@ class UnknownParentError(ChainError):
 
 
 _AMOUNT_RE = re.compile(r"^(\d+)(?:\.(\d))?$")
-_CHAIN_SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS chain_blocks"
-    " (height INTEGER PRIMARY KEY, block BLOB NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS chain_head (id INTEGER PRIMARY KEY CHECK (id = 0),"
-    " height INTEGER NOT NULL, root BLOB NOT NULL)",
-)
 
 
 def tenths_from_text(text: str) -> int:
@@ -196,12 +194,53 @@ class Block:
         )
 
 
-def tx_root(txs: Iterable[Transaction]) -> Digest:
-    """Trie root over index -> transaction, both RLP-encoded."""
-    trie = Trie(MemoryKvStore())
+def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
+    """Trie root over index -> transaction, both RLP-encoded, committed
+    into ``store`` (a throwaway one if none is given)."""
+    trie = Trie(MemoryKvStore() if store is None else store)
     for index, tx in enumerate(txs):
-        trie = trie.insert(rlp_encode(int_to_bytes(index)), rlp_encode(tx.to_rlp_item()))
+        trie = trie.insert(_tx_key(index), rlp_encode(tx.to_rlp_item()))
     return trie.commit()
+
+
+def _tx_key(index: int) -> bytes:
+    return rlp_encode(int_to_bytes(index))
+
+
+def _read_header(store: KvStore, digest: Digest) -> Optional[BlockHeader]:
+    """The header stored under ``digest``, or None if no header is; an
+    entry that fails its content hash raises CorruptError."""
+    try:
+        raw = store.get(digest)
+    except NotFoundError:
+        return None
+    try:
+        return BlockHeader.from_rlp_item(rlp_decode(raw))
+    except SSChainError:
+        return None
+
+
+def _read_block(store: KvStore, digest: Digest, what: str) -> Block:
+    """The header stored under ``digest`` and the body under its ``tx_root``.
+
+    Raises:
+        CorruptError: no header under ``digest``, which ``what`` names, or
+            the body does not read back.
+    """
+    header = _read_header(store, digest)
+    if header is None:
+        raise CorruptError(f"{what} {digest.hex()} is not a stored header")
+    try:
+        body = Trie(store, header.tx_root)
+        txs: list[Transaction] = []
+        while True:
+            try:
+                raw = body.get(_tx_key(len(txs)))
+            except NotFoundError:
+                return Block(header, tuple(txs))
+            txs.append(Transaction.from_rlp_item(rlp_decode(raw)))
+    except SSChainError as exc:
+        raise CorruptError(f"body of block {header.number}: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,54 +257,41 @@ def default_producer(num_shards: int) -> NodeIdentity:
 
 
 class Chain:
-    """Append-only block list with a movable head.
+    """A movable head over the blocks stored by header digest.
 
     The chain adopts the table's current committed root as its genesis
     state, so accounts funded before construction are the genesis state.
     After ``rollback`` the head trie is reopened at the target root;
     applying a block then starts a fresh branch from there (the replaced
-    blocks stay in their stores and remain readable by root).
+    blocks stay in the store and remain readable by digest and by root).
     """
 
     def __init__(self, table: ShardTable, producer: Optional[NodeIdentity] = None):
-        genesis = Block(
-            BlockHeader(ZERO_DIGEST, 0, 0, table.state_root, tx_root(())), ()
-        )
-        self._set_fields(table, producer, [genesis], [genesis.header.digest()], 0)
+        """Start a chain at the table's state and write its genesis header."""
+        store = table.trie_store
+        genesis = BlockHeader(ZERO_DIGEST, 0, 0, table.state_root, tx_root((), store))
+        store.put(rlp_encode(genesis.to_rlp_item()))
+        self._set_fields(table, producer, Block(genesis, ()))
 
     def _set_fields(
-        self,
-        table: ShardTable,
-        producer: Optional[NodeIdentity],
-        blocks: list[Block],
-        digests: list[Digest],
-        head_height: int,
-        saved_in: Optional[sqlite3.Connection] = None,
+        self, table: ShardTable, producer: Optional[NodeIdentity], head: Block
     ) -> None:
-        """Every instance field, for both ``__init__`` and :meth:`load`.
-
-        ``digests`` holds each block's header digest, in height order.
-        ``saved_in`` is a database that already holds all of ``blocks``,
-        as written by :meth:`export`.
-        """
+        """Every instance field, for both ``__init__`` and :meth:`load`."""
         self.table = table
         self.producer = producer or default_producer(table.num_shards)
-        self.blocks = blocks
-        self.head_height = head_height
+        self.head = head
         self.last_rejected: tuple[Rejection, ...] = ()
         self.last_credits_out: tuple[tuple[bytes, int], ...] = ()
-        self._trie = Trie(table.trie_store, blocks[head_height].header.state_root)
-        # Header digest -> height for every block in ``blocks``. Keys are
-        # inserted in height order, so the last key is the tip's digest and
-        # ``popitem`` drops the tip.
-        self._heights = {digest: height for height, digest in enumerate(digests)}
-        # The leading run of ``blocks`` already saved in ``_saved_in``.
-        self._saved_in = saved_in
-        self._saved = len(blocks) if saved_in is not None else 0
+        self._trie = Trie(table.trie_store, head.header.state_root)
 
     @property
-    def head(self) -> Block:
-        return self.blocks[self.head_height]
+    def head_height(self) -> int:
+        return self.head.header.number
+
+    @property
+    def blocks(self) -> list[Block]:
+        """The head's ancestry, genesis first; see :meth:`_ancestry`."""
+        return list(self._ancestry())[::-1]
 
     @property
     def genesis_root(self) -> Digest:
@@ -279,6 +305,9 @@ class Chain:
     ) -> Block:
         """Run transactions, commit the state, and append one block.
 
+        The new header and its transaction trie are written to the trie
+        store; the stored head pointer moves only on :meth:`export`.
+
         Invalid transactions are skipped whole and listed on
         ``last_rejected``; valid ones debit the sender, bump its seq, and
         credit the receiver. A receiver for which ``is_local`` is false is
@@ -290,29 +319,24 @@ class Chain:
         header is a function of the parent and the body and validation
         can re-derive every field.
         """
-        head = self.head
-        while len(self.blocks) > self.head_height + 1:
-            self.blocks.pop()
-            self._heights.popitem()
-        self._saved = min(self._saved, len(self.blocks))
         trie, accepted, rejected, credits_out = self._execute(
             self._trie, txs, credits, is_local, update_pointer=True
         )
-        self._trie = trie
+        store = self.table.trie_store
+        parent = self.head.header
         header = BlockHeader(
-            next(reversed(self._heights)),
-            head.header.number + 1,
-            head.header.timestamp + 1,
+            parent.digest(),
+            parent.number + 1,
+            parent.timestamp + 1,
             trie.commit(),
-            tx_root(accepted),
+            tx_root(accepted, store),
         )
-        block = Block(header, tuple(accepted))
-        self._heights[header.digest()] = len(self.blocks)
-        self.blocks.append(block)
-        self.head_height += 1
+        store.put(rlp_encode(header.to_rlp_item()))
+        self.head = Block(header, tuple(accepted))
+        self._trie = trie
         self.last_rejected = tuple(rejected)
         self.last_credits_out = tuple(credits_out)
-        return block
+        return self.head
 
     def _execute(
         self,
@@ -409,48 +433,51 @@ class Chain:
         return found[0]
 
     def rollback(self, to_height: int) -> "Chain":
-        """Move the head; nothing is deleted, later blocks stay adoptable.
+        """Move the head back to the ancestor at ``to_height``, walking
+        parent hashes; nothing is deleted, later blocks stay readable.
 
         Raises:
             BadHeightError: target outside [0, head].
+            CorruptError: an ancestor on the way is missing.
         """
         if not 0 <= to_height <= self.head_height:
             raise BadHeightError(
                 f"height {to_height} outside [0, {self.head_height}]"
             )
-        self.head_height = to_height
+        self.head = next(b for b in self._ancestry() if b.header.number == to_height)
         self._trie = Trie(self.table.trie_store, self.head.header.state_root)
         return self
 
     def validate_block(self, block: Block) -> bool:
         """Re-derive the header from the parent and body; true iff equal.
 
-        Checks height and timestamp against the parent, recomputes the
-        transaction root from the body, then re-executes the body against
-        the parent state root: strict re-execution through the same
-        executor as :meth:`apply_block`, so any rejected transaction fails
-        the block. Blocks made with cross-shard credits, owed out or
-        folded in, do not validate yet: the credits are not in the body.
-        Replays never move the shard lookup pointers, so validating old or
-        foreign blocks leaves live reads untouched.
+        The parent is the stored header the parent hash names, on the
+        head's branch or not. Checks height and timestamp against it,
+        recomputes the transaction root from the body on a throwaway
+        store, then re-executes the body against the parent root: strict
+        re-execution through the same executor as :meth:`apply_block`, so
+        any rejected transaction fails the block. Blocks made with
+        cross-shard credits, owed out or folded in, do not validate yet:
+        the credits are not in the body. Replays never move the shard
+        lookup pointers, so validating old or foreign blocks leaves live
+        reads untouched.
 
         Raises:
-            UnknownParentError: parent hash matches no block held here.
+            UnknownParentError: parent hash names no stored header.
         """
-        parent_height = self._heights.get(block.header.parent_hash)
-        if parent_height is None:
+        parent = _read_header(self.table.trie_store, block.header.parent_hash)
+        if parent is None:
             raise UnknownParentError(
                 f"no parent with digest {block.header.parent_hash.hex()}"
             )
-        parent = self.blocks[parent_height]
-        if block.header.number != parent.header.number + 1:
+        if block.header.number != parent.number + 1:
             return False
-        if block.header.timestamp != parent.header.timestamp + 1:
+        if block.header.timestamp != parent.timestamp + 1:
             return False
         if tx_root(block.txs) != block.header.tx_root:
             return False
         trie, _, rejected, _ = self._execute(
-            Trie(self.table.trie_store, parent.header.state_root),
+            Trie(self.table.trie_store, parent.state_root),
             block.txs,
             (),
             None,
@@ -458,72 +485,49 @@ class Chain:
         )
         return not rejected and trie.commit() == block.header.state_root
 
-    def export(self, db: sqlite3.Connection) -> None:
-        """Save the chain in ``db``, inside the caller's transaction if any.
-
-        Each block is written once: heights this chain already loaded from,
-        or wrote to, the same database are skipped (assuming nothing else
-        writes it), so after :meth:`load` and one :meth:`apply_block` only
-        the new block and the head row are written, and after
-        :meth:`rollback` only the head row. Rows of a replaced branch go.
-        """
-        for statement in _CHAIN_SCHEMA:
-            db.execute(statement)
-        db.execute("DELETE FROM chain_blocks WHERE height >= ?", (len(self.blocks),))
-        start = self._saved if self._saved_in is db else 0
-        db.executemany(
-            "INSERT OR REPLACE INTO chain_blocks VALUES (?, ?)",
-            [(h, self.blocks[h].to_bytes()) for h in range(start, len(self.blocks))],
-        )
-        db.execute(
-            "INSERT OR REPLACE INTO chain_head VALUES (0, ?, ?)",
-            (self.head_height, self.head.header.state_root),
-        )
-        self._saved_in, self._saved = db, len(self.blocks)
+    def export(self) -> None:
+        """Point the stored head at this chain's head: one named write, as
+        ``__init__`` and :meth:`apply_block` already stored every block."""
+        self.table.trie_store.put_named(HEAD_KEY, self.head.header.digest())
 
     @classmethod
     def load(
-        cls,
-        db: sqlite3.Connection,
-        table: ShardTable,
-        producer: Optional[NodeIdentity] = None,
+        cls, table: ShardTable, producer: Optional[NodeIdentity] = None
     ) -> "Chain":
-        """Rebuild a chain saved by :meth:`export`; its next export to
-        ``db`` writes only what changed.
-
-        The block heights must run from 0 without a gap, every block must
-        decode and link to its parent, the head height must be one of them,
-        and the head root must be that block's state root.
+        """Reopen the chain whose head :meth:`export` stored in the table's
+        trie store, reading the pointer, the head block and the head root.
 
         Raises:
-            NotFoundError: no chain saved in ``db``.
-            CorruptError: any of the above fails.
+            NotFoundError: no head pointer in the store.
+            CorruptError: the pointer is not the digest of a stored header,
+                or the head block does not read back.
         """
-        head = stored_head(db)
-        if head is None:
-            raise NotFoundError("no chain in the database")
-        head_height, head_root = head
-        blocks: list[Block] = []
-        for height, raw in db.execute("SELECT height, block FROM chain_blocks ORDER BY height"):
-            if height != len(blocks):
-                raise CorruptError(f"chain is missing block {len(blocks)}")
-            try:
-                if not isinstance(raw, bytes):
-                    raise CorruptError("not a byte string")
-                blocks.append(Block.from_bytes(raw))
-            except SSChainError as exc:
-                raise CorruptError(f"block {height}: {exc}") from exc
-        if not (type(head_height) is int and 0 <= head_height < len(blocks)):
-            raise CorruptError(f"chain head {head_height!r} is not a stored height")
-        digests = [block.header.digest() for block in blocks]
-        for parent_digest, block in zip(digests, blocks[1:]):
-            if block.header.parent_hash != parent_digest:
-                raise CorruptError(f"broken parent link at height {block.header.number}")
-        if blocks[head_height].header.state_root != head_root:
-            raise CorruptError(f"chain head names a root that is not block {head_height}'s")
+        store = table.trie_store
+        try:
+            digest = store.get(HEAD_KEY)
+        except NotFoundError:
+            raise NotFoundError("no chain in the store") from None
+        if len(digest) != DIGEST_SIZE:
+            raise CorruptError(f"chain head pointer {digest.hex()} is not a digest")
         chain = cls.__new__(cls)
-        chain._set_fields(table, producer, blocks, digests, head_height, db)
+        chain._set_fields(table, producer, _read_block(store, digest, "chain head"))
         return chain
+
+    def _ancestry(self) -> Iterator[Block]:
+        """The head, then each ancestor down to genesis, by parent hash.
+
+        Raises:
+            CorruptError: an ancestor is missing or is not one height below.
+        """
+        block = self.head
+        yield block
+        while (number := block.header.number) > 0:
+            block = _read_block(
+                self.table.trie_store, block.header.parent_hash, f"parent of block {number}"
+            )
+            if block.header.number != number - 1:
+                raise CorruptError(f"block {number} names block {block.header.number} as parent")
+            yield block
 
     def _read_account(
         self, trie: Trie, address: bytes
@@ -537,9 +541,3 @@ class Chain:
         leaf = dag_get(store, version_root(store, version))
         return AccountState.from_json_bytes(leaf.data), version
 
-
-def stored_head(db: sqlite3.Connection) -> Optional[tuple[object, object]]:
-    """Unchecked (height, state root) head row of ``db``'s chain, or None."""
-    for statement in _CHAIN_SCHEMA:
-        db.execute(statement)
-    return db.execute("SELECT height, root FROM chain_head").fetchone()

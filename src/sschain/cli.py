@@ -2,8 +2,9 @@
 
 Everything stateful lives in one SQLite database, ``sschain.db``, under
 ``--store`` (default ``./sschain-store``): the store spaces ``objects``,
-``trie`` and ``shards/<i>``, the chain's tables, and this module's
-``workspace`` (trie root, shard table) and ``names`` tables.
+``trie`` (which also holds the chain's headers, transaction tries and
+head pointer) and ``shards/<i>``, and this module's ``workspace`` (trie
+root, shard table) and ``names`` tables.
 
 Each command is one transaction, committed only if it succeeds, so a
 failed or killed command leaves the workspace as it was. Writing
@@ -351,14 +352,14 @@ def cmd_shard_leave(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
-    if chainmod.stored_head(ws.db) is not None:
-        raise SSChainError(f"chain already initialized in {ws.root / DB_NAME}")
     table = ws.load_table(default_shards=args.shards)
+    if table.trie_store.has(chainmod.HEAD_KEY):
+        raise SSChainError(f"chain already initialized in {ws.root / DB_NAME}")
     producer = chainmod.default_producer(table.num_shards)
     for address, amount in args.fund or []:
         table.shard_update(producer, address, AccountState("0", amount))
     chain = chainmod.Chain(table, producer)
-    chain.export(ws.db)
+    chain.export()
     ws.save_table(table)
     root = chain.genesis_root
     _emit(args, {"height": 0, "root": root.hex()}, [f"head 0 root {root.hex()}"])
@@ -366,14 +367,14 @@ def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def _load_chain(ws: Workspace) -> chainmod.Chain:
-    return chainmod.Chain.load(ws.db, ws.load_table())
+    return chainmod.Chain.load(ws.load_table())
 
 
 def cmd_chain_apply(args: argparse.Namespace, ws: Workspace) -> int:
     chain = _load_chain(ws)
     txs = [chainmod.Transaction(*fields) for fields in args.tx or []]
     block = chain.apply_block(txs)
-    chain.export(ws.db)
+    chain.export()
     rejected = [
         f"REJECTED {r.tx.sender.hex()} {r.reason}" for r in chain.last_rejected
     ]
@@ -408,7 +409,7 @@ def cmd_chain_query(args: argparse.Namespace, ws: Workspace) -> int:
 def cmd_chain_rollback(args: argparse.Namespace, ws: Workspace) -> int:
     chain = _load_chain(ws)
     chain.rollback(args.height)
-    chain.export(ws.db)
+    chain.export()
     root = chain.head.header.state_root
     _emit(
         args,

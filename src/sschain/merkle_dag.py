@@ -41,7 +41,6 @@ extra data, extra links or a padded size, is not a version node.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -166,7 +165,8 @@ class AccountState:
         return seq_hash, balance_hash, code_hash, data_hash
 
     def to_json_bytes(self) -> bytes:
-        """The account document; byte-identical to ``json.dumps(indent=2)``."""
+        """The account document; byte-identical to ``json.dumps(indent=2)``.
+        Text UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError."""
         hashes = self._field_hashes()
         return (
             _ACCOUNT_JSON
@@ -198,9 +198,10 @@ class AccountState:
                 result["codeHash"],
                 result["dataHash"],
             )
+            computed = state._field_hashes()
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptError(f"malformed account state document: {exc}") from exc
-        if stored != state._field_hashes():
+        if stored != computed:
             raise CorruptError("account state field hash mismatch")
         return state
 
@@ -375,7 +376,6 @@ class NameRegistry:
 
     store: KvStore
     _records: dict[Digest, NameRecord] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 def name_publish(registry: NameRegistry, node_id: Digest, target: Cid) -> NameRecord:
@@ -386,10 +386,9 @@ def name_publish(registry: NameRegistry, node_id: Digest, target: Cid) -> NameRe
     """
     if not registry.store.has(target.digest):
         raise UnknownCidError(f"cannot publish unstored {target}")
-    with registry._lock:
-        prior = registry._records.get(node_id)
-        record = NameRecord(node_id, target, (prior.sequence if prior else 0) + 1)
-        registry._records[node_id] = record
+    prior = registry._records.get(node_id)
+    record = NameRecord(node_id, target, (prior.sequence if prior else 0) + 1)
+    registry._records[node_id] = record
     return record
 
 

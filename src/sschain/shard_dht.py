@@ -25,7 +25,6 @@ stores, not sockets.
 from __future__ import annotations
 
 import re
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -226,8 +225,6 @@ class ShardTable:
 
     Routing is pure (an address's shard never depends on membership);
     membership only decides which node inside the shard owns a key.
-    Operations on different shards may run concurrently; the table-level
-    lock serializes membership changes and trie updates.
     """
 
     def __init__(
@@ -244,7 +241,6 @@ class ShardTable:
             sid = ShardId(format(i, f"0{width}b") if width else "")
             self.shards[sid] = Shard(sid, factory(sid))
         self.trie_store = trie_store if trie_store is not None else MemoryKvStore()
-        self._lock = threading.Lock()
         self._trie = Trie(self.trie_store)
         self._root = self._trie.commit()
 
@@ -281,13 +277,12 @@ class ShardTable:
             raise ShardError(
                 f"node labeled for shard {node.shard} but belongs to {expected}"
             )
-        with self._lock:
-            if self.find_node(node.node_id) is not None:
-                raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
-            shard = self.shards[expected]
-            before = shard.assignments() if shard.members else {}
-            shard.members[node.node_id] = node
-            return _diff_assignments(before, shard.assignments() if before else {})
+        if self.find_node(node.node_id) is not None:
+            raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
+        shard = self.shards[expected]
+        before = shard.assignments() if shard.members else {}
+        shard.members[node.node_id] = node
+        return _diff_assignments(before, shard.assignments() if before else {})
 
     def node_leave(self, node_id: Digest) -> RemapReport:
         """Remove a node; its keys move to the clockwise successor.
@@ -296,18 +291,17 @@ class ShardTable:
             NotFoundError: unknown node id.
             ShardEmptyError: node is the last member of its shard.
         """
-        with self._lock:
-            node = self.find_node(node_id)
-            if node is None:
-                raise NotFoundError(f"node {node_id.hex()} is not a member")
-            shard = self.shards[node.shard]
-            if len(shard.members) == 1:
-                raise ShardEmptyError(
-                    f"node {node_id.hex()} is the last member of shard {node.shard}"
-                )
-            before = shard.assignments()
-            del shard.members[node_id]
-            return _diff_assignments(before, shard.assignments())
+        node = self.find_node(node_id)
+        if node is None:
+            raise NotFoundError(f"node {node_id.hex()} is not a member")
+        shard = self.shards[node.shard]
+        if len(shard.members) == 1:
+            raise ShardEmptyError(
+                f"node {node_id.hex()} is the last member of shard {node.shard}"
+            )
+        before = shard.assignments()
+        del shard.members[node_id]
+        return _diff_assignments(before, shard.assignments())
 
     def pointer(self, address: bytes) -> Optional[Cid]:
         """Latest version Cid published for ``address``, if any."""
@@ -358,15 +352,14 @@ class ShardTable:
         Raises:
             NotAuthorizedError
         """
-        with self._lock:
-            prev = self.pointer(address)
-            trie, version_cid, changed = self.write_account(
-                requester, address, new_state, trie=self._trie, prev_cid=prev
-            )
-            if changed:
-                self._trie = trie
-                self._root = trie.commit()
-            return self._root, version_cid
+        prev = self.pointer(address)
+        trie, version_cid, changed = self.write_account(
+            requester, address, new_state, trie=self._trie, prev_cid=prev
+        )
+        if changed:
+            self._trie = trie
+            self._root = trie.commit()
+        return self._root, version_cid
 
     def shard_inquire(
         self, requester: NodeIdentity, address: bytes
@@ -382,7 +375,7 @@ class ShardTable:
 
 
 _COUNT = re.compile(r"[0-9]+")
-_NODE_ID = re.compile(r"[0-9a-fA-F]{%d}" % (2 * DIGEST_SIZE))
+_NODE = re.compile(r"[0-9a-fA-F]{%d} [01] [01]" % (2 * DIGEST_SIZE))
 
 
 def table_to_config(table: ShardTable) -> str:
@@ -404,7 +397,8 @@ def table_from_config(
 
     Raises:
         ShardError: malformed line, a shard count that is not a decimal
-            integer, a node id that is not a hex digest, or no shard count.
+            integer, a node id that is not a hex digest, a role flag that is
+            not ``0`` or ``1``, or no shard count.
     """
     num_shards: Optional[int] = None
     nodes: list[tuple[Digest, bool, bool]] = []
@@ -415,7 +409,7 @@ def table_from_config(
         fields = line.split()
         if fields[0] == "shards" and len(fields) == 2 and _COUNT.fullmatch(fields[1]):
             num_shards = int(fields[1])
-        elif fields[0] == "node" and len(fields) == 4 and _NODE_ID.fullmatch(fields[1]):
+        elif fields[0] == "node" and _NODE.fullmatch(" ".join(fields[1:])):
             nodes.append(
                 (bytes.fromhex(fields[1]), fields[2] == "1", fields[3] == "1")
             )

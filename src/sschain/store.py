@@ -13,7 +13,9 @@ Two kinds of entry share one namespace:
 The file backend is one space (``trie``, ``shards/0``, ...) of the
 ``kv`` table of a SQLite database, one row per entry; its ``named``
 column is NULL for content-addressed entries and a named entry's
-first-write rank otherwise. ``PRAGMA user_version`` records the format.
+first-write rank otherwise. ``PRAGMA user_version`` records the format,
+2; a database in another format, such as format 1 with its chain tables,
+is refused.
 Verification on read is on by default for the file backend (bytes on
 disk are outside the process's control) and off for the in-memory one.
 
@@ -24,7 +26,6 @@ for rollback.
 from __future__ import annotations
 
 import sqlite3
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from pathlib import Path
 from .encoding import DIGEST_SIZE, Digest, hash256
 from .errors import CorruptError, NotFoundError, SSChainError
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _KV_SCHEMA = (
     "CREATE TABLE IF NOT EXISTS kv (space TEXT NOT NULL, key BLOB NOT NULL,"
@@ -144,20 +145,18 @@ class MemoryKvStore(KvStore):
         self.verify_on_read = verify_on_read
         self._entries: dict[Digest, bytes] = {}
         self._named: dict[Digest, None] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
-        with self._lock:
-            if not named and key in self._entries and key not in self._named:
-                return
-            self._entries[key] = value
-            if named:
-                self._named.setdefault(key)
-            else:
-                self._named.pop(key, None)
+        if not named and key in self._entries and key not in self._named:
+            return
+        self._entries[key] = value
+        if named:
+            self._named.setdefault(key)
+        else:
+            self._named.pop(key, None)
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         value = self._entries.get(key)

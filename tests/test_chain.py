@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sschain.chain import (
+    HEAD_KEY,
     AmountError,
     BadHeightError,
     Block,
@@ -18,17 +20,16 @@ from sschain.chain import (
     Transaction,
     UnknownParentError,
     default_producer,
-    stored_head,
     tenths_from_text,
     text_from_tenths,
     tx_root,
 )
-from sschain.encoding import hash256
+from sschain.encoding import hash256, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import AccountState
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable
-from sschain.store import open_database
+from sschain.store import FileKvStore, open_database
 
 
 def addr(i: int) -> bytes:
@@ -376,8 +377,10 @@ class TestLedgerOracle:
 
 
 class TestRollback:
-    def _three_blocks(self) -> tuple[Chain, list[bytes]]:
-        chain = build_chain({addr(1): "10.0"})
+    def _three_blocks(self, table: Optional[ShardTable] = None) -> tuple[Chain, list[bytes]]:
+        table = ShardTable(4) if table is None else table
+        fund(table, {addr(1): "10.0"})
+        chain = Chain(table)
         roots = [chain.head.header.state_root]
         for i in range(3):
             chain.apply_block([Transaction(addr(1), addr(2), "1.0", i)])
@@ -399,12 +402,14 @@ class TestRollback:
         with pytest.raises(NotFoundError):
             chain.query_account(addr(2))
 
-    def test_later_blocks_stay_until_overwritten(self) -> None:
+    def test_blocks_are_the_head_ancestry(self) -> None:
         chain, _ = self._three_blocks()
+        replaced = chain.blocks[3]
         chain.rollback(1)
-        assert len(chain.blocks) == 4  # nothing deleted yet
+        assert [b.header.number for b in chain.blocks] == [0, 1]
         chain.apply_block([Transaction(addr(1), addr(3), "2.0", 1)])
-        assert len(chain.blocks) == 3  # forward branch replaced
+        assert [b.header.number for b in chain.blocks] == [0, 1, 2]
+        assert replaced not in chain.blocks
         assert chain.head_height == 2
         assert chain.query_account(addr(3)).balance == "2.0"
 
@@ -464,13 +469,12 @@ class TestValidateBlock:
         assert chain.validate_block(chain.blocks[-1])
         assert len(hashed) <= 2
 
-    def test_replaced_branch_is_forgotten(self) -> None:
+    def test_replaced_branch_still_validates(self) -> None:
         chain, _ = TestRollback()._three_blocks()
         old = chain.blocks[3]
         chain.rollback(1)
         chain.apply_block([Transaction(addr(1), addr(3), "2.0", 1)])
-        with pytest.raises(UnknownParentError):
-            chain.validate_block(old)
+        assert chain.validate_block(old)
         assert chain.validate_block(chain.blocks[2])
 
     def test_single_byte_mutations_rejected(self) -> None:
@@ -539,136 +543,215 @@ def db(tmp_path):
     connection.close()
 
 
+def file_table(db) -> ShardTable:
+    """A four-shard table whose stores are spaces of ``db``."""
+    return ShardTable(
+        4, lambda sid: FileKvStore(db, f"shards/{sid.index}"), FileKvStore(db, "trie")
+    )
+
+
+def file_chain(db) -> tuple[Chain, list[bytes]]:
+    return TestRollback()._three_blocks(file_table(db))
+
+
+def set_entry(db, key: bytes, value: object) -> None:
+    db.execute("UPDATE kv SET value = ? WHERE space = 'trie' AND key = ?", (value, key))
+
+
+def recorded_writes(monkeypatch, store: FileKvStore) -> list[tuple[bytes, bool]]:
+    """Record (key, named) for each write to ``store`` from now on."""
+    writes: list[tuple[bytes, bool]] = []
+    real = store._write
+
+    def write(key: bytes, value: bytes, named: bool) -> None:
+        writes.append((key, named))
+        real(key, value, named)
+
+    monkeypatch.setattr(store, "_write", write)
+    return writes
+
+
 class TestExportLoad:
     def test_round_trip(self, db) -> None:
-        chain, roots = TestRollback()._three_blocks()
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
+        chain, _ = file_chain(db)
+        chain.export()
+        loaded = Chain.load(file_table(db))
         assert loaded.head_height == chain.head_height
-        assert [b.header.digest() for b in loaded.blocks] == [
-            b.header.digest() for b in chain.blocks
-        ]
+        assert loaded.blocks == chain.blocks
         assert loaded.query_account(addr(2)).balance == "3.0"
 
     def test_rolled_back_head_survives(self, db) -> None:
-        chain, roots = TestRollback()._three_blocks()
+        chain, roots = file_chain(db)
         chain.rollback(1)
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
+        chain.export()
+        loaded = Chain.load(file_table(db))
         assert loaded.head_height == 1
         assert loaded.head.header.state_root == roots[1]
-        assert len(loaded.blocks) == 4
+        assert len(loaded.blocks) == 2
 
     def test_missing_head_file(self, db) -> None:
         with pytest.raises(NotFoundError):
-            Chain.load(db, ShardTable(4))
-        assert stored_head(db) is None
+            Chain.load(file_table(db))
+        chain = Chain(file_table(db))
+        with pytest.raises(NotFoundError):
+            Chain.load(chain.table)
 
     def test_height_gap_detected(self, db) -> None:
-        chain, _ = TestRollback()._three_blocks()
-        chain.export(db)
-        db.execute("DELETE FROM chain_blocks WHERE height = 1")
+        chain, _ = file_chain(db)
+        chain.export()
+        db.execute("DELETE FROM kv WHERE key = ?", (chain.blocks[1].header.digest(),))
+        loaded = Chain.load(file_table(db))
+        assert loaded.rollback(2).head_height == 2
+        with pytest.raises(CorruptError, match="parent of block 2"):
+            loaded.rollback(0)
+        assert loaded.head_height == 2
         with pytest.raises(CorruptError):
-            Chain.load(db, chain.table)
+            loaded.blocks
 
     def test_broken_parent_link_detected(self, db) -> None:
-        chain, _ = TestRollback()._three_blocks()
-        chain.export(db)
-        stray = Block(
-            BlockHeader(hash256(b"elsewhere"), 2, 2, hash256(b"s"), tx_root(())), ()
-        )
-        db.execute(
-            "UPDATE chain_blocks SET block = ? WHERE height = 2", (stray.to_bytes(),)
-        )
-        with pytest.raises(CorruptError):
-            Chain.load(db, chain.table)
+        chain, roots = file_chain(db)
+        store = chain.table.trie_store
+        genesis = chain.blocks[0].header
+        stray = BlockHeader(genesis.digest(), 2, 2, roots[2], tx_root((), store))
+        store.put(rlp_encode(stray.to_rlp_item()))
+        store.put_named(HEAD_KEY, stray.digest())
+        loaded = Chain.load(file_table(db))
+        assert loaded.head_height == 2
+        with pytest.raises(CorruptError, match="names block 0 as parent"):
+            loaded.rollback(1)
 
     @pytest.mark.parametrize(
-        "head",
+        "pointer",
         [
-            lambda roots: ("", b""),
-            lambda roots: ("zz", roots[3]),
-            lambda roots: (-1, roots[3]),
-            lambda roots: (3, roots[1]),
-            lambda roots: (3, 3),
+            lambda head, roots: b"",
+            lambda head, roots: "zz",
+            lambda head, roots: head[:-1],
+            lambda head, roots: hash256(b"nothing is stored here"),
+            lambda head, roots: roots[1],
         ],
-        ids=["empty", "not-a-number", "negative", "root-of-another-block", "no-root"],
+        ids=["empty", "text", "short", "no-root", "root-of-another-block"],
     )
-    def test_malformed_head_rejected(self, db, head) -> None:
-        chain, roots = TestRollback()._three_blocks()
-        chain.export(db)
-        db.execute("UPDATE chain_head SET height = ?, root = ?", head(roots))
+    def test_malformed_head_rejected(self, db, pointer) -> None:
+        """The head pointer must be the digest of a stored header."""
+        chain, roots = file_chain(db)
+        chain.export()
+        set_entry(db, HEAD_KEY, pointer(chain.head.header.digest(), roots))
         with pytest.raises(CorruptError):
-            Chain.load(db, chain.table)
+            Chain.load(file_table(db))
 
     def test_undecodable_block_rejected(self, db) -> None:
-        chain, _ = TestRollback()._three_blocks()
-        chain.export(db)
-        raw = chain.blocks[2].to_bytes()
-        db.execute(
-            "UPDATE chain_blocks SET block = ? WHERE height = 2", (raw[: len(raw) // 2],)
+        """A header rewritten in place fails the store's content hash."""
+        chain, _ = file_chain(db)
+        chain.export()
+        header = chain.head.header
+        forged = BlockHeader(
+            header.parent_hash, header.number, 9, header.state_root, header.tx_root
         )
-        with pytest.raises(CorruptError):
-            Chain.load(db, chain.table)
+        set_entry(db, header.digest(), rlp_encode(forged.to_rlp_item()))
+        with pytest.raises(CorruptError, match="content hash"):
+            Chain.load(file_table(db))
 
     def test_export_after_load_writes_only_the_new_block(self, db, monkeypatch) -> None:
-        chain, _ = TestRollback()._three_blocks()
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
-        sentinel = b"not rewritten"
-        db.execute("UPDATE chain_blocks SET block = ? WHERE height = 1", (sentinel,))
-        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
-        encoded = counting(monkeypatch, Block, "to_bytes")
-        loaded.export(db)
-        assert encoded == [loaded.blocks[4]]
-        rows = dict(db.execute("SELECT height, block FROM chain_blocks"))
-        assert rows[1] == sentinel
-        assert rows[4] == loaded.blocks[4].to_bytes()
+        chain, _ = file_chain(db)
+        chain.export()
+        loaded = Chain.load(file_table(db))
+        writes = recorded_writes(monkeypatch, loaded.table.trie_store)
+        block = loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 3)])
+        assert (block.header.digest(), False) in writes
+        assert not {b.header.digest() for b in chain.blocks} & {key for key, _ in writes}
+        writes.clear()
+        loaded.export()
+        assert writes == [(HEAD_KEY, True)]
+        assert Chain.load(file_table(db)).head == block
 
     def test_rollback_export_writes_only_head(self, db, monkeypatch) -> None:
-        chain, roots = TestRollback()._three_blocks()
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
-        encoded = counting(monkeypatch, Block, "to_bytes")
-        loaded.rollback(1).export(db)
-        assert encoded == []
-        reloaded = Chain.load(db, chain.table)
+        chain, roots = file_chain(db)
+        chain.export()
+        loaded = Chain.load(file_table(db))
+        writes = recorded_writes(monkeypatch, loaded.table.trie_store)
+        loaded.rollback(1).export()
+        assert writes == [(HEAD_KEY, True)]
+        reloaded = Chain.load(file_table(db))
         assert reloaded.head.header.state_root == roots[1]
 
     def test_apply_after_rollback_drops_the_replaced_branch(self, db) -> None:
-        chain, roots = TestRollback()._three_blocks()
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
+        chain, _ = file_chain(db)
+        chain.export()
+        loaded = Chain.load(file_table(db))
+        replaced = loaded.head
         loaded.rollback(1).apply_block([Transaction(addr(1), addr(2), "1.0", 1)])
-        loaded.export(db)
-        heights = [h for (h,) in db.execute("SELECT height FROM chain_blocks")]
-        assert heights == [0, 1, 2]
-        reloaded = Chain.load(db, chain.table)
-        assert reloaded.head.header.digest() == loaded.head.header.digest()
+        loaded.export()
+        reloaded = Chain.load(file_table(db))
+        assert reloaded.head == loaded.head
+        assert [b.header.number for b in reloaded.blocks] == [0, 1, 2]
+        assert replaced not in reloaded.blocks
+        assert reloaded.validate_block(replaced)
 
     def test_interrupted_export_keeps_previous_head(self, db, monkeypatch) -> None:
-        chain, roots = TestRollback()._three_blocks()
+        chain, roots = file_chain(db)
         chain.rollback(1)
-        chain.export(db)
-        loaded = Chain.load(db, chain.table)
-        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 1)])
-        real_to_bytes = Block.to_bytes
+        chain.export()
+        loaded = Chain.load(file_table(db))
+        store = loaded.table.trie_store
+        real_put_named = store.put_named
 
-        def to_bytes(block: Block) -> bytes:
-            real_to_bytes(block)
+        def put_named(key: bytes, value: bytes) -> None:
+            real_put_named(key, value)
             raise OSError("interrupted")
 
         db.execute("BEGIN")
+        loaded.apply_block([Transaction(addr(1), addr(2), "1.0", 1)])
         with monkeypatch.context() as patch:
-            patch.setattr(Block, "to_bytes", to_bytes)
+            patch.setattr(store, "put_named", put_named)
             with pytest.raises(OSError):
-                loaded.export(db)
+                loaded.export()
         db.rollback()
-        reloaded = Chain.load(db, chain.table)
+        reloaded = Chain.load(file_table(db))
         assert reloaded.head_height == 1
-        assert len(reloaded.blocks) == 4
+        assert len(reloaded.blocks) == 2
         assert reloaded.head.header.state_root == roots[1]
 
+    def test_load_cost_does_not_grow_with_height(self, tmp_path, monkeypatch) -> None:
+        """Loading reads the pointer, the head block and the head root: the
+        same reads at height 3 and 150 for bodies of equal size, and no
+        header but the head's is decoded."""
+
+        def load_at(height: int) -> tuple[list[bytes], list]:
+            db = open_database(tmp_path / f"{height}.db")
+            table = file_table(db)
+            senders = [addr(1), addr(3)]
+            fund(table, {sender: "100.0" for sender in senders})
+            chain = Chain(table)
+            db.execute("BEGIN")
+            for seq in range(height):
+                chain.apply_block([Transaction(s, addr(2), "0.1", seq) for s in senders])
+            chain.export()
+            db.commit()
+            reads: list[bytes] = []
+            real_read = FileKvStore._read
+            real_decode = BlockHeader.from_rlp_item
+            decoded: list = []
+
+            def read(store: FileKvStore, key: bytes):
+                reads.append(key)
+                return real_read(store, key)
+
+            def decode(cls, item):
+                decoded.append(item)
+                return real_decode(item)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(FileKvStore, "_read", read)
+                patch.setattr(BlockHeader, "from_rlp_item", classmethod(decode))
+                loaded = Chain.load(file_table(db))
+            assert loaded.head == chain.head
+            assert decoded == [chain.head.header.to_rlp_item()]
+            db.close()
+            return reads
+
+        low, high = load_at(3), load_at(150)
+        assert len(low) == len(high) <= 10
+        assert low[0] == high[0] == HEAD_KEY
 
 class TestGenesisAdoption:
     def test_prefunded_accounts_visible_at_genesis(self) -> None:

@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from sschain import chain as chainmod
-from sschain.cli import main
-from sschain.encoding import hash256
+from sschain.cli import Workspace, main
+from sschain.encoding import hash256, rlp_encode
 from sschain.merkle_dag import AccountState, dag_build_directory
 from sschain.mpt import EMPTY_ROOT
 from sschain.shard_dht import ShardTable, shard_of
-from sschain.store import MemoryKvStore, open_database
+from sschain.store import MemoryKvStore
 
 ADDR_A = hash256(b"cli-a")[:20].hex()
 ADDR_B = hash256(b"cli-b")[:20].hex()
@@ -41,6 +41,16 @@ def sql(store: str, statement: str, params: tuple = ()) -> None:
     with db:
         db.execute(statement, params)
     db.close()
+
+
+def saved_heights(store: str) -> list[int]:
+    """Heights of the saved head's ancestry, genesis first, read from
+    outside the CLI."""
+    ws = Workspace(Path(store), write=False)
+    try:
+        return [b.header.number for b in chainmod.Chain.load(ws.load_table()).blocks]
+    finally:
+        ws.close()
 
 
 def fork(func) -> int:
@@ -354,10 +364,7 @@ class TestChain:
         assert main(["--store", store, "chain", "query", ADDR_A]) == 0
         assert capsysbinary.readouterr().out == AccountState("3", "47.0").to_json_bytes()
         assert [p.name for p in (tmp_path / "ws").iterdir()] == ["sschain.db"]
-        db = open_database(tmp_path / "ws" / "sschain.db")
-        heights = [h for (h,) in db.execute("SELECT height FROM chain_blocks")]
-        db.close()
-        assert heights == [0, 1, 2, 3]
+        assert saved_heights(store) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage"])
     def test_damaged_database_is_an_error(self, store, capsys, damage: str) -> None:
@@ -382,8 +389,8 @@ class TestChain:
         tx = f"{ADDR_A}:{ADDR_B}:3.5:0"
         export = chainmod.Chain.export
 
-        def export_then_die(chain, db) -> None:
-            export(chain, db)
+        def export_then_die(chain) -> None:
+            export(chain)
             os.kill(os.getpid(), signal.SIGKILL)
 
         def apply_and_die() -> int:
@@ -423,10 +430,7 @@ class TestChain:
         statuses = [wait(pid) for pid in pids]
         assert all(os.WIFEXITED(s) and os.WEXITSTATUS(s) == 0 for s in statuses)
 
-        db = open_database(Path(store, "sschain.db"))
-        head = chainmod.stored_head(db)
-        db.close()
-        assert head is not None and head[0] == 2 * applies
+        assert saved_heights(store) == list(range(2 * applies + 1))
         capsys.readouterr()
         for sender in senders:
             assert main(["--store", store, "chain", "query", sender]) == 0
@@ -438,6 +442,54 @@ class TestChain:
         assert main(["--store", store, "chain", "query", ADDR_B]) == 0
         doc = json.loads(capsys.readouterr().out)["result"]
         assert doc["balance"] == chainmod.text_from_tenths(2 * 15 * applies)
+
+    def test_workspace_has_no_chain_tables(self, store, capsys) -> None:
+        self._init(store, capsys)
+        db = sqlite3.connect(Path(store, "sschain.db"))
+        tables = {name for (name,) in db.execute("SELECT name FROM sqlite_master")}
+        db.close()
+        assert not {"chain_blocks", "chain_head"} & tables
+
+    def test_format_1_workspace_is_refused(self, store, capsys) -> None:
+        self._init(store, capsys)
+        sql(store, "PRAGMA user_version = 1")
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        assert capsys.readouterr().err == "error: incompatible store format 1, not 2\n"
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing-head", "not-a-digest", "not-a-header", "tampered-header", "missing-ancestor"],
+    )
+    def test_damaged_chain_is_an_error(self, store, capsys, damage: str) -> None:
+        genesis_root = bytes.fromhex(self._init(store, capsys))
+        for seq in range(2):
+            tx = f"{ADDR_A}:{ADDR_B}:1.0:{seq}"
+            assert main(["--store", store, "chain", "apply", "--tx", tx]) == 0
+        ws = Workspace(Path(store), write=False)
+        _, first, head = [b.header for b in chainmod.Chain.load(ws.load_table()).blocks]
+        ws.close()
+        update = "UPDATE kv SET value = ? WHERE space = 'trie' AND key = ?"
+        delete = "DELETE FROM kv WHERE space = 'trie' AND key = ?"
+        forged = chainmod.BlockHeader(
+            head.parent_hash, head.number, 9, head.state_root, head.tx_root
+        )
+        statement, params, message = {
+            "missing-head": (delete, (chainmod.HEAD_KEY,), "no chain"),
+            "not-a-digest": (update, (b"\x00", chainmod.HEAD_KEY), "is not a digest"),
+            "not-a-header": (update, (genesis_root, chainmod.HEAD_KEY), "not a stored header"),
+            "tampered-header": (
+                update,
+                (rlp_encode(forged.to_rlp_item()), head.digest()),
+                "fails its content hash",
+            ),
+            "missing-ancestor": (delete, (first.digest(),), "not a stored header"),
+        }[damage]
+        sql(store, statement, params)
+        capsys.readouterr()
+        command = ["rollback", "0"] if damage == "missing-ancestor" else ["query", ADDR_A]
+        assert main(["--store", store, "chain", *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_corrupt_shard_table_is_an_error(self, store, capsys) -> None:
         self._init(store, capsys)

@@ -456,8 +456,15 @@ class TestAccountState:
 
     @given(DOC_TEXT, DOC_TEXT, st.binary(max_size=8))
     def test_json_bytes_match_json_dumps(self, seq: str, balance: str, code: bytes) -> None:
-        """The document's byte form is exactly ``json.dumps(indent=2)``."""
+        """The document's byte form is exactly ``json.dumps(indent=2)``; text
+        UTF-8 cannot encode (a lone surrogate) raises instead."""
         state = AccountState(seq, balance, code=code)
+        try:
+            (seq + balance).encode()
+        except UnicodeEncodeError:
+            with pytest.raises(UnicodeEncodeError):
+                state.to_json_bytes()
+            return
         doc = {
             "result": {
                 "seqNumber": seq,
@@ -472,6 +479,15 @@ class TestAccountState:
         raw = state.to_json_bytes()
         assert raw == (json.dumps(doc, indent=2) + "\n").encode()
         assert AccountState.from_json_bytes(raw) == state
+
+    @pytest.mark.parametrize("field", ["seqNumber", "balance"])
+    def test_lone_surrogate_field_rejected(self, field: str) -> None:
+        doc = json.loads(AccountState("6", "13.0").to_json_bytes())
+        doc["result"][field] = "\ud800"
+        raw = json.dumps(doc).encode()
+        assert b'"\\ud800"' in raw
+        with pytest.raises(CorruptError):
+            AccountState.from_json_bytes(raw)
 
     def test_malformed_document_rejected(self) -> None:
         with pytest.raises(CorruptError):

@@ -519,8 +519,20 @@ class TestConfig:
             "shards 2\nnode zz 1 1\n",
             "shards 2\nnode " + "0" * 63 + " 1 1\n",
             "shards 2\nnode " + "0g" * 32 + " 1 1\n",
+            "shards 4\nnode " + "00" * 32 + " 2 x\n",
+            "shards 4\nnode " + "00" * 32 + " 2 1\n",
+            "shards 4\nnode " + "00" * 32 + " 1 true\n",
         ],
-        ids=["word", "fraction", "short-hex", "odd-length", "not-hex"],
+        ids=[
+            "word",
+            "fraction",
+            "short-hex",
+            "odd-length",
+            "not-hex",
+            "flags",
+            "book-flag",
+            "authority-flag",
+        ],
     )
     def test_malformed_value_rejected(self, config: str) -> None:
         with pytest.raises(ShardError):

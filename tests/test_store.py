@@ -150,9 +150,9 @@ class TestFilePersistence:
 
     def test_manifest_written_and_checked(self, db) -> None:
         FileKvStore(db, "kv")
-        assert db.execute("PRAGMA user_version").fetchone() == (1,)
-        db.execute("PRAGMA user_version = 2")
-        with pytest.raises(StoreError, match="incompatible store"):
+        assert db.execute("PRAGMA user_version").fetchone() == (2,)
+        db.execute("PRAGMA user_version = 1")
+        with pytest.raises(StoreError, match="incompatible store format 1, not 2"):
             FileKvStore(db, "kv")
 
     def test_shared_between_threads(self, db) -> None:
