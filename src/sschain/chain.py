@@ -424,7 +424,7 @@ class Chain:
             NotFoundError: account absent at that root.
         """
         root = self.head.header.state_root if at_root is None else at_root
-        trie = self._trie if root == self._trie.commit() else Trie(
+        trie = self._trie if root == self.head.header.state_root else Trie(
             self.table.trie_store, root
         )
         found = self._read_account(trie, address)

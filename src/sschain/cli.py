@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Everything stateful lives in one SQLite database, ``sschain.db``, under
-``--store`` (default ``./sschain-store``): the store spaces ``objects``,
-``trie`` (which also holds the chain's headers, transaction tries and
-head pointer) and ``shards/<i>``, and this module's ``workspace`` (trie
-root, shard table) and ``names`` tables.
+Everything stateful is an entry of the one ``kv`` table of ``sschain.db``
+under ``--store`` (default ``./sschain-store``), in the store spaces
+``objects``, ``trie`` (also the chain's headers, transaction tries and
+head pointer), ``shards/<i>``, ``workspace`` (the trie root and shard
+table text under :data:`TRIE_ROOT_KEY` and :data:`SHARD_TABLE_KEY`) and
+``names`` (RLP [sequence, target digest] under each node id).
 
 Each command is one transaction, committed only if it succeeds, so a
 failed or killed command leaves the workspace as it was. Writing
-commands start with ``BEGIN IMMEDIATE``, so two writers take turns. A
+commands start with ``BEGIN IMMEDIATE``, so two writers take turns;
+reading commands are query-only, so they run beside a writer. A
 directory in the old file-per-entry layout is refused, not read.
 
 Exit codes: 0 on success, 1 on a domain error (missing key, bad root,
@@ -28,20 +30,17 @@ from . import chain as chainmod
 from . import merkle_dag as dagmod
 from . import shard_dht as shardmod
 from . import simulator as simmod
-from .encoding import DIGEST_SIZE, Digest
-from .errors import CorruptError, SSChainError
+from .encoding import DIGEST_SIZE, Digest, hash256
+from .encoding import int_from_bytes, int_to_bytes, rlp_decode, rlp_encode
+from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, DagNode, NameRecord, NameRegistry
 from .mpt import EMPTY_ROOT, Trie
 from .store import FileKvStore, KvStore, open_database
 
 DB_NAME = "sschain.db"
 _OLD_LAYOUT = ("objects", "trie", "shards", "chain", "table.cfg", "TRIE_ROOT", "names.txt")
-_CLI_SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS workspace"
-    " (name TEXT PRIMARY KEY, value NOT NULL) WITHOUT ROWID",
-    "CREATE TABLE IF NOT EXISTS names (node_id BLOB PRIMARY KEY,"
-    " sequence INTEGER NOT NULL, target BLOB NOT NULL) WITHOUT ROWID",
-)
+TRIE_ROOT_KEY = hash256(b"sschain trie root")
+SHARD_TABLE_KEY = hash256(b"sschain shard table")
 
 
 def _hex_arg(text: str) -> bytes:
@@ -89,7 +88,8 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
 
 class Workspace:
     """The --store database, opened on first use inside the command's
-    transaction, which :meth:`close` ends. Values read back are checked."""
+    transaction, which :meth:`close` ends. A reading workspace is
+    query-only. Values read back are checked."""
 
     def __init__(self, root: Path, write: bool):
         self.root, self.write = root, write
@@ -108,9 +108,9 @@ class Workspace:
                     )
                 self.root.mkdir(parents=True, exist_ok=True)
             self._db = open_database(path)
+            if not self.write:
+                self._db.execute("PRAGMA query_only = ON")
             self._db.execute("BEGIN IMMEDIATE" if self.write else "BEGIN")
-            for statement in _CLI_SCHEMA:
-                self._db.execute(statement)
         return self._db
 
     def close(self, commit: bool = False) -> None:
@@ -130,51 +130,57 @@ class Workspace:
     def shard_store(self, shard_id: shardmod.ShardId) -> KvStore:
         return self.store(f"shards/{shard_id.index}")
 
-    def _value(self, name: str) -> object:
-        row = self.db.execute("SELECT value FROM workspace WHERE name = ?", (name,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_value(self, name: str, value: object) -> None:
-        self.db.execute("INSERT OR REPLACE INTO workspace VALUES (?, ?)", (name, value))
-
     def trie_root(self) -> Digest:
         """Root of the standalone trie commands; the empty root at first."""
-        root = self._value("trie_root")
-        if root is not None and not _is_digest(root):
-            raise CorruptError(f"stored trie root {root!r} is not a digest")
-        return EMPTY_ROOT if root is None else root
+        root = _find(self.store("workspace"), TRIE_ROOT_KEY) or EMPTY_ROOT
+        if not _is_digest(root):
+            raise CorruptError(f"stored trie root {root.hex()} is not a digest")
+        return root
 
     def save_trie_root(self, root: Digest) -> None:
-        self._set_value("trie_root", root)
+        self.store("workspace").put_named(TRIE_ROOT_KEY, root)
 
     def load_table(self, default_shards: Optional[int] = None) -> shardmod.ShardTable:
         trie_store = self.store("trie")
-        config = self._value("shard_table")
+        config = _find(self.store("workspace"), SHARD_TABLE_KEY)
         if config is None:
             if default_shards is None:
                 raise SSChainError(f"no shard table in {self.root / DB_NAME}; run chain init")
             return shardmod.ShardTable(default_shards, self.shard_store, trie_store)
         try:
-            if not isinstance(config, str):
-                raise shardmod.ShardError(f"{config!r} is not text")
-            return shardmod.table_from_config(config, self.shard_store, trie_store)
-        except shardmod.ShardError as exc:
+            return shardmod.table_from_config(config.decode(), self.shard_store, trie_store)
+        except (UnicodeDecodeError, shardmod.ShardError) as exc:
             raise CorruptError(f"stored shard table: {exc}") from exc
 
     def save_table(self, table: shardmod.ShardTable) -> None:
-        self._set_value("shard_table", shardmod.table_to_config(table))
+        config = shardmod.table_to_config(table).encode()
+        self.store("workspace").put_named(SHARD_TABLE_KEY, config)
 
-    def load_registry(self, store: KvStore) -> NameRegistry:
-        registry = NameRegistry(store)
-        for node_id, sequence, target in self.db.execute("SELECT * FROM names"):
-            if not (_is_digest(node_id) and _is_digest(target) and type(sequence) is int):
-                raise CorruptError(f"stored name record for {node_id!r} is malformed")
-            registry._records[node_id] = NameRecord(node_id, Cid(target), sequence)
-        return registry
+    def load_registry(self, store: KvStore, node_id: Digest) -> NameRegistry:
+        """A registry holding ``node_id``'s record, if it has one, and no other."""
+        raw = _find(self.store("names"), node_id)
+        return NameRegistry(store, {} if raw is None else {node_id: _name_record(node_id, raw)})
 
     def save_name(self, record: NameRecord) -> None:
-        row = (record.node_id, record.sequence, record.target.digest)
-        self.db.execute("INSERT OR REPLACE INTO names VALUES (?, ?, ?)", row)
+        raw = rlp_encode([int_to_bytes(record.sequence), record.target.digest])
+        self.store("names").put_named(record.node_id, raw)
+
+
+def _find(store: KvStore, key: Digest) -> Optional[bytes]:
+    try:
+        return store.get(key)
+    except NotFoundError:
+        return None
+
+
+def _name_record(node_id: Digest, raw: bytes) -> NameRecord:
+    try:
+        sequence, target = rlp_decode(raw)
+        if isinstance(sequence, bytes) and sequence and _is_digest(target):
+            return NameRecord(node_id, Cid(target), int_from_bytes(sequence))
+    except ValueError:
+        pass
+    raise CorruptError(f"stored name record for {node_id.hex()} is malformed")
 
 
 def _is_digest(value: object) -> bool:
@@ -252,7 +258,7 @@ def cmd_dag_cat(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = ws.load_registry(ws.store("objects"))
+    registry = ws.load_registry(ws.store("objects"), args.node_id)
     record = dagmod.name_publish(registry, args.node_id, args.cid)
     ws.save_name(record)
     _emit(
@@ -268,7 +274,7 @@ def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_resolve(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = ws.load_registry(ws.store("objects"))
+    registry = ws.load_registry(ws.store("objects"), args.node_id)
     target = dagmod.name_resolve(registry, args.node_id)
     _emit(
         args,
@@ -424,7 +430,6 @@ def cmd_sim_run(args: argparse.Namespace, ws: Workspace) -> int:
         num_nodes=args.nodes,
         num_shards=args.shards,
         num_txs=args.txs,
-        block_interval_s=args.interval,
         consensus_delay_s=args.consensus,
         seed=args.seed,
         parallelism=args.parallelism,
@@ -474,9 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
     common = [_common_flags()]
 
-    store = top.add_parser("store", help="content-addressed store").add_subparsers(
-        dest="action", required=True
-    )
+    def group(name: str, help: str) -> "argparse._SubParsersAction":
+        return top.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    store = group("store", "content-addressed store")
     put = store.add_parser("put", help="store a file (or - for stdin)", parents=common)
     put.add_argument("path")
     put.set_defaults(func=cmd_store_put)
@@ -485,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     get.add_argument("--out", help="write to a file instead of stdout")
     get.set_defaults(func=cmd_store_get)
 
-    dag = top.add_parser("dag", help="merkle dag").add_subparsers(
-        dest="action", required=True
-    )
+    dag = group("dag", "merkle dag")
     add = dag.add_parser("add", help="add a file or directory", parents=common)
     add.add_argument("path")
     add.add_argument("-r", "--recursive", action="store_true")
@@ -499,9 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("cid", type=_cid_arg)
     cat.set_defaults(func=cmd_dag_cat)
 
-    name = top.add_parser("name", help="name records").add_subparsers(
-        dest="action", required=True
-    )
+    name = group("name", "name records")
     pub = name.add_parser("publish", help="bind a node id to a cid", parents=common)
     pub.add_argument("cid", type=_cid_arg)
     pub.add_argument("--node-id", type=_digest_arg, required=True)
@@ -510,9 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("node_id", type=_digest_arg)
     res.set_defaults(func=cmd_name_resolve)
 
-    trie = top.add_parser("trie", help="persistent trie").add_subparsers(
-        dest="action", required=True
-    )
+    trie = group("trie", "persistent trie")
     tput = trie.add_parser("put", help="insert key and value text", parents=common)
     tput.add_argument("key")
     tput.add_argument("value")
@@ -523,9 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     troot = trie.add_parser("root", help="print the current root", parents=common)
     troot.set_defaults(func=cmd_trie_root)
 
-    shard = top.add_parser("shard", help="shard table").add_subparsers(
-        dest="action", required=True
-    )
+    shard = group("shard", "shard table")
     smap = shard.add_parser("map", help="address to shard", parents=common)
     smap.add_argument("address", type=_hex_arg)
     smap.add_argument("--shards", type=int, default=4)
@@ -542,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sleave.add_argument("node_id", type=_digest_arg)
     sleave.set_defaults(func=cmd_shard_leave)
 
-    chain = top.add_parser("chain", help="block chain").add_subparsers(
-        dest="action", required=True
-    )
+    chain = group("chain", "block chain")
     cinit = chain.add_parser("init", help="create the chain", parents=common)
     cinit.add_argument("--shards", type=int, default=4)
     cinit.add_argument(
@@ -570,16 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     croll.add_argument("height", type=int)
     croll.set_defaults(func=cmd_chain_rollback)
 
-    sim = top.add_parser("sim", help="experiments").add_subparsers(
-        dest="action", required=True
-    )
+    sim = group("sim", "experiments")
     srun = sim.add_parser("run", help="run a seeded experiment", parents=common)
     srun.add_argument("--txs", type=int, default=1000)
     srun.add_argument("--shards", type=int, default=4)
     srun.add_argument("--nodes", type=int, default=64)
     srun.add_argument("--accounts", type=int, default=0)
     srun.add_argument("--txs-per-block", type=int, default=0)
-    srun.add_argument("--interval", type=float, default=15.0)
     srun.add_argument("--consensus", type=float, default=10.0)
     srun.add_argument("--parallelism", type=int, default=1)
     srun.add_argument("--scaling", help="comma-separated shard counts")

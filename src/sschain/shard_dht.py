@@ -10,9 +10,10 @@ joining or leaving moves only the keys on its own arc.
 
 A ``ShardTable`` holds one isolated key-value store per shard plus a
 global account trie. ``shard_update`` writes an account's state into its
-shard as a small version DAG and records the version under the account's
-lookup key; ``shard_inquire`` reads that entry back. The lookup key is
-the fixed pipeline
+shard as a small version DAG, records it under the account's lookup key
+and inserts it in the trie, which is committed only when ``state_root``
+is read; ``shard_inquire`` reads that entry back. The lookup key is the
+fixed pipeline
 
     hash256(rlp_encode(hp_encode(hex_encode(address), leaf)))
 
@@ -242,15 +243,15 @@ class ShardTable:
             self.shards[sid] = Shard(sid, factory(sid))
         self.trie_store = trie_store if trie_store is not None else MemoryKvStore()
         self._trie = Trie(self.trie_store)
-        self._root = self._trie.commit()
 
     @property
     def state_root(self) -> Digest:
-        return self._root
+        """Root of the current state, committing it on first request."""
+        return self._trie.commit()
 
     @property
     def trie(self) -> Trie:
-        """Handle at the table's current committed root."""
+        """Handle at the table's current state, committed or not."""
         return self._trie
 
     def members(self) -> list[NodeIdentity]:
@@ -344,10 +345,11 @@ class ShardTable:
 
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
-    ) -> tuple[Digest, Cid]:
-        """Publish a new state version for ``address``; returns both roots.
+    ) -> Cid:
+        """Publish a new state version for ``address``; returns its Cid.
 
-        The trie root moves iff the state content actually changed.
+        The trie moves iff the state content changed; reading
+        :attr:`state_root` commits it.
 
         Raises:
             NotAuthorizedError
@@ -358,8 +360,7 @@ class ShardTable:
         )
         if changed:
             self._trie = trie
-            self._root = trie.commit()
-        return self._root, version_cid
+        return version_cid
 
     def shard_inquire(
         self, requester: NodeIdentity, address: bytes

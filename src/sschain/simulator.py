@@ -69,7 +69,6 @@ class SimConfig:
     num_nodes: int = 8
     num_shards: int = 4
     num_txs: int = 1000
-    block_interval_s: float = 15.0
     consensus_delay_s: float = 10.0
     seed: int = 0
     parallelism: int = 1
@@ -89,8 +88,8 @@ class SimConfig:
             raise ConfigInvalidError(f"num_txs must be >= 0: {self.num_txs}")
         if self.parallelism < 1:
             raise ConfigInvalidError(f"parallelism must be >= 1: {self.parallelism}")
-        if self.block_interval_s < 0 or self.consensus_delay_s < 0:
-            raise ConfigInvalidError("time parameters must be >= 0")
+        if self.consensus_delay_s < 0:
+            raise ConfigInvalidError(f"consensus_delay_s must be >= 0: {self.consensus_delay_s}")
         if self.num_accounts < 0 or self.txs_per_block < 0:
             raise ConfigInvalidError("count parameters must be >= 0")
 
@@ -223,13 +222,13 @@ def _run_shard_job(job: ShardJob) -> tuple[int, int, dict[bytes, bytes]]:
     """Process one shard's stream in isolation.
 
     Returns (shard index, processed count, address -> final version digest).
-    Runs in a worker process, so it rebuilds its own in-memory table; the
-    version digests it reports are pure content hashes, identical wherever
-    they are computed.
+    Runs in a worker process, so it rebuilds its own in-memory table (one
+    shard: it writes only local accounts); the version digests it reports
+    are pure content hashes, identical wherever they are computed.
     """
     shard_index, num_shards, accounts, windows, credits = job
-    table = ShardTable(num_shards)
-    producer = default_producer(num_shards)
+    table = ShardTable(1)
+    producer = default_producer(1)
     for address, balance in accounts:
         table.shard_update(producer, address, AccountState("0", balance))
     chain = Chain(table, producer)

@@ -13,9 +13,10 @@ Two kinds of entry share one namespace:
 The file backend is one space (``trie``, ``shards/0``, ...) of the
 ``kv`` table of a SQLite database, one row per entry; its ``named``
 column is NULL for content-addressed entries and a named entry's
-first-write rank otherwise. ``PRAGMA user_version`` records the format,
-2; a database in another format, such as format 1 with its chain tables,
-is refused.
+first-write rank otherwise. Only :func:`open_database` knows that
+schema: it creates it and records the format, 3, in ``PRAGMA
+user_version``; a database in another format, such as format 2 with its
+``workspace`` and ``names`` tables, is refused.
 Verification on read is on by default for the file backend (bytes on
 disk are outside the process's control) and off for the in-memory one.
 
@@ -33,12 +34,13 @@ from pathlib import Path
 from .encoding import DIGEST_SIZE, Digest, hash256
 from .errors import CorruptError, NotFoundError, SSChainError
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 _KV_SCHEMA = (
-    "CREATE TABLE IF NOT EXISTS kv (space TEXT NOT NULL, key BLOB NOT NULL,"
+    "CREATE TABLE kv (space TEXT NOT NULL, key BLOB NOT NULL,"
     " value BLOB NOT NULL, named INTEGER, PRIMARY KEY (space, key)) WITHOUT ROWID",
-    "CREATE INDEX IF NOT EXISTS kv_named ON kv (space, named) WHERE named IS NOT NULL",
+    "CREATE INDEX kv_named ON kv (space, named) WHERE named IS NOT NULL",
+    f"PRAGMA user_version = {STORE_VERSION}",
 )
 # A content put leaves an existing entry alone unless it was named; a
 # named put overwrites the value and keeps the entry's first-write rank.
@@ -171,13 +173,6 @@ class FileKvStore(KvStore):
         self.verify_on_read = verify_on_read
         self.db = db
         self.space = space
-        (version,) = db.execute("PRAGMA user_version").fetchone()
-        if version == 0:
-            for statement in _KV_SCHEMA:
-                db.execute(statement)
-            db.execute(f"PRAGMA user_version = {STORE_VERSION}")
-        elif version != STORE_VERSION:
-            raise StoreError(f"incompatible store format {version}, not {STORE_VERSION}")
 
     def __len__(self) -> int:
         query = "SELECT count(*) FROM kv WHERE space = ?"
@@ -199,7 +194,8 @@ class FileKvStore(KvStore):
 
 
 def open_database(path: str | Path) -> sqlite3.Connection:
-    """Open (creating if absent) the database at ``path`` in WAL mode.
+    """Open (creating if absent) the database at ``path`` in WAL mode;
+    raise :class:`StoreError` if it is in another format.
 
     The connection autocommits unless the caller issues ``BEGIN``, and
     any thread may use it.
@@ -208,7 +204,17 @@ def open_database(path: str | Path) -> sqlite3.Connection:
     try:
         db.execute("PRAGMA journal_mode = WAL")
         db.execute("PRAGMA synchronous = NORMAL")
-    except sqlite3.Error:
+        (version,) = db.execute("PRAGMA user_version").fetchone()
+        if version == 0:
+            with db:  # checked again under the write lock: one first opener creates
+                db.execute("BEGIN IMMEDIATE")
+                if db.execute("PRAGMA user_version").fetchone() == (0,):
+                    for statement in _KV_SCHEMA:
+                        db.execute(statement)
+            (version,) = db.execute("PRAGMA user_version").fetchone()
+        if version != STORE_VERSION:
+            raise StoreError(f"incompatible store format {version}, not {STORE_VERSION}")
+    except (sqlite3.Error, StoreError):
         db.close()
         raise
     return db

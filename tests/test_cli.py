@@ -7,18 +7,19 @@ import json
 import os
 import signal
 import sqlite3
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from sschain import chain as chainmod
-from sschain.cli import Workspace, main
+from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
 from sschain.merkle_dag import AccountState, dag_build_directory
 from sschain.mpt import EMPTY_ROOT
 from sschain.shard_dht import ShardTable, shard_of
-from sschain.store import MemoryKvStore
+from sschain.store import FileKvStore, MemoryKvStore, open_database
 
 ADDR_A = hash256(b"cli-a")[:20].hex()
 ADDR_B = hash256(b"cli-b")[:20].hex()
@@ -41,6 +42,11 @@ def sql(store: str, statement: str, params: tuple = ()) -> None:
     with db:
         db.execute(statement, params)
     db.close()
+
+
+def set_entry(store: str, space: str, key: bytes, value: bytes) -> None:
+    """Overwrite one kv entry of the workspace database from outside the CLI."""
+    sql(store, "UPDATE kv SET value = ? WHERE space = ? AND key = ?", (value, space, key))
 
 
 def saved_heights(store: str) -> list[int]:
@@ -201,9 +207,31 @@ class TestName:
         cid = self._add(store, tmp_path, capsys, "v1")
         main(["--store", store, "name", "publish", cid, "--node-id", NODE_1])
         capsys.readouterr()
-        sql(store, "UPDATE names SET node_id = 'zz', target = 'ss1-00'")
-        assert main(["--store", store, "name", "resolve", NODE_1]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        for damage in (
+            b"zz",
+            rlp_encode([b"\x01", b"short"]),
+            rlp_encode([b"\x00", bytes(32)]),
+            rlp_encode([[], bytes(32)]),
+        ):
+            set_entry(store, "names", bytes.fromhex(NODE_1), damage)
+            assert main(["--store", store, "name", "resolve", NODE_1]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: stored name record for {NODE_1} is malformed\n"
+
+    def test_corrupt_record_leaves_other_names_working(
+        self, store, tmp_path, capsys
+    ) -> None:
+        first = self._add(store, tmp_path, capsys, "v1")
+        second = self._add(store, tmp_path, capsys, "v2")
+        main(["--store", store, "name", "publish", first, "--node-id", NODE_1])
+        main(["--store", store, "name", "publish", second, "--node-id", NODE_2])
+        capsys.readouterr()
+        set_entry(store, "names", bytes.fromhex(NODE_1), b"zz")
+        assert main(["--store", store, "name", "resolve", NODE_2]) == 0
+        assert lines_of(capsys) == [f"/ss/{second}"]
+        third = self._add(store, tmp_path, capsys, "v3")
+        assert main(["--store", store, "name", "publish", third, "--node-id", NODE_2]) == 0
+        assert main(["--store", store, "name", "publish", third, "--node-id", NODE_1]) == 1
 
     def test_publish_unstored_cid(self, store, capsys) -> None:
         ghost = "ss1-" + hash256(b"ghost").hex()
@@ -236,9 +264,9 @@ class TestTrie:
     def test_corrupt_root_is_an_error(self, store, capsys) -> None:
         main(["--store", store, "trie", "put", "alpha", "1"])
         capsys.readouterr()
-        sql(store, "UPDATE workspace SET value = 'zz' WHERE name = 'trie_root'")
+        set_entry(store, "workspace", TRIE_ROOT_KEY, b"zz")
         assert main(["--store", store, "trie", "get", "alpha"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == "error: stored trie root 7a7a is not a digest\n"
 
 
 class TestShard:
@@ -443,18 +471,27 @@ class TestChain:
         doc = json.loads(capsys.readouterr().out)["result"]
         assert doc["balance"] == chainmod.text_from_tenths(2 * 15 * applies)
 
-    def test_workspace_has_no_chain_tables(self, store, capsys) -> None:
+    def test_workspace_has_no_chain_tables(self, store, tmp_path, capsys) -> None:
         self._init(store, capsys)
+        source = tmp_path / "n.txt"
+        source.write_text("named")
+        assert main(["--store", store, "chain", "apply", "--tx", f"{ADDR_A}:{ADDR_B}:1.0:0"]) == 0
+        assert main(["--store", store, "trie", "put", "alpha", "1"]) == 0
+        assert main(["--store", store, "dag", "add", str(source)]) == 0
+        cid = lines_of(capsys)[-1].split()[1]
+        assert main(["--store", store, "name", "publish", cid, "--node-id", NODE_1]) == 0
+        assert main(["--store", store, "shard", "join", NODE_1]) == 0
         db = sqlite3.connect(Path(store, "sschain.db"))
-        tables = {name for (name,) in db.execute("SELECT name FROM sqlite_master")}
+        names = {name for (name,) in db.execute("SELECT name FROM sqlite_master")}
+        (version,) = db.execute("PRAGMA user_version").fetchone()
         db.close()
-        assert not {"chain_blocks", "chain_head"} & tables
+        assert (names, version) == ({"kv", "kv_named"}, 3)
 
-    def test_format_1_workspace_is_refused(self, store, capsys) -> None:
+    def test_format_2_workspace_is_refused(self, store, capsys) -> None:
         self._init(store, capsys)
-        sql(store, "PRAGMA user_version = 1")
+        sql(store, "PRAGMA user_version = 2")
         assert main(["--store", store, "chain", "query", ADDR_A]) == 1
-        assert capsys.readouterr().err == "error: incompatible store format 1, not 2\n"
+        assert capsys.readouterr().err == "error: incompatible store format 2, not 3\n"
 
     @pytest.mark.parametrize(
         "damage",
@@ -493,9 +530,10 @@ class TestChain:
 
     def test_corrupt_shard_table_is_an_error(self, store, capsys) -> None:
         self._init(store, capsys)
-        sql(store, "UPDATE workspace SET value = 'shards four' WHERE name = 'shard_table'")
-        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        for damage in (b"shards four\n", b"shards \xff\n"):
+            set_entry(store, "workspace", SHARD_TABLE_KEY, damage)
+            assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+            assert capsys.readouterr().err.startswith("error: stored shard table: ")
 
     def test_rollback_past_head(self, store, capsys) -> None:
         self._init(store, capsys)
@@ -526,6 +564,59 @@ class TestChain:
         assert doc["height"] == 1
         assert doc["accepted"] == 1
         assert doc["rejected"] == []
+
+
+class TestReadsBesideAWriter:
+    """A reading command neither waits for nor fails on another
+    connection's write transaction."""
+
+    READS = [
+        ["chain", "query", ADDR_A],
+        ["shard", "map", ADDR_A],
+        ["trie", "get", "alpha"],
+        ["name", "resolve", NODE_1],
+    ]
+
+    def test_reads_while_another_connection_commits(
+        self, store, tmp_path, capsysbinary
+    ) -> None:
+        source = tmp_path / "n.txt"
+        source.write_text("named")
+        for argv in (
+            ["chain", "init", "--shards", "2", "--fund", f"{ADDR_A}=50.0"],
+            ["trie", "put", "alpha", "1"],
+            ["dag", "add", str(source)],
+        ):
+            assert main(["--store", store, *argv]) == 0
+        cid = capsysbinary.readouterr().out.decode().split()[-2]
+        assert main(["--store", store, "name", "publish", cid, "--node-id", NODE_1]) == 0
+        capsysbinary.readouterr()
+        alone = []
+        for argv in self.READS:
+            assert main(["--store", store, *argv]) == 0
+            alone.append(capsysbinary.readouterr().out)
+
+        for index, (argv, expected) in enumerate(zip(self.READS, alone)):
+            writer = open_database(Path(store, "sschain.db"))
+            writer.execute("BEGIN IMMEDIATE")
+            FileKvStore(writer, "objects").put(f"written beside read {index}".encode())
+            commit = threading.Timer(0.3, writer.commit)
+            commit.start()
+            try:
+                code = main(["--store", store, *argv])
+            finally:
+                commit.join()
+                writer.close()
+            assert (code, capsysbinary.readouterr().out) == (0, expected), argv
+
+    def test_reading_workspace_refuses_writes(self, store) -> None:
+        assert main(["--store", store, "trie", "put", "alpha", "1"]) == 0
+        ws = Workspace(Path(store), write=False)
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                ws.store("objects").put(b"written by a reader")
+        finally:
+            ws.close()
 
 
 class TestSim:

@@ -255,7 +255,7 @@ class TestShardTable:
         table = ShardTable(4)
         address = b"\x11" * 20
         state = AccountState("1", "5.0")
-        _, version_cid = table.shard_update(AUTH, address, state)
+        version_cid = table.shard_update(AUTH, address, state)
         entry = table.shard_inquire(AUTH, address)
         assert entry.key == pipeline_key(address)
         assert entry.value == version_cid.digest
@@ -265,15 +265,17 @@ class TestShardTable:
         table = ShardTable(4)
         address = b"\x22" * 20
         first = table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        root = table.state_root
         again = table.shard_update(AUTH, address, AccountState("1", "5.0"))
-        assert again == first
+        assert (table.state_root, again) == (root, first)
 
     def test_new_state_advances_version(self) -> None:
         table = ShardTable(4)
         address = b"\x22" * 20
-        root1, cid1 = table.shard_update(AUTH, address, AccountState("1", "5.0"))
-        root2, cid2 = table.shard_update(AUTH, address, AccountState("2", "4.0"))
-        assert (root2, cid2) != (root1, cid1)
+        cid1 = table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        root1 = table.state_root
+        cid2 = table.shard_update(AUTH, address, AccountState("2", "4.0"))
+        assert table.state_root != root1 and cid2 != cid1
         store = table.shard_for(address).store
         assert account_history(store, table.pointer(address)) == [cid2, cid1]
 

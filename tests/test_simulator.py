@@ -67,7 +67,7 @@ class TestConfig:
             dict(num_nodes=0),
             dict(num_txs=-1),
             dict(parallelism=0),
-            dict(block_interval_s=-1.0),
+            dict(consensus_delay_s=-1.0),
             dict(num_accounts=-5),
             dict(txs_per_block=-1),
         ],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from sschain.encoding import hash256
 from sschain.errors import CorruptError, NotFoundError
 from sschain.store import (
+    STORE_VERSION,
     EmptyValueError,
     FileKvStore,
     MemoryKvStore,
@@ -148,12 +150,39 @@ class TestFilePersistence:
         assert store.has(kept) and not store.has(lost)
         assert store.named_keys() == []
 
-    def test_manifest_written_and_checked(self, db) -> None:
+    def test_manifest_written_and_checked(self, tmp_path) -> None:
+        path = tmp_path / "kv.db"
+        db = open_database(path)
+        assert db.execute("PRAGMA user_version").fetchone() == (3,)
+        db.execute("PRAGMA user_version = 2")
+        db.close()
+        with pytest.raises(StoreError, match="incompatible store format 2, not 3"):
+            open_database(path)
+
+    def test_store_construction_runs_no_statement(self, db) -> None:
+        statements: list[str] = []
+        db.set_trace_callback(statements.append)
         FileKvStore(db, "kv")
-        assert db.execute("PRAGMA user_version").fetchone() == (2,)
-        db.execute("PRAGMA user_version = 1")
-        with pytest.raises(StoreError, match="incompatible store format 1, not 2"):
-            FileKvStore(db, "kv")
+        assert statements == []
+
+    def test_first_openers_create_the_schema_once(self, tmp_path) -> None:
+        path = tmp_path / "kv.db"
+        holder = open_database(path)
+        holder.execute("PRAGMA user_version = 0")
+        holder.execute("BEGIN IMMEDIATE")
+        opened: list = []
+        opener = threading.Thread(target=lambda: opened.append(open_database(path)))
+        opener.start()
+        time.sleep(0.2)
+        holder.execute(f"PRAGMA user_version = {STORE_VERSION}")
+        holder.commit()
+        opener.join(timeout=60)
+        holder.close()
+        assert not opener.is_alive()
+        (db,) = opened
+        assert db.execute("PRAGMA user_version").fetchone() == (STORE_VERSION,)
+        assert FileKvStore(db, "kv").put(b"after the race")
+        db.close()
 
     def test_shared_between_threads(self, db) -> None:
         store = FileKvStore(db, "kv")
