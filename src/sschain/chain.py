@@ -175,24 +175,6 @@ class Block:
     header: BlockHeader
     txs: tuple[Transaction, ...]
 
-    def to_bytes(self) -> bytes:
-        return rlp_encode(
-            [self.header.to_rlp_item(), [tx.to_rlp_item() for tx in self.txs]]
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Block":
-        struct = rlp_decode(raw)
-        if not (isinstance(struct, list) and len(struct) == 2):
-            raise CorruptError("block must be a [header, body] list")
-        header_item, body = struct
-        if not isinstance(body, list):
-            raise CorruptError("block body must be a list")
-        return cls(
-            BlockHeader.from_rlp_item(header_item),
-            tuple(Transaction.from_rlp_item(item) for item in body),
-        )
-
 
 def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
     """Trie root over index -> transaction, both RLP-encoded, committed
@@ -306,7 +288,8 @@ class Chain:
         """Run transactions, commit the state, and append one block.
 
         The new header and its transaction trie are written to the trie
-        store; the stored head pointer moves only on :meth:`export`.
+        store, and each changed account's shard lookup pointer moves once;
+        the stored head pointer moves only on :meth:`export`.
 
         Invalid transactions are skipped whole and listed on
         ``last_rejected``; valid ones debit the sender, bump its seq, and
@@ -319,9 +302,11 @@ class Chain:
         header is a function of the parent and the body and validation
         can re-derive every field.
         """
-        trie, accepted, rejected, credits_out = self._execute(
-            self._trie, txs, credits, is_local, update_pointer=True
+        trie, accepted, rejected, credits_out, versions = self._execute(
+            self._trie, txs, credits, is_local
         )
+        for address, version_cid in versions.items():
+            self.table.set_pointer(address, version_cid)
         store = self.table.trie_store
         parent = self.head.header
         header = BlockHeader(
@@ -344,16 +329,18 @@ class Chain:
         txs: Iterable[Transaction],
         credits: Iterable[tuple[bytes, int]],
         is_local: Optional[Callable[[bytes], bool]],
-        *,
-        update_pointer: bool,
-    ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]]]:
+    ) -> tuple[
+        Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]], dict[bytes, Cid]
+    ]:
         """The state transition: run a body and credits against ``trie``.
 
-        Returns (new trie, accepted, rejected, credits owed elsewhere). Each
-        account is read from the trie once; later reads and the ``prev_cid``
-        of each write come from the (state, version Cid) pairs held here.
+        Returns (new trie, accepted, rejected, credits owed elsewhere, the
+        last version Cid of each account whose state changed). Each account
+        is read from the trie once; later reads and the ``prev_cid`` of each
+        write come from the (state, version Cid) pairs held here.
         """
         pending: dict[bytes, tuple[Optional[AccountState], Optional[Cid]]] = {}
+        versions: dict[bytes, Cid] = {}
         accepted: list[Transaction] = []
         rejected: list[Rejection] = []
         credits_out: list[tuple[bytes, int]] = []
@@ -365,15 +352,12 @@ class Chain:
 
         def write(address: bytes, state: AccountState) -> None:
             nonlocal trie
-            trie, version, _ = self.table.write_account(
-                self.producer,
-                address,
-                state,
-                trie=trie,
-                prev_cid=pending[address][1],
-                update_pointer=update_pointer,
+            trie, version, changed = self.table.write_account(
+                self.producer, address, state, trie=trie, prev_cid=pending[address][1]
             )
             pending[address] = (state, version)
+            if changed:
+                versions[address] = version
 
         def credit(address: bytes, tenths: int) -> None:
             state = read(address) or AccountState("0", "0.0")
@@ -412,7 +396,7 @@ class Chain:
 
         for address, amount in credits:
             credit(address, amount)
-        return trie, accepted, rejected, credits_out
+        return trie, accepted, rejected, credits_out, versions
 
     def query_account(
         self, address: bytes, at_root: Optional[Digest] = None
@@ -476,12 +460,8 @@ class Chain:
             return False
         if tx_root(block.txs) != block.header.tx_root:
             return False
-        trie, _, rejected, _ = self._execute(
-            Trie(self.table.trie_store, parent.state_root),
-            block.txs,
-            (),
-            None,
-            update_pointer=False,
+        trie, _, rejected, _, _ = self._execute(
+            Trie(self.table.trie_store, parent.state_root), block.txs, (), None
         )
         return not rejected and trie.commit() == block.header.state_root
 

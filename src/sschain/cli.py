@@ -7,11 +7,21 @@ head pointer), ``shards/<i>``, ``workspace`` (the trie root and shard
 table text under :data:`TRIE_ROOT_KEY` and :data:`SHARD_TABLE_KEY`) and
 ``names`` (RLP [sequence, target digest] under each node id).
 
+Each command is declared once, in :data:`COMMANDS`: its group, help
+text, handler, whether it writes, and its arguments. The global flags
+``--store``, ``--json`` and ``--seed`` are declared once too and work
+before or after the command. :func:`build_parser` builds the top parser
+and one parser per group; a group adds its commands' parsers only when
+a command line reaches it, so one command line builds only the parsers
+it uses.
+
 Each command is one transaction, committed only if it succeeds, so a
 failed or killed command leaves the workspace as it was. Writing
 commands start with ``BEGIN IMMEDIATE``, so two writers take turns;
-reading commands are query-only, so they run beside a writer. A
-directory in the old file-per-entry layout is refused, not read.
+reading commands are query-only, so they run beside a writer, and on a
+``--store`` that does not exist they read an empty in-memory database
+and create nothing. A directory in the old file-per-entry layout is
+refused, not read.
 
 Exit codes: 0 on success, 1 on a domain error (missing key, bad root,
 rejected precondition), 2 on a usage error.
@@ -24,7 +34,7 @@ import json
 import sqlite3
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import chain as chainmod
 from . import merkle_dag as dagmod
@@ -89,7 +99,8 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
 class Workspace:
     """The --store database, opened on first use inside the command's
     transaction, which :meth:`close` ends. A reading workspace is
-    query-only. Values read back are checked."""
+    query-only, and empty if the database does not exist. Values read
+    back are checked."""
 
     def __init__(self, root: Path, write: bool):
         self.root, self.write = root, write
@@ -106,7 +117,10 @@ class Workspace:
                         f"{self.root} is in the old file-per-entry layout ({', '.join(old)}),"
                         f" which this version does not read; it keeps one {DB_NAME}"
                     )
-                self.root.mkdir(parents=True, exist_ok=True)
+                if self.write:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                else:  # a missing workspace reads as empty and is not created
+                    path = ":memory:"
             self._db = open_database(path)
             if not self.write:
                 self._db.execute("PRAGMA query_only = ON")
@@ -449,147 +463,130 @@ def cmd_sim_run(args: argparse.Namespace, ws: Workspace) -> int:
     return 0
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """Global flags, repeated on every leaf so they work in either position."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--store", type=Path, default=argparse.SUPPRESS, help="state directory"
-    )
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="machine-readable output",
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized runs"
-    )
-    return common
+Arg = tuple[tuple[str, ...], dict]
+Handler = Callable[[argparse.Namespace, Workspace], int]
+Command = tuple[str, Handler, bool, tuple[Arg, ...]]  # help, handler, writes, args
+
+
+def _arg(*names: str, **options: object) -> Arg:
+    return names, options
+
+
+def _reads(help: str, func: Handler, *args: Arg) -> Command:
+    return help, func, False, args
+
+
+def _writes(help: str, func: Handler, *args: Arg) -> Command:
+    return help, func, True, args
+
+
+_GLOBAL_FLAGS = [
+    _arg("--store", type=Path, default=Path("./sschain-store"), help="state directory"),
+    _arg("--json", action="store_true", help="machine-readable output"),
+    _arg("--seed", type=int, default=0, help="seed for randomized runs"),
+]
+
+COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
+    "store": ("content-addressed store", {
+        "put": _writes("store a file (or - for stdin)", cmd_store_put, _arg("path")),
+        "get": _reads("print a stored value", cmd_store_get,
+                      _arg("key", type=_digest_arg),
+                      _arg("--out", help="write to a file instead of stdout")),
+    }),
+    "dag": ("merkle dag", {
+        "add": _writes("add a file or directory", cmd_dag_add,
+                       _arg("path"), _arg("-r", "--recursive", action="store_true")),
+        "get": _reads("print a node as JSON", cmd_dag_get, _arg("cid", type=_cid_arg)),
+        "cat": _reads("print a leaf payload", cmd_dag_cat, _arg("cid", type=_cid_arg)),
+    }),
+    "name": ("name records", {
+        "publish": _writes("bind a node id to a cid", cmd_name_publish,
+                           _arg("cid", type=_cid_arg),
+                           _arg("--node-id", type=_digest_arg, required=True)),
+        "resolve": _reads("latest cid for a node id", cmd_name_resolve,
+                          _arg("node_id", type=_digest_arg)),
+    }),
+    "trie": ("persistent trie", {
+        "put": _writes("insert key and value text", cmd_trie_put, _arg("key"), _arg("value")),
+        "get": _reads("look a key up", cmd_trie_get, _arg("key")),
+        "root": _reads("print the current root", cmd_trie_root),
+    }),
+    "shard": ("shard table", {
+        "map": _reads("address to shard", cmd_shard_map,
+                      _arg("address", type=_hex_arg), _arg("--shards", type=int, default=4)),
+        "join": _writes("add a member node", cmd_shard_join,
+                        _arg("node_id", type=_digest_arg),
+                        _arg("--shards", type=int, default=4),
+                        _arg("--book", action=argparse.BooleanOptionalAction, default=True),
+                        _arg("--authority", action=argparse.BooleanOptionalAction, default=True)),
+        "leave": _writes("remove a member node", cmd_shard_leave,
+                         _arg("node_id", type=_digest_arg)),
+    }),
+    "chain": ("block chain", {
+        "init": _writes("create the chain", cmd_chain_init,
+                        _arg("--shards", type=int, default=4),
+                        _arg("--fund", type=_fund_arg, action="append",
+                             help="<address-hex>=<amount>")),
+        "apply": _writes("apply one block of transactions", cmd_chain_apply,
+                         _arg("--tx", type=_tx_arg, action="append",
+                              help="<from>:<to>:<amount>:<seq>")),
+        "query": _reads("account state at head or a root", cmd_chain_query,
+                        _arg("address", type=_hex_arg), _arg("--root", type=_digest_arg)),
+        "rollback": _writes("move the head to a height", cmd_chain_rollback,
+                            _arg("height", type=int)),
+    }),
+    "sim": ("experiments", {
+        "run": _reads("run a seeded experiment", cmd_sim_run,
+                      _arg("--txs", type=int, default=1000),
+                      _arg("--shards", type=int, default=4),
+                      _arg("--nodes", type=int, default=64),
+                      _arg("--accounts", type=int, default=0),
+                      _arg("--txs-per-block", type=int, default=0),
+                      _arg("--consensus", type=float, default=10.0),
+                      _arg("--parallelism", type=int, default=1),
+                      _arg("--scaling", help="comma-separated shard counts")),
+    }),
+}
+
+
+class _GroupParser(argparse.ArgumentParser):
+    """A command group's parser. It adds its commands' parsers when it is
+    first asked to parse, so a command line builds only the group it names."""
+
+    commands: dict[str, Command] = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.commands:
+            commands, self.commands = self.commands, {}
+            actions = self.add_subparsers(
+                dest="action", required=True, parser_class=argparse.ArgumentParser
+            )
+            for name, (help, func, writes, arguments) in commands.items():
+                leaf = actions.add_parser(name, help=help)
+                for names, options in _GLOBAL_FLAGS:  # work before or after the command
+                    leaf.add_argument(*names, **{**options, "default": argparse.SUPPRESS})
+                for names, options in arguments:
+                    leaf.add_argument(*names, **options)
+                leaf.set_defaults(func=func, write=writes)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top parser and one lazy parser per group of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="sschain", description="Sharded account-state chain tools."
     )
-    parser.add_argument(
-        "--store", type=Path, default=Path("./sschain-store"), help="state directory"
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
-    top = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-
-    def group(name: str, help: str) -> "argparse._SubParsersAction":
-        return top.add_parser(name, help=help).add_subparsers(dest="action", required=True)
-
-    store = group("store", "content-addressed store")
-    put = store.add_parser("put", help="store a file (or - for stdin)", parents=common)
-    put.add_argument("path")
-    put.set_defaults(func=cmd_store_put)
-    get = store.add_parser("get", help="print a stored value", parents=common)
-    get.add_argument("key", type=_digest_arg)
-    get.add_argument("--out", help="write to a file instead of stdout")
-    get.set_defaults(func=cmd_store_get)
-
-    dag = group("dag", "merkle dag")
-    add = dag.add_parser("add", help="add a file or directory", parents=common)
-    add.add_argument("path")
-    add.add_argument("-r", "--recursive", action="store_true")
-    add.set_defaults(func=cmd_dag_add)
-    dget = dag.add_parser("get", help="print a node as JSON", parents=common)
-    dget.add_argument("cid", type=_cid_arg)
-    dget.set_defaults(func=cmd_dag_get)
-    cat = dag.add_parser("cat", help="print a leaf payload", parents=common)
-    cat.add_argument("cid", type=_cid_arg)
-    cat.set_defaults(func=cmd_dag_cat)
-
-    name = group("name", "name records")
-    pub = name.add_parser("publish", help="bind a node id to a cid", parents=common)
-    pub.add_argument("cid", type=_cid_arg)
-    pub.add_argument("--node-id", type=_digest_arg, required=True)
-    pub.set_defaults(func=cmd_name_publish)
-    res = name.add_parser("resolve", help="latest cid for a node id", parents=common)
-    res.add_argument("node_id", type=_digest_arg)
-    res.set_defaults(func=cmd_name_resolve)
-
-    trie = group("trie", "persistent trie")
-    tput = trie.add_parser("put", help="insert key and value text", parents=common)
-    tput.add_argument("key")
-    tput.add_argument("value")
-    tput.set_defaults(func=cmd_trie_put)
-    tget = trie.add_parser("get", help="look a key up", parents=common)
-    tget.add_argument("key")
-    tget.set_defaults(func=cmd_trie_get)
-    troot = trie.add_parser("root", help="print the current root", parents=common)
-    troot.set_defaults(func=cmd_trie_root)
-
-    shard = group("shard", "shard table")
-    smap = shard.add_parser("map", help="address to shard", parents=common)
-    smap.add_argument("address", type=_hex_arg)
-    smap.add_argument("--shards", type=int, default=4)
-    smap.set_defaults(func=cmd_shard_map)
-    sjoin = shard.add_parser("join", help="add a member node", parents=common)
-    sjoin.add_argument("node_id", type=_digest_arg)
-    sjoin.add_argument("--shards", type=int, default=4)
-    sjoin.add_argument("--book", action=argparse.BooleanOptionalAction, default=True)
-    sjoin.add_argument(
-        "--authority", action=argparse.BooleanOptionalAction, default=True
-    )
-    sjoin.set_defaults(func=cmd_shard_join)
-    sleave = shard.add_parser("leave", help="remove a member node", parents=common)
-    sleave.add_argument("node_id", type=_digest_arg)
-    sleave.set_defaults(func=cmd_shard_leave)
-
-    chain = group("chain", "block chain")
-    cinit = chain.add_parser("init", help="create the chain", parents=common)
-    cinit.add_argument("--shards", type=int, default=4)
-    cinit.add_argument(
-        "--fund", type=_fund_arg, action="append", help="<address-hex>=<amount>"
-    )
-    cinit.set_defaults(func=cmd_chain_init)
-    capply = chain.add_parser(
-        "apply", help="apply one block of transactions", parents=common
-    )
-    capply.add_argument(
-        "--tx", type=_tx_arg, action="append", help="<from>:<to>:<amount>:<seq>"
-    )
-    capply.set_defaults(func=cmd_chain_apply)
-    cquery = chain.add_parser(
-        "query", help="account state at head or a root", parents=common
-    )
-    cquery.add_argument("address", type=_hex_arg)
-    cquery.add_argument("--root", type=_digest_arg)
-    cquery.set_defaults(func=cmd_chain_query)
-    croll = chain.add_parser(
-        "rollback", help="move the head to a height", parents=common
-    )
-    croll.add_argument("height", type=int)
-    croll.set_defaults(func=cmd_chain_rollback)
-
-    sim = group("sim", "experiments")
-    srun = sim.add_parser("run", help="run a seeded experiment", parents=common)
-    srun.add_argument("--txs", type=int, default=1000)
-    srun.add_argument("--shards", type=int, default=4)
-    srun.add_argument("--nodes", type=int, default=64)
-    srun.add_argument("--accounts", type=int, default=0)
-    srun.add_argument("--txs-per-block", type=int, default=0)
-    srun.add_argument("--consensus", type=float, default=10.0)
-    srun.add_argument("--parallelism", type=int, default=1)
-    srun.add_argument("--scaling", help="comma-separated shard counts")
-    srun.set_defaults(func=cmd_sim_run)
-
+    for names, options in _GLOBAL_FLAGS:
+        parser.add_argument(*names, **options)
+    groups = parser.add_subparsers(dest="command", required=True, parser_class=_GroupParser)
+    for name, (help, commands) in COMMANDS.items():
+        groups.add_parser(name, help=help).commands = commands
     return parser
-
-
-_WRITERS = {
-    cmd_store_put, cmd_dag_add, cmd_name_publish, cmd_trie_put, cmd_shard_join,
-    cmd_shard_leave, cmd_chain_init, cmd_chain_apply, cmd_chain_rollback,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    ws = Workspace(args.store, write=args.func in _WRITERS)
+    ws = Workspace(args.store, write=args.write)
     try:
         code = args.func(args, ws)
         ws.close(commit=True)

@@ -125,7 +125,7 @@ class Trie:
             TrieDecodeError: root bytes are not a valid node.
         """
         self.store = store
-        self._committed: Optional[Digest] = None
+        self._committed: Optional[Digest] = root_hash
         if root_hash is None or root_hash == EMPTY_ROOT:
             self._root: Ref = None
             return
@@ -136,7 +136,6 @@ class Trie:
                 raise StoreEmptyError("cannot load a root from an empty store") from None
             raise RootNotFoundError(f"root {root_hash.hex()} not in store") from None
         self._root = _decode_node(_parse_rlp(raw))
-        self._committed = root_hash
 
     def get(self, key: bytes) -> bytes:
         """Value most recently inserted under ``key`` in this lineage.

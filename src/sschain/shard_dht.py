@@ -312,6 +312,10 @@ class ShardTable:
         except NotFoundError:
             return None
 
+    def set_pointer(self, address: bytes, version_cid: Cid) -> None:
+        """Publish ``version_cid`` as the latest version of ``address``."""
+        self.shard_for(address).store.put_named(pipeline_key(address), version_cid.digest)
+
     def write_account(
         self,
         requester: NodeIdentity,
@@ -320,28 +324,25 @@ class ShardTable:
         *,
         trie: Trie,
         prev_cid: Optional[Cid],
-        update_pointer: bool = True,
     ) -> tuple[Trie, Cid, bool]:
         """Write one account version against an explicit trie handle.
 
         Returns (new trie, version Cid, changed). When the new state equals
         the previous version's content nothing is written and ``changed``
-        is False. With ``update_pointer`` off the shard's lookup entry is
-        left alone, which lets historical replays share the stores without
-        disturbing the live pointers.
+        is False. The shard's lookup pointer is left alone; callers move it
+        with :meth:`set_pointer` once they keep the version, so historical
+        replays share the stores without disturbing the live pointers.
 
         Raises:
             NotAuthorizedError: requester lacks book or authority.
         """
         _authorize(requester)
-        shard = self.shard_for(address)
-        version_cid = version_append(shard.store, state.to_json_bytes(), prev_cid)
+        version_cid = version_append(
+            self.shard_for(address).store, state.to_json_bytes(), prev_cid
+        )
         if version_cid is None:
             return trie, prev_cid, False
-        new_trie = trie.insert(address, version_cid.digest)
-        if update_pointer:
-            shard.store.put_named(pipeline_key(address), version_cid.digest)
-        return new_trie, version_cid, True
+        return trie.insert(address, version_cid.digest), version_cid, True
 
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
@@ -360,6 +361,7 @@ class ShardTable:
         )
         if changed:
             self._trie = trie
+            self.set_pointer(address, version_cid)
         return version_cid
 
     def shard_inquire(

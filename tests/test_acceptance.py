@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from sschain.chain import Block, Chain, Transaction, default_producer, tenths_from_text
+from sschain.chain import Chain, Transaction, default_producer, tenths_from_text
 from sschain.encoding import (
     hash256,
     hp_decode,
@@ -53,6 +53,7 @@ from sschain.simulator import (
 )
 from sschain.store import MemoryKvStore
 
+from test_chain import block_bytes, block_from_bytes
 from test_encoding import HP_VECTORS, RLP_VECTORS
 
 
@@ -341,14 +342,14 @@ def test_criterion_6_chain_properties() -> str:
         mutated = bytearray(raw)
         mutated[index] ^= 0x01
         try:
-            candidate = Block.from_bytes(bytes(mutated))
+            candidate = block_from_bytes(bytes(mutated))
             return not target_chain.validate_block(candidate)
         except SSChainError:
             return True
 
     exhaustive = 0
     for block in small_chain.blocks[1:]:
-        raw = block.to_bytes()
+        raw = block_bytes(block)
         assert small_chain.validate_block(block)
         for index in range(len(raw)):
             assert rejects(small_chain, raw, index), f"mutation at byte {index} passed"
@@ -356,7 +357,7 @@ def test_criterion_6_chain_properties() -> str:
 
     sample_block = chain.blocks[len(chain.blocks) // 2]
     assert chain.validate_block(sample_block)
-    raw = sample_block.to_bytes()
+    raw = block_bytes(sample_block)
     sample_rng = random.Random(66)
     sampled = 200
     for index in sample_rng.sample(range(len(raw)), sampled):

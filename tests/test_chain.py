@@ -24,12 +24,12 @@ from sschain.chain import (
     text_from_tenths,
     tx_root,
 )
-from sschain.encoding import hash256, rlp_encode
+from sschain.encoding import hash256, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
-from sschain.merkle_dag import AccountState
+from sschain.merkle_dag import AccountState, Cid, account_history
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
-from sschain.shard_dht import ShardTable
-from sschain.store import FileKvStore, open_database
+from sschain.shard_dht import ShardTable, pipeline_key
+from sschain.store import FileKvStore, KvStore, open_database
 
 
 def addr(i: int) -> bytes:
@@ -167,14 +167,21 @@ class TestHeaderAndBlock:
         )
         assert header.digest() == expected
 
-    def test_block_bytes_round_trip(self) -> None:
-        header = BlockHeader(hash256(b"p"), 1, 1, hash256(b"s"), hash256(b"t"))
-        block = Block(header, (Transaction(addr(1), addr(2), "1.0", 0),))
-        assert Block.from_bytes(block.to_bytes()) == block
 
-    def test_malformed_block_bytes(self) -> None:
-        with pytest.raises(SSChainError):
-            Block.from_bytes(b"\xc1\x80")
+def block_bytes(block: Block) -> bytes:
+    """A block as RLP ``[header, [tx, ...]]``: the bytes mutation tests flip."""
+    return rlp_encode([block.header.to_rlp_item(), [tx.to_rlp_item() for tx in block.txs]])
+
+
+def block_from_bytes(raw: bytes) -> Block:
+    """Inverse of :func:`block_bytes`; any other shape raises SSChainError."""
+    item = rlp_decode(raw)
+    if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], list)):
+        raise CorruptError("block must be a [header, body] list")
+    header, body = item
+    return Block(
+        BlockHeader.from_rlp_item(header), tuple(Transaction.from_rlp_item(tx) for tx in body)
+    )
 
 
 def counting(monkeypatch, owner: type, name: str) -> list:
@@ -270,6 +277,26 @@ class TestApplyBlock:
         monkeypatch.setattr(Trie, "get", counting_get)
         chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
         assert keys == [addr(1), addr(2)]
+
+    def test_block_moves_each_pointer_once(self, monkeypatch) -> None:
+        """An account written many times in one block has its shard lookup
+        pointer moved once, to its last version."""
+        chain = build_chain({addr(1): "10.0"})
+        keys: list[bytes] = []
+        original = KvStore.put_named
+
+        def counting_put_named(store: KvStore, key: bytes, value: bytes) -> None:
+            keys.append(key)
+            original(store, key, value)
+
+        monkeypatch.setattr(KvStore, "put_named", counting_put_named)
+        chain.apply_block([Transaction(addr(1), addr(2), "0.5", seq) for seq in range(6)])
+        assert sorted(keys) == sorted([pipeline_key(addr(1)), pipeline_key(addr(2))])
+        head = Trie(chain.table.trie_store, chain.head.header.state_root)
+        for address, versions in ((addr(1), 7), (addr(2), 6)):
+            pointer = chain.table.pointer(address)
+            assert pointer == Cid(head.get(address))
+            assert len(account_history(chain.table.shard_for(address).store, pointer)) == versions
 
     def test_timestamps_are_a_logical_clock(self) -> None:
         chain = build_chain({addr(1): "10.0"})
@@ -479,13 +506,13 @@ class TestValidateBlock:
 
     def test_single_byte_mutations_rejected(self) -> None:
         chain, _ = TestRollback()._three_blocks()
-        raw = chain.blocks[2].to_bytes()
+        raw = block_bytes(chain.blocks[2])
         rejections = 0
         for i in range(len(raw)):
             mutated = bytearray(raw)
             mutated[i] ^= 0x01
             try:
-                block = Block.from_bytes(bytes(mutated))
+                block = block_from_bytes(bytes(mutated))
             except SSChainError:
                 rejections += 1
                 continue

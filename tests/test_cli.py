@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -14,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from sschain import chain as chainmod
+from sschain import cli
 from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
-from sschain.merkle_dag import AccountState, dag_build_directory
+from sschain.merkle_dag import AccountState, Cid, dag_build_directory
 from sschain.mpt import EMPTY_ROOT
 from sschain.shard_dht import ShardTable, shard_of
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -767,3 +770,143 @@ class TestReadmeTranscripts:
             "b8cdead796bf77bb817f1215ff189e12d5579c21c1027a7b8f022c2c83c74f06",
             "per-shard loads 455 564 438 543",
         ]
+
+
+GROUPS = {
+    "store": ["put", "get"],
+    "dag": ["add", "get", "cat"],
+    "name": ["publish", "resolve"],
+    "trie": ["put", "get", "root"],
+    "shard": ["map", "join", "leave"],
+    "chain": ["init", "apply", "query", "rollback"],
+    "sim": ["run"],
+}
+SCREENS = (
+    [[], ["--help"]]
+    + [[group, "--help"] for group in GROUPS]
+    + [[group, command, "--help"] for group, commands in GROUPS.items() for command in commands]
+    + [["chain"], ["chain", "apply", "--tx", "zz"], ["shard", "map"]]
+)
+INVALID_CHOICES = [["bogus"], ["chain", "bogus"]]
+SCREENS_FILE = Path(__file__).with_name("cli_screens.json")
+
+
+def screen(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of ``sschain <argv>`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def screen_id(argv: list[str]) -> str:
+    return " ".join(["sschain", *argv])
+
+
+class TestHelpScreens:
+    """Help and usage text at 80 columns, byte for byte as recorded in
+    ``cli_screens.json``. After an intended change to the text, record it
+    again as ``{screen_id(argv): screen(argv)}`` over ``SCREENS +
+    INVALID_CHOICES`` with ``COLUMNS=80``."""
+
+    @pytest.fixture()
+    def pinned(self, monkeypatch) -> dict:
+        monkeypatch.setenv("COLUMNS", "80")
+        return json.loads(SCREENS_FILE.read_text())
+
+    def test_every_screen_is_recorded(self, pinned) -> None:
+        assert set(pinned) == {screen_id(argv) for argv in SCREENS + INVALID_CHOICES}
+
+    @pytest.mark.parametrize("argv", SCREENS, ids=screen_id)
+    def test_screen_is_unchanged(self, pinned, argv: list[str]) -> None:
+        assert screen(argv) == pinned[screen_id(argv)]
+
+    @pytest.mark.parametrize("argv", INVALID_CHOICES, ids=screen_id)
+    def test_invalid_choice(self, pinned, argv: list[str]) -> None:
+        """How argparse quotes the offered choices varies across Python
+        releases, so only the usage lines and the bad name are compared."""
+        got, expected = screen(argv), pinned[screen_id(argv)]
+        *usage, error = got["stderr"].splitlines()
+        assert (got["code"], got["stdout"]) == (2, "")
+        assert usage == expected["stderr"].splitlines()[:-1]
+        assert "invalid choice: 'bogus'" in error
+
+
+class Recorded(Exception):
+    """Raised instead of opening a workspace, carrying its write mode."""
+
+
+class TestCommandTable:
+    CID = str(Cid(hash256(b"cli-table")))
+    LINES = [
+        ["store", "put", "-"],
+        ["store", "get", NODE_1],
+        ["dag", "add", "x"],
+        ["dag", "get", CID],
+        ["dag", "cat", CID],
+        ["name", "publish", CID, "--node-id", NODE_1],
+        ["name", "resolve", NODE_1],
+        ["trie", "put", "k", "v"],
+        ["trie", "get", "k"],
+        ["trie", "root"],
+        ["shard", "map", ADDR_A],
+        ["shard", "join", NODE_1],
+        ["shard", "leave", NODE_1],
+        ["chain", "init"],
+        ["chain", "apply"],
+        ["chain", "query", ADDR_A],
+        ["chain", "rollback", "0"],
+        ["sim", "run"],
+    ]
+
+    def test_lines_cover_every_command(self) -> None:
+        assert [argv[:2] for argv in self.LINES] == [
+            [group, command] for group, commands in GROUPS.items() for command in commands
+        ]
+
+    def test_read_commands_are_query_only(self, store, monkeypatch) -> None:
+        def record(root: Path, write: bool) -> None:
+            raise Recorded(write)
+
+        monkeypatch.setattr(cli, "Workspace", record)
+        modes = {}
+        for argv in self.LINES:
+            with pytest.raises(Recorded) as excinfo:
+                main(["--store", store, *argv])
+            modes[" ".join(argv[:2])] = excinfo.value.args[0]
+        assert {line for line, write in modes.items() if not write} == {
+            "store get", "dag get", "dag cat", "name resolve", "trie get",
+            "trie root", "shard map", "chain query", "sim run",
+        }
+
+    def test_a_command_builds_only_the_parsers_it_reaches(
+        self, store, capsys, monkeypatch
+    ) -> None:
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs) -> None:
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        assert len(built) <= 13
+
+
+class TestMissingWorkspace:
+    """A reading command on a --store that does not exist reads an empty
+    workspace and leaves nothing behind."""
+
+    def test_reads_create_nothing(self, tmp_path, capsys) -> None:
+        missing = tmp_path / "none"
+        assert main(["--store", str(missing), "trie", "root"]) == 0
+        assert lines_of(capsys) == [EMPTY_ROOT.hex()]
+        assert main(["--store", str(missing), "chain", "query", ADDR_A]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no shard table in {missing / 'sschain.db'}; run chain init\n"
+        )
+        assert not missing.exists()

@@ -19,7 +19,7 @@ from sschain.mpt import (
     TrieDecodeError,
     new_node_count,
 )
-from sschain.store import MemoryKvStore
+from sschain.store import FileKvStore, MemoryKvStore, open_database
 
 
 def build(store, pairs):
@@ -56,6 +56,14 @@ class TestEmptyTrie:
         trie = Trie(store, EMPTY_ROOT)
         with pytest.raises(NotFoundError):
             trie.get(b"anything")
+
+    def test_commit_at_empty_root_writes_nothing(self, tmp_path) -> None:
+        db = open_database(tmp_path / "empty.db")
+        try:
+            db.execute("PRAGMA query_only = ON")
+            assert Trie(FileKvStore(db, "trie"), EMPTY_ROOT).commit() == EMPTY_ROOT
+        finally:
+            db.close()
 
 
 class TestBasicOps:
