@@ -6,17 +6,19 @@ digest chains blocks together. Balances are decimal strings with one
 fractional digit, held internally as integer tenths so arithmetic is
 exact and the hashed text never wobbles.
 
-One executor is the state transition: it debits each sender, credits
-each receiver (creating it at zero on first contact), bumps the sender's
-transaction count, and writes both accounts through the shard table. A
-transaction that fails its checks is skipped whole; nothing of it lands
-in the state. ``apply_block`` runs the executor to produce a block and
-reports the skipped transactions on ``last_rejected``.
-``validate_block`` is strict re-execution through the same executor
-against the parent root; any rejected transaction fails the block, so a
-block validates only if an honest producer could have made it. Every
-committed root stays readable forever, so ``rollback`` is nothing more
-than moving the head pointer.
+The shard table owns the current state, its ``trie``; a chain keeps
+only blocks and moves that trie. One executor is the state transition:
+it debits each sender, credits each receiver (creating it at zero on
+first contact), bumps the sender's transaction count, and writes both
+accounts through the shard table, each version chained to the one in
+the trie it writes into. A transaction that fails its checks is skipped
+whole; nothing of it lands in the state. ``apply_block`` runs the
+executor to produce a block and reports the skipped transactions on
+``last_rejected``. ``validate_block`` is strict re-execution through the
+same executor against the parent root; any rejected transaction fails
+the block, so a block validates only if an honest producer could have
+made it. Every committed root stays readable forever, so ``rollback``
+only moves the head pointer and reopens the table's trie at its root.
 
 A chain is stored in the table's trie store and nowhere else: each
 header under its own digest, so a ``parent_hash`` is the key of the
@@ -24,8 +26,9 @@ parent; each body as the transaction trie ``tx_root`` commits; and the
 head header's digest in one named entry under :data:`HEAD_KEY`.
 ``apply_block`` writes a header and its body, ``export`` only the head
 pointer. ``load`` reads the pointer, the head block and the head root,
-the same reads at any height; ancestors are read by parent hash only
-when ``blocks``, ``genesis_root`` or ``rollback`` asks for them.
+the same reads at any height. Ancestors' headers are read by parent
+hash only when ``blocks``, ``genesis_root`` or ``rollback`` asks for
+them, and a body only for a block one of them returns.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .encoding import (
     rlp_encode,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid, dag_get, version_root
+from .merkle_dag import AccountState, Cid
 from .mpt import Trie
 from .shard_dht import NodeIdentity, ShardTable
 from .store import KvStore, MemoryKvStore
@@ -189,29 +192,28 @@ def _tx_key(index: int) -> bytes:
     return rlp_encode(int_to_bytes(index))
 
 
-def _read_header(store: KvStore, digest: Digest) -> Optional[BlockHeader]:
-    """The header stored under ``digest``, or None if no header is; an
-    entry that fails its content hash raises CorruptError."""
+def _read_header(
+    store: KvStore, digest: Digest, what: str, missing: type[SSChainError] = CorruptError
+) -> BlockHeader:
+    """The header stored under ``digest``, which ``what`` names; raises
+    ``missing`` if no header is, and CorruptError if the entry fails its
+    content hash."""
     try:
         raw = store.get(digest)
     except NotFoundError:
-        return None
+        raw = b""
     try:
         return BlockHeader.from_rlp_item(rlp_decode(raw))
     except SSChainError:
-        return None
+        raise missing(f"{what} {digest.hex()} is not a stored header") from None
 
 
-def _read_block(store: KvStore, digest: Digest, what: str) -> Block:
-    """The header stored under ``digest`` and the body under its ``tx_root``.
+def _read_block(store: KvStore, header: BlockHeader) -> Block:
+    """``header`` with the body stored under its ``tx_root``.
 
     Raises:
-        CorruptError: no header under ``digest``, which ``what`` names, or
-            the body does not read back.
+        CorruptError: the body does not read back.
     """
-    header = _read_header(store, digest)
-    if header is None:
-        raise CorruptError(f"{what} {digest.hex()} is not a stored header")
     try:
         body = Trie(store, header.tx_root)
         txs: list[Transaction] = []
@@ -231,6 +233,15 @@ class Rejection:
     reason: str
 
 
+def _child_header(
+    parent: BlockHeader, state_root: Digest, txs: Iterable[Transaction],
+    store: Optional[KvStore] = None,
+) -> BlockHeader:
+    """``parent``'s child header; ``store`` is as for :func:`tx_root`."""
+    number, timestamp = parent.number + 1, parent.timestamp + 1
+    return BlockHeader(parent.digest(), number, timestamp, state_root, tx_root(txs, store))
+
+
 def default_producer(num_shards: int) -> NodeIdentity:
     """Deterministic fully-capable identity used to drive state writes."""
     return NodeIdentity.derive(
@@ -241,10 +252,14 @@ def default_producer(num_shards: int) -> NodeIdentity:
 class Chain:
     """A movable head over the blocks stored by header digest.
 
+    The state is the table's ``trie``, which the chain only moves:
+    ``apply_block`` advances it, ``load`` and ``rollback`` reopen it at
+    the head root, and after each ``table.state_root`` is the head's.
     The chain adopts the table's current committed root as its genesis
-    state, so accounts funded before construction are the genesis state.
-    After ``rollback`` the head trie is reopened at the target root;
-    applying a block then starts a fresh branch from there (the replaced
+    state, so accounts funded before construction are the genesis state;
+    likewise a ``shard_update`` after genesis lands in the next block's
+    state root, and that block does not validate. Applying a block after
+    ``rollback`` starts a fresh branch from the target (the replaced
     blocks stay in the store and remain readable by digest and by root).
     """
 
@@ -264,7 +279,6 @@ class Chain:
         self.head = head
         self.last_rejected: tuple[Rejection, ...] = ()
         self.last_credits_out: tuple[tuple[bytes, int], ...] = ()
-        self._trie = Trie(table.trie_store, head.header.state_root)
 
     @property
     def head_height(self) -> int:
@@ -273,11 +287,13 @@ class Chain:
     @property
     def blocks(self) -> list[Block]:
         """The head's ancestry, genesis first; see :meth:`_ancestry`."""
-        return list(self._ancestry())[::-1]
+        ancestors = list(self._ancestry())[:0:-1]
+        return [_read_block(self.table.trie_store, h) for h in ancestors] + [self.head]
 
     @property
     def genesis_root(self) -> Digest:
-        return self.blocks[0].header.state_root
+        *_, genesis = self._ancestry()
+        return genesis.state_root
 
     def apply_block(
         self,
@@ -285,7 +301,7 @@ class Chain:
         credits: Iterable[tuple[bytes, int]] = (),
         is_local: Optional[Callable[[bytes], bool]] = None,
     ) -> Block:
-        """Run transactions, commit the state, and append one block.
+        """Run transactions on the table's trie, commit it, and append a block.
 
         The new header and its transaction trie are written to the trie
         store, and each changed account's shard lookup pointer moves once;
@@ -303,22 +319,15 @@ class Chain:
         can re-derive every field.
         """
         trie, accepted, rejected, credits_out, versions = self._execute(
-            self._trie, txs, credits, is_local
+            self.table.trie, txs, credits, is_local
         )
         for address, version_cid in versions.items():
             self.table.set_pointer(address, version_cid)
         store = self.table.trie_store
-        parent = self.head.header
-        header = BlockHeader(
-            parent.digest(),
-            parent.number + 1,
-            parent.timestamp + 1,
-            trie.commit(),
-            tx_root(accepted, store),
-        )
+        header = _child_header(self.head.header, trie.commit(), accepted, store)
         store.put(rlp_encode(header.to_rlp_item()))
         self.head = Block(header, tuple(accepted))
-        self._trie = trie
+        self.table.trie = trie
         self.last_rejected = tuple(rejected)
         self.last_credits_out = tuple(credits_out)
         return self.head
@@ -347,7 +356,7 @@ class Chain:
 
         def read(address: bytes) -> Optional[AccountState]:
             if address not in pending:
-                pending[address] = self._read_account(trie, address) or (None, None)
+                pending[address] = self.table.read_account(address, trie=trie) or (None, None)
             return pending[address][0]
 
         def write(address: bytes, state: AccountState) -> None:
@@ -401,24 +410,22 @@ class Chain:
     def query_account(
         self, address: bytes, at_root: Optional[Digest] = None
     ) -> AccountState:
-        """Account state at the head root, or at any committed root.
+        """Account state in the table's trie (the head state) or at any committed root.
 
         Raises:
             RootNotFoundError: ``at_root`` never committed here.
             NotFoundError: account absent at that root.
         """
-        root = self.head.header.state_root if at_root is None else at_root
-        trie = self._trie if root == self.head.header.state_root else Trie(
-            self.table.trie_store, root
-        )
-        found = self._read_account(trie, address)
+        trie = self.table.trie if at_root is None else Trie(self.table.trie_store, at_root)
+        found = self.table.read_account(address, trie=trie)
         if found is None:
-            raise NotFoundError(f"account {address.hex()} not at root {root.hex()}")
+            raise NotFoundError(f"account {address.hex()} not at root {trie.commit().hex()}")
         return found[0]
 
     def rollback(self, to_height: int) -> "Chain":
         """Move the head back to the ancestor at ``to_height``, walking
-        parent hashes; nothing is deleted, later blocks stay readable.
+        parent hashes, and reopen the table's trie at its root; nothing is
+        deleted, later blocks stay readable. On an error the head stays.
 
         Raises:
             BadHeightError: target outside [0, head].
@@ -428,16 +435,19 @@ class Chain:
             raise BadHeightError(
                 f"height {to_height} outside [0, {self.head_height}]"
             )
-        self.head = next(b for b in self._ancestry() if b.header.number == to_height)
-        self._trie = Trie(self.table.trie_store, self.head.header.state_root)
+        store = self.table.trie_store
+        header = next(h for h in self._ancestry() if h.number == to_height)
+        head = self.head if to_height == self.head_height else _read_block(store, header)
+        self.table.trie = Trie(store, header.state_root)
+        self.head = head
         return self
 
     def validate_block(self, block: Block) -> bool:
         """Re-derive the header from the parent and body; true iff equal.
 
         The parent is the stored header the parent hash names, on the
-        head's branch or not. Checks height and timestamp against it,
-        recomputes the transaction root from the body on a throwaway
+        head's branch or not. Compares the header with the parent's child
+        header for the body, its transaction root built on a throwaway
         store, then re-executes the body against the parent root: strict
         re-execution through the same executor as :meth:`apply_block`, so
         any rejected transaction fails the block. Blocks made with
@@ -449,20 +459,11 @@ class Chain:
         Raises:
             UnknownParentError: parent hash names no stored header.
         """
-        parent = _read_header(self.table.trie_store, block.header.parent_hash)
-        if parent is None:
-            raise UnknownParentError(
-                f"no parent with digest {block.header.parent_hash.hex()}"
-            )
-        if block.header.number != parent.number + 1:
+        store = self.table.trie_store
+        parent = _read_header(store, block.header.parent_hash, "parent", UnknownParentError)
+        if block.header != _child_header(parent, block.header.state_root, block.txs):
             return False
-        if block.header.timestamp != parent.timestamp + 1:
-            return False
-        if tx_root(block.txs) != block.header.tx_root:
-            return False
-        trie, _, rejected, _, _ = self._execute(
-            Trie(self.table.trie_store, parent.state_root), block.txs, (), None
-        )
+        trie, _, rejected, _, _ = self._execute(Trie(store, parent.state_root), block.txs, (), None)
         return not rejected and trie.commit() == block.header.state_root
 
     def export(self) -> None:
@@ -489,35 +490,25 @@ class Chain:
             raise NotFoundError("no chain in the store") from None
         if len(digest) != DIGEST_SIZE:
             raise CorruptError(f"chain head pointer {digest.hex()} is not a digest")
+        head = _read_block(store, _read_header(store, digest, "chain head"))
+        table.trie = Trie(store, head.header.state_root)
         chain = cls.__new__(cls)
-        chain._set_fields(table, producer, _read_block(store, digest, "chain head"))
+        chain._set_fields(table, producer, head)
         return chain
 
-    def _ancestry(self) -> Iterator[Block]:
-        """The head, then each ancestor down to genesis, by parent hash.
+    def _ancestry(self) -> Iterator[BlockHeader]:
+        """The head's header, then each ancestor's to genesis by parent hash.
 
         Raises:
             CorruptError: an ancestor is missing or is not one height below.
         """
-        block = self.head
-        yield block
-        while (number := block.header.number) > 0:
-            block = _read_block(
-                self.table.trie_store, block.header.parent_hash, f"parent of block {number}"
+        header = self.head.header
+        yield header
+        while (number := header.number) > 0:
+            header = _read_header(
+                self.table.trie_store, header.parent_hash, f"parent of block {number}"
             )
-            if block.header.number != number - 1:
-                raise CorruptError(f"block {number} names block {block.header.number} as parent")
-            yield block
-
-    def _read_account(
-        self, trie: Trie, address: bytes
-    ) -> Optional[tuple[AccountState, Cid]]:
-        """(state, version Cid) stored under ``address`` in ``trie``, if any."""
-        try:
-            version = Cid(trie.get(address))
-        except NotFoundError:
-            return None
-        store = self.table.shard_for(address).store
-        leaf = dag_get(store, version_root(store, version))
-        return AccountState.from_json_bytes(leaf.data), version
+            if header.number != number - 1:
+                raise CorruptError(f"block {number} names block {header.number} as parent")
+            yield header
 

@@ -41,9 +41,8 @@ from . import merkle_dag as dagmod
 from . import shard_dht as shardmod
 from . import simulator as simmod
 from .encoding import DIGEST_SIZE, Digest, hash256
-from .encoding import int_from_bytes, int_to_bytes, rlp_decode, rlp_encode
 from .errors import CorruptError, NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid, DagNode, NameRecord, NameRegistry
+from .merkle_dag import AccountState, Cid, DagNode, NameRegistry
 from .mpt import EMPTY_ROOT, Trie
 from .store import FileKvStore, KvStore, open_database
 
@@ -147,7 +146,7 @@ class Workspace:
     def trie_root(self) -> Digest:
         """Root of the standalone trie commands; the empty root at first."""
         root = _find(self.store("workspace"), TRIE_ROOT_KEY) or EMPTY_ROOT
-        if not _is_digest(root):
+        if len(root) != DIGEST_SIZE:
             raise CorruptError(f"stored trie root {root.hex()} is not a digest")
         return root
 
@@ -170,35 +169,12 @@ class Workspace:
         config = shardmod.table_to_config(table).encode()
         self.store("workspace").put_named(SHARD_TABLE_KEY, config)
 
-    def load_registry(self, store: KvStore, node_id: Digest) -> NameRegistry:
-        """A registry holding ``node_id``'s record, if it has one, and no other."""
-        raw = _find(self.store("names"), node_id)
-        return NameRegistry(store, {} if raw is None else {node_id: _name_record(node_id, raw)})
-
-    def save_name(self, record: NameRecord) -> None:
-        raw = rlp_encode([int_to_bytes(record.sequence), record.target.digest])
-        self.store("names").put_named(record.node_id, raw)
-
 
 def _find(store: KvStore, key: Digest) -> Optional[bytes]:
     try:
         return store.get(key)
     except NotFoundError:
         return None
-
-
-def _name_record(node_id: Digest, raw: bytes) -> NameRecord:
-    try:
-        sequence, target = rlp_decode(raw)
-        if isinstance(sequence, bytes) and sequence and _is_digest(target):
-            return NameRecord(node_id, Cid(target), int_from_bytes(sequence))
-    except ValueError:
-        pass
-    raise CorruptError(f"stored name record for {node_id.hex()} is malformed")
-
-
-def _is_digest(value: object) -> bool:
-    return isinstance(value, bytes) and len(value) == DIGEST_SIZE
 
 
 def _emit(args: argparse.Namespace, payload: object, text_lines: list[str]) -> None:
@@ -272,9 +248,8 @@ def cmd_dag_cat(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = ws.load_registry(ws.store("objects"), args.node_id)
+    registry = NameRegistry(ws.store("objects"), ws.store("names"))
     record = dagmod.name_publish(registry, args.node_id, args.cid)
-    ws.save_name(record)
     _emit(
         args,
         {
@@ -288,7 +263,7 @@ def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_resolve(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = ws.load_registry(ws.store("objects"), args.node_id)
+    registry = NameRegistry(ws.store("objects"), ws.store("names"))
     target = dagmod.name_resolve(registry, args.node_id)
     _emit(
         args,

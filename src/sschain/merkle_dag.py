@@ -18,7 +18,8 @@ version Cids and state roots all hash these bytes, so any change to the
 form changes every root. Directory nodes group state files; version
 nodes wrap a root and link back to the prior version, giving a rollback
 trail (``account_history``). A ``NameRegistry``
-maps a publisher's node id to its latest root, latest-sequence-wins.
+maps a publisher's node id to its latest root, latest-sequence-wins, as
+RLP ``[sequence, target digest]`` under the node id in its ``records``.
 
 A version node is the DAG node ``[b"", [[b"prev", prev, prev_size],
 [b"root", root, root_size]]]`` (no ``prev`` link on a first version),
@@ -58,7 +59,7 @@ from .encoding import (
     rlp_encode,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
-from .store import KvStore
+from .store import KvStore, MemoryKvStore
 
 
 class DagError(SSChainError):
@@ -372,23 +373,24 @@ class NameRecord:
 
 @dataclass
 class NameRegistry:
-    """Mutable node-id -> latest published Cid map, single writer per id."""
+    """Node id -> latest Cid in ``store``, as named entries of ``records``."""
 
     store: KvStore
-    _records: dict[Digest, NameRecord] = field(default_factory=dict)
+    records: KvStore = field(default_factory=MemoryKvStore)
 
 
 def name_publish(registry: NameRegistry, node_id: Digest, target: Cid) -> NameRecord:
     """Bind ``node_id`` to ``target`` with the next sequence number.
 
     Raises:
+        CorruptError: the stored record for ``node_id`` is malformed.
         UnknownCidError: target not present in the registry's store.
     """
+    prior = _name_record(registry, node_id)
     if not registry.store.has(target.digest):
         raise UnknownCidError(f"cannot publish unstored {target}")
-    prior = registry._records.get(node_id)
     record = NameRecord(node_id, target, (prior.sequence if prior else 0) + 1)
-    registry._records[node_id] = record
+    registry.records.put_named(node_id, rlp_encode([int_to_bytes(record.sequence), target.digest]))
     return record
 
 
@@ -397,11 +399,28 @@ def name_resolve(registry: NameRegistry, node_id: Digest) -> Cid:
 
     Raises:
         NotFoundError: nothing published under this id.
+        CorruptError: the stored record is malformed.
     """
-    record = registry._records.get(node_id)
+    record = _name_record(registry, node_id)
     if record is None:
         raise NotFoundError(f"no name published by {node_id.hex()}")
     return record.target
+
+
+def _name_record(registry: NameRegistry, node_id: Digest) -> Optional[NameRecord]:
+    """The record stored for ``node_id``, if any; CorruptError if malformed."""
+    try:
+        raw = registry.records.get(node_id)
+    except NotFoundError:
+        return None
+    try:
+        sequence, target = rlp_decode(raw)
+        if isinstance(sequence, bytes) and sequence and isinstance(target, bytes):
+            if len(target) == DIGEST_SIZE:
+                return NameRecord(node_id, Cid(target), int_from_bytes(sequence))
+    except ValueError:
+        pass
+    raise CorruptError(f"stored name record for {node_id.hex()} is malformed")
 
 
 def _get_verified(store: KvStore, cid: Cid) -> bytes:

@@ -8,12 +8,13 @@ of two. Within a shard, keys go to the member node with the smallest
 position at or clockwise of the key (wrapping past the top), so a node
 joining or leaving moves only the keys on its own arc.
 
-A ``ShardTable`` holds one isolated key-value store per shard plus a
-global account trie. ``shard_update`` writes an account's state into its
-shard as a small version DAG, records it under the account's lookup key
-and inserts it in the trie, which is committed only when ``state_root``
-is read; ``shard_inquire`` reads that entry back. The lookup key is the
-fixed pipeline
+A ``ShardTable`` holds one isolated key-value store per shard plus the
+global account trie, whose ``trie`` handle is the one current state (a
+chain moves it block by block). ``shard_update`` writes an account's
+state into its shard as a small version DAG chained to the version in
+``trie``, inserts it in ``trie``, which is committed only when
+``state_root`` is read, and publishes it under the account's lookup key
+for ``shard_inquire``. The lookup key is the fixed pipeline
 
     hash256(rlp_encode(hp_encode(hex_encode(address), leaf)))
 
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .encoding import DIGEST_SIZE, Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid, version_append
+from .merkle_dag import AccountState, Cid, dag_get, version_append, version_root
 from .mpt import Trie
 from .store import KvStore, MemoryKvStore, StoreEntry
 
@@ -222,7 +223,8 @@ StoreFactory = Callable[[ShardId], KvStore]
 
 
 class ShardTable:
-    """All shards plus the global account trie.
+    """All shards plus the global account trie; ``trie`` is the handle
+    at the current state, committed or not.
 
     Routing is pure (an address's shard never depends on membership);
     membership only decides which node inside the shard owns a key.
@@ -242,17 +244,12 @@ class ShardTable:
             sid = ShardId(format(i, f"0{width}b") if width else "")
             self.shards[sid] = Shard(sid, factory(sid))
         self.trie_store = trie_store if trie_store is not None else MemoryKvStore()
-        self._trie = Trie(self.trie_store)
+        self.trie = Trie(self.trie_store)
 
     @property
     def state_root(self) -> Digest:
         """Root of the current state, committing it on first request."""
-        return self._trie.commit()
-
-    @property
-    def trie(self) -> Trie:
-        """Handle at the table's current state, committed or not."""
-        return self._trie
+        return self.trie.commit()
 
     def members(self) -> list[NodeIdentity]:
         return [n for shard in self.shards.values() for n in shard.members.values()]
@@ -316,6 +313,15 @@ class ShardTable:
         """Publish ``version_cid`` as the latest version of ``address``."""
         self.shard_for(address).store.put_named(pipeline_key(address), version_cid.digest)
 
+    def read_account(self, address: bytes, *, trie: Trie) -> Optional[tuple[AccountState, Cid]]:
+        """(state, version Cid) stored under ``address`` in ``trie``, if any."""
+        version = _version(trie, address)
+        if version is None:
+            return None
+        store = self.shard_for(address).store
+        leaf = dag_get(store, version_root(store, version))
+        return AccountState.from_json_bytes(leaf.data), version
+
     def write_account(
         self,
         requester: NodeIdentity,
@@ -347,20 +353,19 @@ class ShardTable:
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
     ) -> Cid:
-        """Publish a new state version for ``address``; returns its Cid.
+        """Write a new state version for ``address`` into :attr:`trie`,
+        chained to the one it holds, and publish it; returns its Cid.
 
-        The trie moves iff the state content changed; reading
-        :attr:`state_root` commits it.
+        The trie and the pointer move iff the state content changed;
+        reading :attr:`state_root` commits the trie.
 
         Raises:
             NotAuthorizedError
         """
-        prev = self.pointer(address)
-        trie, version_cid, changed = self.write_account(
-            requester, address, new_state, trie=self._trie, prev_cid=prev
+        self.trie, version_cid, changed = self.write_account(
+            requester, address, new_state, trie=self.trie, prev_cid=_version(self.trie, address)
         )
         if changed:
-            self._trie = trie
             self.set_pointer(address, version_cid)
         return version_cid
 
@@ -424,6 +429,14 @@ def table_from_config(
     for node_id, book, authority in nodes:
         table.node_join(NodeIdentity.derive(node_id, num_shards, book, authority))
     return table
+
+
+def _version(trie: Trie, address: bytes) -> Optional[Cid]:
+    """The version Cid ``trie`` holds for ``address``, if any."""
+    try:
+        return Cid(trie.get(address))
+    except NotFoundError:
+        return None
 
 
 def _authorize(node: NodeIdentity) -> None:

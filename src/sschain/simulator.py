@@ -246,8 +246,7 @@ def _run_shard_job(job: ShardJob) -> tuple[int, int, dict[bytes, bytes]]:
                 f"shard {shard_index} rejected {len(chain.last_rejected)} txs"
             )
         processed += len(block.txs)
-    final_trie = Trie(table.trie_store, chain.head.header.state_root)
-    final = {address: final_trie.get(address) for address, _balance in accounts}
+    final = {address: table.trie.get(address) for address, _balance in accounts}
     return shard_index, processed, final
 
 

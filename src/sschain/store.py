@@ -17,8 +17,8 @@ first-write rank otherwise. Only :func:`open_database` knows that
 schema: it creates it and records the format, 3, in ``PRAGMA
 user_version``; a database in another format, such as format 2 with its
 ``workspace`` and ``names`` tables, is refused.
-Verification on read is on by default for the file backend (bytes on
-disk are outside the process's control) and off for the in-memory one.
+Verification on read is always on for the file backend (bytes on disk
+are outside the process's control) and never on for the in-memory one.
 
 There is no delete: the chain layer keeps every historical node readable
 for rollback.
@@ -141,10 +141,11 @@ class KvStore(ABC):
 
 
 class MemoryKvStore(KvStore):
-    """Process-local store; trusted, so verification defaults off."""
+    """Process-local store; trusted, so it never verifies on read."""
 
-    def __init__(self, verify_on_read: bool = False):
-        self.verify_on_read = verify_on_read
+    verify_on_read = False
+
+    def __init__(self) -> None:
         self._entries: dict[Digest, bytes] = {}
         self._named: dict[Digest, None] = {}
 
@@ -169,8 +170,9 @@ class FileKvStore(KvStore):
     """One space of the ``kv`` table in a SQLite database; survives reopen.
     Writes join ``db``'s open transaction, if any, and threads may share it."""
 
-    def __init__(self, db: sqlite3.Connection, space: str, verify_on_read: bool = True):
-        self.verify_on_read = verify_on_read
+    verify_on_read = True
+
+    def __init__(self, db: sqlite3.Connection, space: str):
         self.db = db
         self.space = space
 

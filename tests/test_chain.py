@@ -793,3 +793,64 @@ class TestGenesisAdoption:
         chain = Chain(ShardTable(1))
         assert chain.head.header.state_root == EMPTY_ROOT
         assert chain.head.header.parent_hash == bytes(32)
+
+
+class TestStateOwner:
+    """The table's trie is the one current state; the chain only moves it."""
+
+    def test_table_root_follows_apply_and_rollback(self) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        assert chain.table.state_root == roots[3]
+        chain.rollback(1)
+        assert chain.table.state_root == roots[1]
+        chain.rollback(0)
+        assert chain.table.state_root == roots[0]
+
+    def test_table_root_follows_load(self, db) -> None:
+        chain, roots = file_chain(db)
+        chain.rollback(2).export()
+        table = file_table(db)
+        assert Chain.load(table).head.header.state_root == roots[2]
+        assert table.state_root == roots[2]
+
+    def test_update_after_rollback_builds_on_the_rolled_back_state(self) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        chain.rollback(0)
+        shard_store = chain.table.shard_for(addr(1)).store
+        entries = len(shard_store)
+        chain.table.shard_update(chain.producer, addr(1), AccountState("0", "10.0"))
+        assert len(shard_store) == entries
+        assert chain.table.state_root == roots[0]
+
+    def test_update_between_blocks_lands_in_the_next_block(self) -> None:
+        """Like funding before genesis, the write lands in the next root;
+        the block's body does not explain it, so the block does not
+        validate."""
+        chain = build_chain({addr(1): "10.0"})
+        chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
+        chain.table.shard_update(chain.producer, addr(3), AccountState("0", "7.0"))
+        assert chain.query_account(addr(3)).balance == "7.0"
+        block = chain.apply_block([Transaction(addr(3), addr(1), "2.0", 0)])
+        assert chain.last_rejected == ()
+        assert chain.query_account(addr(3)).balance == "5.0"
+        funded_at_genesis = build_chain({addr(1): "10.0", addr(3): "7.0"})
+        funded_at_genesis.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
+        expected = funded_at_genesis.apply_block([Transaction(addr(3), addr(1), "2.0", 0)])
+        assert block.header.state_root == expected.header.state_root
+        assert not chain.validate_block(block)
+        assert funded_at_genesis.validate_block(expected)
+
+    def test_rollback_and_genesis_root_read_no_skipped_body(self, monkeypatch) -> None:
+        chain, roots = TestRollback()._three_blocks()
+        decoded: list = []
+        real = Transaction.from_rlp_item
+
+        def decode(cls, item):
+            decoded.append(item)
+            return real(item)
+
+        monkeypatch.setattr(Transaction, "from_rlp_item", classmethod(decode))
+        assert chain.genesis_root == roots[0]
+        chain.rollback(1)
+        assert len(decoded) == 1
+        assert chain.head.txs == (Transaction(addr(1), addr(2), "1.0", 0),)

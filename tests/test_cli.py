@@ -19,7 +19,7 @@ from sschain import chain as chainmod
 from sschain import cli
 from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
-from sschain.merkle_dag import AccountState, Cid, dag_build_directory
+from sschain.merkle_dag import AccountState, Cid, NameRegistry, dag_build_directory, name_publish
 from sschain.mpt import EMPTY_ROOT
 from sschain.shard_dht import ShardTable, shard_of
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -235,6 +235,17 @@ class TestName:
         third = self._add(store, tmp_path, capsys, "v3")
         assert main(["--store", store, "name", "publish", third, "--node-id", NODE_2]) == 0
         assert main(["--store", store, "name", "publish", third, "--node-id", NODE_1]) == 1
+
+    def test_records_published_by_the_library_resolve(self, store, tmp_path, capsys) -> None:
+        cid = self._add(store, tmp_path, capsys, "v1")
+        db = open_database(Path(store, "sschain.db"))
+        registry = NameRegistry(FileKvStore(db, "objects"), FileKvStore(db, "names"))
+        name_publish(registry, bytes.fromhex(NODE_1), Cid.parse(cid))
+        db.close()
+        assert main(["--store", store, "name", "resolve", NODE_1]) == 0
+        assert lines_of(capsys) == [f"/ss/{cid}"]
+        assert main(["--store", store, "--json", "name", "publish", cid, "--node-id", NODE_1]) == 0
+        assert json.loads(capsys.readouterr().out)["sequence"] == 2
 
     def test_publish_unstored_cid(self, store, capsys) -> None:
         ghost = "ss1-" + hash256(b"ghost").hex()

@@ -395,6 +395,29 @@ class TestNameRegistry:
         with pytest.raises(UnknownCidError):
             name_publish(registry, hash256(b"id"), Cid(hash256(b"ghost")))
 
+    def test_record_is_a_named_entry_of_records(self) -> None:
+        store, records = MemoryKvStore(), MemoryKvStore()
+        target = dag_put(store, DagNode(data=b"content"))
+        node_id = hash256(b"publisher")
+        name_publish(NameRegistry(store, records), node_id, target)
+        name_publish(NameRegistry(store, records), node_id, target)
+        assert records.named_keys() == [node_id]
+        assert records.get(node_id) == rlp_encode([b"\x02", target.digest])
+        assert name_resolve(NameRegistry(store, records), node_id) == target
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"zz", rlp_encode([b"\x01", b"short"]), rlp_encode([b"\x00", bytes(32)])],
+        ids=["not-rlp", "short-target", "padded-sequence"],
+    )
+    def test_malformed_record(self, raw: bytes) -> None:
+        registry = NameRegistry(MemoryKvStore())
+        node_id = hash256(b"publisher")
+        registry.records.put_named(node_id, raw)
+        message = f"stored name record for {node_id.hex()} is malformed"
+        with pytest.raises(CorruptError, match=message):
+            name_resolve(registry, node_id)
+
     def test_publishers_isolated(self) -> None:
         store = MemoryKvStore()
         registry = NameRegistry(store)

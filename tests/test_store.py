@@ -86,7 +86,7 @@ class TestNamedEntries:
         assert store.named_keys() == keys
 
     def test_named_exempt_from_verification(self, db) -> None:
-        s = FileKvStore(db, "kv", verify_on_read=True)
+        s = FileKvStore(db, "kv")
         key = hash256(b"slot")
         s.put_named(key, b"does not hash to key")
         assert s.get(key) == b"does not hash to key"
@@ -104,13 +104,6 @@ class TestVerifyOnRead:
         s = FileKvStore(db, "kv")
         key = s.put(b"genuine bytes")
         db.execute("UPDATE kv SET value = ? WHERE key = ?", (b"Genuine bytes", key))
-        with pytest.raises(CorruptError):
-            s.get(key)
-
-    def test_memory_store_can_opt_in(self) -> None:
-        s = MemoryKvStore(verify_on_read=True)
-        key = s.put(b"data")
-        s._entries[key] = b"tampered"
         with pytest.raises(CorruptError):
             s.get(key)
 
