@@ -304,8 +304,7 @@ class Chain:
         """Run transactions on the table's trie, commit it, and append a block.
 
         The new header and its transaction trie are written to the trie
-        store, and each changed account's shard lookup pointer moves once;
-        the stored head pointer moves only on :meth:`export`.
+        store; the stored head pointer moves only on :meth:`export`.
 
         Invalid transactions are skipped whole and listed on
         ``last_rejected``; valid ones debit the sender, bump its seq, and
@@ -318,11 +317,9 @@ class Chain:
         header is a function of the parent and the body and validation
         can re-derive every field.
         """
-        trie, accepted, rejected, credits_out, versions = self._execute(
+        trie, accepted, rejected, credits_out = self._execute(
             self.table.trie, txs, credits, is_local
         )
-        for address, version_cid in versions.items():
-            self.table.set_pointer(address, version_cid)
         store = self.table.trie_store
         header = _child_header(self.head.header, trie.commit(), accepted, store)
         store.put(rlp_encode(header.to_rlp_item()))
@@ -338,18 +335,14 @@ class Chain:
         txs: Iterable[Transaction],
         credits: Iterable[tuple[bytes, int]],
         is_local: Optional[Callable[[bytes], bool]],
-    ) -> tuple[
-        Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]], dict[bytes, Cid]
-    ]:
+    ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]]]:
         """The state transition: run a body and credits against ``trie``.
 
-        Returns (new trie, accepted, rejected, credits owed elsewhere, the
-        last version Cid of each account whose state changed). Each account
-        is read from the trie once; later reads and the ``prev_cid`` of each
-        write come from the (state, version Cid) pairs held here.
+        Returns (new trie, accepted, rejected, credits owed elsewhere). Each
+        account is read from the trie once; later reads and the ``prev_cid``
+        of each write come from the (state, version Cid) pairs held here.
         """
         pending: dict[bytes, tuple[Optional[AccountState], Optional[Cid]]] = {}
-        versions: dict[bytes, Cid] = {}
         accepted: list[Transaction] = []
         rejected: list[Rejection] = []
         credits_out: list[tuple[bytes, int]] = []
@@ -361,12 +354,10 @@ class Chain:
 
         def write(address: bytes, state: AccountState) -> None:
             nonlocal trie
-            trie, version, changed = self.table.write_account(
+            trie, version, _ = self.table.write_account(
                 self.producer, address, state, trie=trie, prev_cid=pending[address][1]
             )
             pending[address] = (state, version)
-            if changed:
-                versions[address] = version
 
         def credit(address: bytes, tenths: int) -> None:
             state = read(address) or AccountState("0", "0.0")
@@ -405,7 +396,7 @@ class Chain:
 
         for address, amount in credits:
             credit(address, amount)
-        return trie, accepted, rejected, credits_out, versions
+        return trie, accepted, rejected, credits_out
 
     def query_account(
         self, address: bytes, at_root: Optional[Digest] = None
@@ -452,9 +443,7 @@ class Chain:
         re-execution through the same executor as :meth:`apply_block`, so
         any rejected transaction fails the block. Blocks made with
         cross-shard credits, owed out or folded in, do not validate yet:
-        the credits are not in the body. Replays never move the shard
-        lookup pointers, so validating old or foreign blocks leaves live
-        reads untouched.
+        the credits are not in the body.
 
         Raises:
             UnknownParentError: parent hash names no stored header.
@@ -463,7 +452,7 @@ class Chain:
         parent = _read_header(store, block.header.parent_hash, "parent", UnknownParentError)
         if block.header != _child_header(parent, block.header.state_root, block.txs):
             return False
-        trie, _, rejected, _, _ = self._execute(Trie(store, parent.state_root), block.txs, (), None)
+        trie, _, rejected, _ = self._execute(Trie(store, parent.state_root), block.txs, (), None)
         return not rejected and trie.commit() == block.header.state_root
 
     def export(self) -> None:

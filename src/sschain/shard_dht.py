@@ -12,9 +12,12 @@ A ``ShardTable`` holds one isolated key-value store per shard plus the
 global account trie, whose ``trie`` handle is the one current state (a
 chain moves it block by block). ``shard_update`` writes an account's
 state into its shard as a small version DAG chained to the version in
-``trie``, inserts it in ``trie``, which is committed only when
-``state_root`` is read, and publishes it under the account's lookup key
-for ``shard_inquire``. The lookup key is the fixed pipeline
+``trie``, and inserts it in ``trie``, which is committed only when
+``state_root`` is read. The trie leaf is the account's one lookup
+pointer: ``pointer`` and ``shard_inquire`` read it there. The shard
+store keeps only a registry of its accounts' lookup keys, one named
+entry per account written when the account first appears, which the
+ring remaps among member nodes. The lookup key is the fixed pipeline
 
     hash256(rlp_encode(hp_encode(hex_encode(address), leaf)))
 
@@ -302,16 +305,8 @@ class ShardTable:
         return _diff_assignments(before, shard.assignments())
 
     def pointer(self, address: bytes) -> Optional[Cid]:
-        """Latest version Cid published for ``address``, if any."""
-        shard = self.shard_for(address)
-        try:
-            return Cid(shard.store.get(pipeline_key(address)))
-        except NotFoundError:
-            return None
-
-    def set_pointer(self, address: bytes, version_cid: Cid) -> None:
-        """Publish ``version_cid`` as the latest version of ``address``."""
-        self.shard_for(address).store.put_named(pipeline_key(address), version_cid.digest)
+        """Version Cid :attr:`trie` holds for ``address``, if any."""
+        return _version(self.trie, address)
 
     def read_account(self, address: bytes, *, trie: Trie) -> Optional[tuple[AccountState, Cid]]:
         """(state, version Cid) stored under ``address`` in ``trie``, if any."""
@@ -335,17 +330,17 @@ class ShardTable:
 
         Returns (new trie, version Cid, changed). When the new state equals
         the previous version's content nothing is written and ``changed``
-        is False. The shard's lookup pointer is left alone; callers move it
-        with :meth:`set_pointer` once they keep the version, so historical
-        replays share the stores without disturbing the live pointers.
+        is False. A first version (no ``prev_cid``) also registers the
+        account's lookup key in its shard.
 
         Raises:
             NotAuthorizedError: requester lacks book or authority.
         """
         _authorize(requester)
-        version_cid = version_append(
-            self.shard_for(address).store, state.to_json_bytes(), prev_cid
-        )
+        store = self.shard_for(address).store
+        if prev_cid is None:
+            store.put_named(pipeline_key(address), address)
+        version_cid = version_append(store, state.to_json_bytes(), prev_cid)
         if version_cid is None:
             return trie, prev_cid, False
         return trie.insert(address, version_cid.digest), version_cid, True
@@ -354,32 +349,29 @@ class ShardTable:
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
     ) -> Cid:
         """Write a new state version for ``address`` into :attr:`trie`,
-        chained to the one it holds, and publish it; returns its Cid.
+        chained to the one it holds; returns its Cid.
 
-        The trie and the pointer move iff the state content changed;
-        reading :attr:`state_root` commits the trie.
+        The trie moves iff the state content changed; reading
+        :attr:`state_root` commits it.
 
         Raises:
             NotAuthorizedError
         """
-        self.trie, version_cid, changed = self.write_account(
+        self.trie, version_cid, _ = self.write_account(
             requester, address, new_state, trie=self.trie, prev_cid=_version(self.trie, address)
         )
-        if changed:
-            self.set_pointer(address, version_cid)
         return version_cid
 
     def shard_inquire(
         self, requester: NodeIdentity, address: bytes
     ) -> StoreEntry:
-        """Look up the stored (key, version Cid bytes) entry for an address.
+        """(lookup key, version digest) for an address, read from :attr:`trie`.
 
         Raises:
-            NotAuthorizedError; NotFoundError.
+            NotAuthorizedError; NotFoundError: the trie holds no version.
         """
         _authorize(requester)
-        key = pipeline_key(address)
-        return StoreEntry(key, self.shard_for(address).store.get(key))
+        return StoreEntry(pipeline_key(address), self.trie.get(address))
 
 
 _COUNT = re.compile(r"[0-9]+")

@@ -211,7 +211,6 @@ def _chunk(stream: list[Transaction], size: int) -> list[list[Transaction]]:
 
 ShardJob = tuple[
     int,  # shard index
-    int,  # num_shards
     list[tuple[bytes, str]],  # local accounts with initial balances
     list[list[Transaction]],  # windows of local transactions
     list[list[tuple[bytes, int]]],  # per-window incoming credits
@@ -223,19 +222,17 @@ def _run_shard_job(job: ShardJob) -> tuple[int, int, dict[bytes, bytes]]:
 
     Returns (shard index, processed count, address -> final version digest).
     Runs in a worker process, so it rebuilds its own in-memory table (one
-    shard: it writes only local accounts); the version digests it reports
-    are pure content hashes, identical wherever they are computed.
+    shard: it writes only local accounts, and a receiver is local iff it is
+    one of them); the version digests it reports are pure content hashes,
+    identical wherever they are computed.
     """
-    shard_index, num_shards, accounts, windows, credits = job
+    shard_index, accounts, windows, credits = job
     table = ShardTable(1)
     producer = default_producer(1)
     for address, balance in accounts:
         table.shard_update(producer, address, AccountState("0", balance))
     chain = Chain(table, producer)
-
-    def is_local(address: bytes) -> bool:
-        return shard_of(address, num_shards).index == shard_index
-
+    is_local = {address for address, _ in accounts}.__contains__
     processed = 0
     for window in range(max(len(windows), len(credits))):
         txs = windows[window] if window < len(windows) else []
@@ -289,7 +286,7 @@ def run_experiment(config: SimConfig) -> SimReport:
         local_accounts[shard_of(address, num_shards).index].append((address, initial))
 
     jobs: list[ShardJob] = [
-        (i, num_shards, local_accounts[i], windows[i], credits[i])
+        (i, local_accounts[i], windows[i], credits[i])
         for i in range(num_shards)
         if local_accounts[i] or windows[i] or credits[i]
     ]

@@ -5,10 +5,11 @@ Two kinds of entry share one namespace:
 * **content-addressed** entries, written by :meth:`KvStore.put`: the key
   is always ``hash256(value)``, so identical values deduplicate to one
   physical entry and a reader can detect tampering by re-hashing.
-* **named** entries, written by :meth:`KvStore.put_named`: mutable
-  pointers (account address -> current state root) whose key is derived
-  from the address, not the value. These are exempt from the
-  hash-on-read check and may be overwritten.
+* **named** entries, written by :meth:`KvStore.put_named`: a key chosen
+  by the caller, not derived from the value (the chain head, the
+  workspace values, name records, a shard's registry of account lookup
+  keys). These are exempt from the hash-on-read check and may be
+  overwritten.
 
 The file backend is one space (``trie``, ``shards/0``, ...) of the
 ``kv`` table of a SQLite database, one row per entry; its ``named``
@@ -94,8 +95,8 @@ class KvStore(ABC):
     def put_named(self, key: Digest, value: bytes) -> None:
         """Store ``value`` under an arbitrary digest ``key``, overwriting.
 
-        Named entries are mutable pointers; they are excluded from
-        hash-on-read verification.
+        Named entries are keyed by the caller, not by content; they are
+        excluded from hash-on-read verification.
         """
         _check_key(key)
         if not value:

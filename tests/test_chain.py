@@ -278,9 +278,10 @@ class TestApplyBlock:
         chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
         assert keys == [addr(1), addr(2)]
 
-    def test_block_moves_each_pointer_once(self, monkeypatch) -> None:
-        """An account written many times in one block has its shard lookup
-        pointer moved once, to its last version."""
+    def test_block_registers_only_new_accounts(self, monkeypatch) -> None:
+        """A block writes one named entry, the lookup key of the account it
+        creates; accounts written many times read their last version from
+        the head trie."""
         chain = build_chain({addr(1): "10.0"})
         keys: list[bytes] = []
         original = KvStore.put_named
@@ -291,7 +292,7 @@ class TestApplyBlock:
 
         monkeypatch.setattr(KvStore, "put_named", counting_put_named)
         chain.apply_block([Transaction(addr(1), addr(2), "0.5", seq) for seq in range(6)])
-        assert sorted(keys) == sorted([pipeline_key(addr(1)), pipeline_key(addr(2))])
+        assert keys == [pipeline_key(addr(2))]
         head = Trie(chain.table.trie_store, chain.head.header.state_root)
         for address, versions in ((addr(1), 7), (addr(2), 6)):
             pointer = chain.table.pointer(address)
@@ -403,6 +404,19 @@ class TestLedgerOracle:
             chain.query_account(addr(1), at_root=hash256(b"never-committed"))
 
 
+def assert_lookups_read_head(table: ShardTable, present: list[bytes], absent: list[bytes]) -> None:
+    """``pointer`` and ``shard_inquire`` agree with the head trie."""
+    producer = default_producer(table.num_shards)
+    for address in present:
+        version = Cid(table.trie.get(address))
+        assert table.pointer(address) == version
+        assert table.shard_inquire(producer, address).value == version.digest
+    for address in absent:
+        assert table.pointer(address) is None
+        with pytest.raises(NotFoundError):
+            table.shard_inquire(producer, address)
+
+
 class TestRollback:
     def _three_blocks(self, table: Optional[ShardTable] = None) -> tuple[Chain, list[bytes]]:
         table = ShardTable(4) if table is None else table
@@ -451,6 +465,21 @@ class TestRollback:
         old = chain.blocks[3]
         chain.rollback(1)
         assert chain.validate_block(old)
+
+    def test_lookups_follow_rollback(self) -> None:
+        chain, _ = self._three_blocks()
+        chain.rollback(1)
+        assert_lookups_read_head(chain.table, [addr(1), addr(2)], [])
+        chain.rollback(0)
+        assert_lookups_read_head(chain.table, [addr(1)], [addr(2)])
+
+    def test_lookups_follow_load(self, db) -> None:
+        chain, _ = file_chain(db)
+        chain.rollback(0)
+        chain.export()
+        table = file_table(db)
+        Chain.load(table)
+        assert_lookups_read_head(table, [addr(1)], [addr(2)])
 
 
 class TestValidateBlock:
@@ -558,9 +587,15 @@ class TestValidateBlock:
 
     def test_validation_leaves_live_state_alone(self) -> None:
         chain, _ = TestRollback()._three_blocks()
-        pointer_before = chain.table.pointer(addr(1))
-        chain.validate_block(chain.blocks[1])
-        assert chain.table.pointer(addr(1)) == pointer_before
+        table = chain.table
+
+        def live() -> tuple:
+            keys = [shard.store.named_keys() for shard in table.shards.values()]
+            return table.pointer(addr(1)), table.state_root, keys
+
+        before = live()
+        assert chain.validate_block(chain.blocks[1])
+        assert live() == before
 
 
 @pytest.fixture()
