@@ -9,16 +9,19 @@ exact and the hashed text never wobbles.
 The shard table owns the current state, its ``trie``; a chain keeps
 only blocks and moves that trie. One executor is the state transition:
 it debits each sender, credits each receiver (creating it at zero on
-first contact), bumps the sender's transaction count, and writes both
-accounts through the shard table, each version chained to the one in
-the trie it writes into. A transaction that fails its checks is skipped
-whole; nothing of it lands in the state. ``apply_block`` runs the
-executor to produce a block and reports the skipped transactions on
-``last_rejected``. ``validate_block`` is strict re-execution through the
-same executor against the parent root; any rejected transaction fails
-the block, so a block validates only if an honest producer could have
-made it. Every committed root stays readable forever, so ``rollback``
-only moves the head pointer and reopens the table's trie at its root.
+first contact) and bumps the sender's transaction count, all on integers
+held for the block, then writes back: each account the block changed is
+written through the shard table once, after the body and the credits,
+its one new version chained to the version the block started from. This
+is the once-per-block state commit of Ethereum (Yellow Paper section 4).
+A transaction that fails its checks is skipped whole; nothing of it
+lands in the state. ``apply_block`` runs the executor to produce a block
+and reports the skipped transactions on ``last_rejected``.
+``validate_block`` is strict re-execution through the same executor
+against the parent root; any rejected transaction fails the block, so a
+block validates only if an honest producer could have made it. Every
+committed root stays readable forever, so ``rollback`` only moves the
+head pointer and reopens the table's trie at its root.
 
 A chain is stored in the table's trie store and nowhere else: each
 header under its own digest, so a ``parent_hash`` is the key of the
@@ -49,7 +52,7 @@ from .encoding import (
 )
 from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid
-from .mpt import Trie
+from .mpt import Trie, commit_items
 from .shard_dht import NodeIdentity, ShardTable
 from .store import KvStore, MemoryKvStore
 
@@ -181,11 +184,10 @@ class Block:
 
 def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
     """Trie root over index -> transaction, both RLP-encoded, committed
-    into ``store`` (a throwaway one if none is given)."""
-    trie = Trie(MemoryKvStore() if store is None else store)
-    for index, tx in enumerate(txs):
-        trie = trie.insert(_tx_key(index), rlp_encode(tx.to_rlp_item()))
-    return trie.commit()
+    into ``store`` (a throwaway one if none is given) in one bottom-up
+    build, as geth's ``DeriveSha`` does."""
+    items = ((_tx_key(index), rlp_encode(tx.to_rlp_item())) for index, tx in enumerate(txs))
+    return commit_items(MemoryKvStore() if store is None else store, items)
 
 
 def _tx_key(index: int) -> bytes:
@@ -225,6 +227,19 @@ def _read_block(store: KvStore, header: BlockHeader) -> Block:
             txs.append(Transaction.from_rlp_item(rlp_decode(raw)))
     except SSChainError as exc:
         raise CorruptError(f"body of block {header.number}: {exc}") from exc
+
+
+@dataclass(slots=True)
+class _Account:
+    """One account inside a block: the version the block started from
+    (None for an account it creates), the live seq and balance in tenths,
+    and whether the block changed it, so it is written back."""
+
+    seq: int
+    tenths: int
+    code: bytes
+    version: Optional[Cid]
+    dirty: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,58 +351,57 @@ class Chain:
         credits: Iterable[tuple[bytes, int]],
         is_local: Optional[Callable[[bytes], bool]],
     ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]]]:
-        """The state transition: run a body and credits against ``trie``.
+        """The state transition: run a body and credits against ``trie``,
+        then write back every account it changed.
 
         Returns (new trie, accepted, rejected, credits owed elsewhere). Each
-        account is read from the trie once; later reads and the ``prev_cid``
-        of each write come from the (state, version Cid) pairs held here.
+        account is read from the trie once, on first touch, and its seq and
+        balance are parsed then into a :class:`_Account`; every later debit,
+        credit and check works on those integers. After the body and the
+        credits, each changed account is written through the shard table
+        once, in first-touch order, its one new version chained to the
+        version ``trie`` held: one version per touched account per block.
         """
-        pending: dict[bytes, tuple[Optional[AccountState], Optional[Cid]]] = {}
+        accounts: dict[bytes, _Account] = {}
         accepted: list[Transaction] = []
         rejected: list[Rejection] = []
         credits_out: list[tuple[bytes, int]] = []
 
-        def read(address: bytes) -> Optional[AccountState]:
-            if address not in pending:
-                pending[address] = self.table.read_account(address, trie=trie) or (None, None)
-            return pending[address][0]
-
-        def write(address: bytes, state: AccountState) -> None:
-            nonlocal trie
-            trie, version, _ = self.table.write_account(
-                self.producer, address, state, trie=trie, prev_cid=pending[address][1]
-            )
-            pending[address] = (state, version)
+        def account(address: bytes) -> _Account:
+            entry = accounts.get(address)
+            if entry is None:
+                found = self.table.read_account(address, trie=trie)
+                if found is None:
+                    entry = _Account(0, 0, b"", None)
+                else:
+                    state, version = found
+                    entry = _Account(
+                        int(state.seq_number), tenths_from_text(state.balance),
+                        state.code, version,
+                    )
+                accounts[address] = entry
+            return entry
 
         def credit(address: bytes, tenths: int) -> None:
-            state = read(address) or AccountState("0", "0.0")
-            balance = tenths_from_text(state.balance) + tenths
-            write(
-                address,
-                AccountState(state.seq_number, text_from_tenths(balance), state.code),
-            )
+            entry = account(address)
+            entry.tenths += tenths
+            entry.dirty = True
 
         for tx in txs:
-            sender = read(tx.sender)
-            if sender is None:
+            sender = account(tx.sender)
+            if sender.version is None and not sender.dirty:  # not in the trie, not yet paid
                 rejected.append(Rejection(tx, REASON_UNKNOWN_SENDER))
                 continue
-            if tx.seq != int(sender.seq_number):
+            if tx.seq != sender.seq:
                 rejected.append(Rejection(tx, REASON_BAD_SEQ))
                 continue
             amount = tenths_from_text(tx.amount)
-            balance = tenths_from_text(sender.balance)
-            if balance < amount:
+            if sender.tenths < amount:
                 rejected.append(Rejection(tx, REASON_INSUFFICIENT))
                 continue
-            write(
-                tx.sender,
-                AccountState(
-                    str(int(sender.seq_number) + 1),
-                    text_from_tenths(balance - amount),
-                    sender.code,
-                ),
-            )
+            sender.seq += 1
+            sender.tenths -= amount
+            sender.dirty = True
             if is_local is None or is_local(tx.receiver):
                 credit(tx.receiver, amount)
             else:
@@ -396,6 +410,12 @@ class Chain:
 
         for address, amount in credits:
             credit(address, amount)
+        for address, entry in accounts.items():
+            if entry.dirty:
+                state = AccountState(str(entry.seq), text_from_tenths(entry.tenths), entry.code)
+                trie, _, _ = self.table.write_account(
+                    self.producer, address, state, trie=trie, prev_cid=entry.version
+                )
         return trie, accepted, rejected, credits_out
 
     def query_account(

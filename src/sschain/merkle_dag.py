@@ -17,9 +17,12 @@ keys in the order ``AccountState.to_json_bytes`` writes them. Leaf Cids,
 version Cids and state roots all hash these bytes, so any change to the
 form changes every root. Directory nodes group state files; version
 nodes wrap a root and link back to the prior version, giving a rollback
-trail (``account_history``). A ``NameRegistry``
-maps a publisher's node id to its latest root, latest-sequence-wins, as
-RLP ``[sequence, target digest]`` under the node id in its ``records``.
+trail (``account_history``). A chain writes one version per touched
+account per block, after the block's body and credits, chained to the
+version the previous block left, so the trail steps block by block. A
+``NameRegistry`` maps a publisher's node id to its latest root,
+latest-sequence-wins, as RLP ``[sequence, target digest]`` under the
+node id in its ``records``.
 
 A version node is the DAG node ``[b"", [[b"prev", prev, prev_size],
 [b"root", root, root_size]]]`` (no ``prev`` link on a first version),

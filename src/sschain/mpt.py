@@ -19,7 +19,9 @@ shares every untouched subtree with its parent, so any number of
 historical handles stay readable, and committing after a single-key
 update writes only the nodes along that key's path. ``commit`` collapses
 freshly stored subtrees into digest references inside the handle, so a
-later commit re-serializes only what changed since.
+later commit re-serializes only what changed since. A trie whose keys
+are all known at once is better built by ``commit_items``, which makes
+each node once from the sorted keys and commits the same nodes.
 
 The committed root digest is a pure function of the key-value content:
 insertion order never affects it. The empty trie commits to the fixed
@@ -31,7 +33,7 @@ There is no delete; replacing a key's value is the only update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .encoding import (
     DIGEST_SIZE,
@@ -346,6 +348,46 @@ def _commit_node(node: Node, store: KvStore) -> tuple[RlpItem, Node, bytes]:
         struct = reprs + [node.value if node.value is not None else b""]
         collapsed = Branch(tuple(collapsed_children), node.value)
     return struct, collapsed, rlp_encode(struct)
+
+
+def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest:
+    """Commit the trie holding ``key -> value`` for each pair; return its root.
+
+    Keys must be distinct and non-empty, values non-empty. The trie is
+    built bottom-up from the sorted keys, each node once, as geth's
+    ``StackTrie`` does, instead of path-copied per key; the root and the
+    store entries written are those of inserting every pair into an empty
+    :class:`Trie` and committing it, the empty node included.
+    """
+    paths = sorted((hex_encode(key), value) for key, value in items)
+    if not paths:
+        return Trie(store).commit()
+    _, _, encoded = _commit_node(_build_sorted(paths, 0), store)
+    return store.put(encoded)
+
+
+def _build_sorted(paths: list[tuple[Nibbles, bytes]], depth: int) -> Node:
+    """The node holding ``paths``, sorted, which share their first
+    ``depth`` nibbles: a leaf for one path, otherwise a branch, behind an
+    extension over whatever more the first and last paths share."""
+    if len(paths) == 1:
+        path, value = paths[0]
+        return Leaf(path[depth:], value)
+    first, last = paths[0][0], paths[-1][0]
+    end = depth + len(_common_prefix(first[depth:], last[depth:]))
+    value: Optional[bytes] = None
+    start = 0
+    if len(first) == end:
+        value, start = paths[0][1], 1
+    children: list[Ref] = [None] * 16
+    while start < len(paths):
+        nibble, stop = paths[start][0][end], start + 1
+        while stop < len(paths) and paths[stop][0][end] == nibble:
+            stop += 1
+        children[nibble] = _build_sorted(paths[start:stop], end + 1)
+        start = stop
+    branch = Branch(tuple(children), value)
+    return Extension(first[depth:end], branch) if end > depth else branch
 
 
 def _commit_ref(ref: Ref, store: KvStore) -> tuple[RlpItem, Ref]:

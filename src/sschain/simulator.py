@@ -38,7 +38,7 @@ from .chain import (
 from .encoding import Digest, hash256
 from .errors import SSChainError
 from .merkle_dag import AccountState
-from .mpt import Trie
+from .mpt import commit_items
 from .shard_dht import ShardTable, shard_of
 from .store import MemoryKvStore
 
@@ -257,10 +257,11 @@ def run_experiment(config: SimConfig) -> SimReport:
     txs = generate_workload(config)
     addresses = account_addresses(config.seed, config.effective_accounts)
     num_shards = config.num_shards
+    home = {address: shard_of(address, num_shards).index for address in addresses}
 
     streams: dict[int, list[Transaction]] = {i: [] for i in range(num_shards)}
     for tx in txs:
-        streams[shard_of(tx.sender, num_shards).index].append(tx)
+        streams[home[tx.sender]].append(tx)
     windows = {
         i: _chunk(stream, config.effective_txs_per_block)
         for i, stream in streams.items()
@@ -271,7 +272,7 @@ def run_experiment(config: SimConfig) -> SimReport:
     for i, shard_windows in windows.items():
         for w, window_txs in enumerate(shard_windows):
             for tx in window_txs:
-                target = shard_of(tx.receiver, num_shards).index
+                target = home[tx.receiver]
                 if target == i:
                     continue
                 while len(credits[target]) <= w:
@@ -283,7 +284,7 @@ def run_experiment(config: SimConfig) -> SimReport:
     }
     initial = text_from_tenths(INITIAL_BALANCE_TENTHS)
     for address in addresses:
-        local_accounts[shard_of(address, num_shards).index].append((address, initial))
+        local_accounts[home[address]].append((address, initial))
 
     jobs: list[ShardJob] = [
         (i, local_accounts[i], windows[i], credits[i])
@@ -300,16 +301,15 @@ def run_experiment(config: SimConfig) -> SimReport:
             results = list(pool.map(_run_shard_job, jobs))
     wall = time.perf_counter() - started
 
-    merged = Trie(MemoryKvStore())
+    merged: dict[bytes, bytes] = {}
     loads = [0] * num_shards
     total_windows = 0
-    for shard_index, processed, final in sorted(results, key=lambda r: r[0]):
+    for shard_index, processed, final in results:
         loads[shard_index] = processed
-        for address, version_digest in final.items():
-            merged = merged.insert(address, version_digest)
+        merged.update(final)
     for i in range(num_shards):
         total_windows = max(total_windows, len(windows[i]), len(credits[i]))
-    final_root = merged.commit()
+    final_root = commit_items(MemoryKvStore(), merged.items())
 
     processed_total = sum(loads)
     accounted = wall + config.consensus_delay_s * total_windows

@@ -6,7 +6,7 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sschain.chain import (
@@ -24,12 +24,24 @@ from sschain.chain import (
     text_from_tenths,
     tx_root,
 )
-from sschain.encoding import hash256, rlp_decode, rlp_encode
+from sschain.encoding import hash256, int_to_bytes, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import AccountState, Cid, account_history
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable, pipeline_key
-from sschain.store import FileKvStore, KvStore, open_database
+from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
+
+
+class PutLog(MemoryKvStore):
+    """A memory store that also keeps every value put into it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts: set[bytes] = set()
+
+    def put(self, value: bytes) -> bytes:
+        self.puts.add(value)
+        return super().put(value)
 
 
 def addr(i: int) -> bytes:
@@ -131,6 +143,44 @@ class TestTxRoot:
         t1 = Transaction(addr(1), addr(2), "1.0", 0)
         t2 = Transaction(addr(3), addr(4), "2.0", 0)
         assert tx_root([t1, t2]) != tx_root([t2, t1])
+
+    @staticmethod
+    def _insert_path(txs: list[Transaction]) -> tuple[bytes, set[bytes]]:
+        """Root and entries of the body inserted key by key into a
+        persistent trie: the reference the bottom-up build must match."""
+        store = PutLog()
+        trie = Trie(store)
+        for index, tx in enumerate(txs):
+            trie = trie.insert(rlp_encode(int_to_bytes(index)), rlp_encode(tx.to_rlp_item()))
+        return trie.commit(), store.puts
+
+    @staticmethod
+    def _built(txs: list[Transaction]) -> tuple[bytes, set[bytes]]:
+        store = PutLog()
+        return tx_root(txs, store), store.puts
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(7, 12),
+                st.integers(0, 9999), st.integers(0, 300),
+            ),
+            max_size=140,
+        )
+    )
+    def test_matches_the_insert_path(self, fields) -> None:
+        txs = [
+            Transaction(addr(s), addr(r), text_from_tenths(a), q) for s, r, a, q in fields
+        ]
+        assert self._built(txs) == self._insert_path(txs)
+
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 255, 256, 257])
+    def test_rlp_key_boundaries(self, count: int) -> None:
+        """Index 0's key ``0x80`` sorts after indexes 1-127; 128 and 256
+        start the two- and three-byte keys."""
+        txs = [Transaction(addr(1), addr(2), "0.5", seq) for seq in range(count)]
+        assert self._built(txs) == self._insert_path(txs)
 
     def test_frozen_vector(self) -> None:
         """Regression anchor over the already-verified trie and list codecs."""
@@ -280,8 +330,8 @@ class TestApplyBlock:
 
     def test_block_registers_only_new_accounts(self, monkeypatch) -> None:
         """A block writes one named entry, the lookup key of the account it
-        creates; accounts written many times read their last version from
-        the head trie."""
+        creates; accounts it touches many times gain one version each, read
+        from the head trie."""
         chain = build_chain({addr(1): "10.0"})
         keys: list[bytes] = []
         original = KvStore.put_named
@@ -294,10 +344,32 @@ class TestApplyBlock:
         chain.apply_block([Transaction(addr(1), addr(2), "0.5", seq) for seq in range(6)])
         assert keys == [pipeline_key(addr(2))]
         head = Trie(chain.table.trie_store, chain.head.header.state_root)
-        for address, versions in ((addr(1), 7), (addr(2), 6)):
+        for address, versions in ((addr(1), 2), (addr(2), 1)):
             pointer = chain.table.pointer(address)
             assert pointer == Cid(head.get(address))
             assert len(account_history(chain.table.shard_for(address).store, pointer)) == versions
+
+    def test_block_writes_each_touched_account_once(self) -> None:
+        """An account that sends three times and receives once in a block
+        gains one version, chained to the one the block started from, and
+        the block validates."""
+        chain = build_chain({addr(1): "10.0", addr(3): "5.0"})
+        store = chain.table.shard_for(addr(1)).store
+        before = account_history(store, chain.table.pointer(addr(1)))
+        block = chain.apply_block(
+            [
+                Transaction(addr(1), addr(2), "1.0", 0),
+                Transaction(addr(3), addr(1), "2.5", 0),
+                Transaction(addr(1), addr(2), "1.0", 1),
+                Transaction(addr(1), addr(3), "0.5", 2),
+            ]
+        )
+        assert len(block.txs) == 4
+        assert chain.validate_block(block)
+        after = account_history(store, chain.table.pointer(addr(1)))
+        assert after[1:] == before
+        state = chain.query_account(addr(1))
+        assert (state.seq_number, state.balance) == ("3", "10.0")
 
     def test_timestamps_are_a_logical_clock(self) -> None:
         chain = build_chain({addr(1): "10.0"})

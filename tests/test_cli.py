@@ -778,7 +778,7 @@ class TestReadmeTranscripts:
         assert lines[1].endswith(" over 1 block window(s)")
         assert lines[2:] == [
             "final state root "
-            "b8cdead796bf77bb817f1215ff189e12d5579c21c1027a7b8f022c2c83c74f06",
+            "711a830f935a9e9ccf61a44ed35c69be6432d4048114f066fa0e99d97cc1d1ae",
             "per-shard loads 455 564 438 543",
         ]
 

@@ -17,6 +17,7 @@ from sschain.mpt import (
     StoreEmptyError,
     Trie,
     TrieDecodeError,
+    commit_items,
     new_node_count,
 )
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -267,5 +268,42 @@ class TestMapOracle:
         store = MemoryKvStore()
         root = build(store, mapping.items()).commit()
         reloaded = Trie(store, root)
+        for key, value in mapping.items():
+            assert reloaded.get(key) == value
+
+
+class TestCommitItems:
+    """The bottom-up build commits what inserting key by key commits."""
+
+    def test_empty(self) -> None:
+        store = MemoryKvStore()
+        assert commit_items(store, []) == EMPTY_ROOT
+        assert store.get(EMPTY_ROOT) == rlp_encode(b"")
+
+    def test_prefix_keys_put_values_in_branches(self) -> None:
+        mapping = {
+            b"\x01": b"a", b"\x01\x02": b"b", b"\x01\x02\x03": b"c" * 40, b"\x02": b"d"
+        }
+        inserted, built = MemoryKvStore(), MemoryKvStore()
+        root = build(inserted, mapping.items()).commit()
+        assert commit_items(built, mapping.items()) == root
+        assert len(built) == len(inserted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.binary(min_size=1, max_size=3),
+            st.binary(min_size=1, max_size=40),
+            max_size=40,
+        )
+    )
+    def test_matches_insert_path(self, mapping: dict[bytes, bytes]) -> None:
+        """Short keys make prefix keys, so branches carry values, and long
+        values push nodes past the inline limit."""
+        inserted, built = MemoryKvStore(), MemoryKvStore()
+        root = build(inserted, mapping.items()).commit()
+        assert commit_items(built, reversed(mapping.items())) == root
+        assert len(built) == len(inserted)
+        reloaded = Trie(built, root)
         for key, value in mapping.items():
             assert reloaded.get(key) == value

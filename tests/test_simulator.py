@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 
-from sschain.chain import tenths_from_text
+from sschain.chain import Transaction, tenths_from_text, text_from_tenths
+from sschain.merkle_dag import AccountState, Cid, version_append
+from sschain.mpt import Trie
+from sschain.shard_dht import shard_of
 from sschain.simulator import (
     INITIAL_BALANCE_TENTHS,
     MAX_TRANSFER_TENTHS,
@@ -21,6 +25,7 @@ from sschain.simulator import (
     run_scaling,
     scaling_series,
 )
+from sschain.store import MemoryKvStore
 
 
 class TestEffectiveThroughput:
@@ -200,8 +205,63 @@ class TestRunExperiment:
             num_txs=10000, num_shards=1, num_nodes=8, parallelism=1, seed=8
         )
         assert run_experiment(config).final_state_root.hex() == (
-            "d5b304153f728f122988a229de6367650f30d8d666b63538663237bbf7fe91ec"
+            "5ff5245406d16ef51bc2792589af74757c6b3ddb4632cd59402826653354b98b"
         )
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_root_matches_an_integer_replay(self, parallelism: int) -> None:
+        """Four windows on four shards, with cross-shard credits: the root is
+        that of each account's funded version plus one version per window
+        that changed it, replayed in integers and built from scratch."""
+        config = SimConfig(
+            num_txs=600, num_shards=4, txs_per_block=50, seed=3, parallelism=parallelism
+        )
+        addresses = account_addresses(config.seed, config.effective_accounts)
+        home = {address: shard_of(address, 4).index for address in addresses}
+        windows: dict[int, list[list[Transaction]]] = {i: [] for i in range(4)}
+        for tx in generate_workload(config):
+            shard = windows[home[tx.sender]]
+            if not shard or len(shard[-1]) == 50:
+                shard.append([])
+            shard[-1].append(tx)
+
+        state = {address: (0, INITIAL_BALANCE_TENTHS) for address in addresses}
+        store = MemoryKvStore()
+
+        def append(address: bytes, prev: Optional[Cid]) -> Optional[Cid]:
+            seq, tenths = state[address]
+            document = AccountState(str(seq), text_from_tenths(tenths)).to_json_bytes()
+            return version_append(store, document, prev)
+
+        versions = {address: append(address, None) for address in addresses}
+        for w in range(max(len(shard) for shard in windows.values())):
+            start = dict(state)
+            incoming: list[tuple[bytes, int]] = []
+            for i in range(4):
+                for tx in windows[i][w] if w < len(windows[i]) else []:
+                    seq, tenths = state[tx.sender]
+                    amount = tenths_from_text(tx.amount)
+                    assert tx.seq == seq and amount <= tenths
+                    state[tx.sender] = (seq + 1, tenths - amount)
+                    if home[tx.receiver] == i:
+                        r_seq, r_tenths = state[tx.receiver]
+                        state[tx.receiver] = (r_seq, r_tenths + amount)
+                    else:
+                        incoming.append((tx.receiver, amount))
+            assert incoming
+            for receiver, amount in incoming:
+                r_seq, r_tenths = state[receiver]
+                state[receiver] = (r_seq, r_tenths + amount)
+            for address in addresses:
+                if state[address] != start[address]:
+                    versions[address] = append(address, versions[address])
+
+        trie = Trie(MemoryKvStore())
+        for address, version in versions.items():
+            trie = trie.insert(address, version.digest)
+        report = run_experiment(config)
+        assert report.windows == 4
+        assert report.final_state_root == trie.commit()
 
     def test_windows_follow_block_size(self) -> None:
         report = run_experiment(
