@@ -37,7 +37,7 @@ them, and a body only for a block one of them returns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .encoding import (
@@ -107,12 +107,17 @@ def text_from_tenths(value: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """One transfer: ``amount`` moves sender -> receiver at sender seq."""
+    """One transfer: ``amount`` moves sender -> receiver at sender seq.
+
+    ``tenths`` is ``amount`` parsed once, at construction; it takes no
+    part in equality, hashing or the encoding.
+    """
 
     sender: bytes
     receiver: bytes
     amount: str
     seq: int
+    tenths: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sender) != ADDRESS_SIZE or len(self.receiver) != ADDRESS_SIZE:
@@ -121,7 +126,7 @@ class Transaction:
             raise ChainError("self-transfers are not allowed")
         if self.seq < 0:
             raise ChainError(f"negative seq {self.seq}")
-        tenths_from_text(self.amount)
+        object.__setattr__(self, "tenths", tenths_from_text(self.amount))
 
     def to_rlp_item(self) -> RlpItem:
         return [self.sender, self.receiver, self.amount.encode(), int_to_bytes(self.seq)]
@@ -185,7 +190,8 @@ class Block:
 def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
     """Trie root over index -> transaction, both RLP-encoded, committed
     into ``store`` (a throwaway one if none is given) in one bottom-up
-    build, as geth's ``DeriveSha`` does."""
+    build, as geth's ``DeriveSha`` does: each node is encoded straight to
+    bytes, once, by the trie's one node encoder."""
     items = ((_tx_key(index), rlp_encode(tx.to_rlp_item())) for index, tx in enumerate(txs))
     return commit_items(MemoryKvStore() if store is None else store, items)
 
@@ -395,7 +401,7 @@ class Chain:
             if tx.seq != sender.seq:
                 rejected.append(Rejection(tx, REASON_BAD_SEQ))
                 continue
-            amount = tenths_from_text(tx.amount)
+            amount = tx.tenths
             if sender.tenths < amount:
                 rejected.append(Rejection(tx, REASON_INSUFFICIENT))
                 continue

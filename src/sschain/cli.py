@@ -15,8 +15,9 @@ and one parser per group; a group adds its commands' parsers only when
 a command line reaches it, so one command line builds only the parsers
 it uses.
 
-Each command is one transaction, committed only if it succeeds, so a
-failed or killed command leaves the workspace as it was. Writing
+Each command is one transaction, committed only if it succeeds and its
+output has been written, so a failed or killed command, or one whose
+reader closed stdout early, leaves the workspace as it was. Writing
 commands start with ``BEGIN IMMEDIATE``, so two writers take turns;
 reading commands are query-only, so they run beside a writer, and on a
 ``--store`` that does not exist they read an empty in-memory database
@@ -24,13 +25,14 @@ and create nothing. A directory in the old file-per-entry layout is
 refused, not read.
 
 Exit codes: 0 on success, 1 on a domain error (missing key, bad root,
-rejected precondition), 2 on a usage error.
+rejected precondition) or a closed stdout, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sqlite3
 import sys
 from pathlib import Path
@@ -564,8 +566,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     ws = Workspace(args.store, write=args.write)
     try:
         code = args.func(args, ws)
+        sys.stdout.flush()
         ws.close(commit=True)
         return code
+    except BrokenPipeError:
+        # The reader closed stdout, so the output was lost: roll back, and
+        # point stdout at devnull so that the flush at exit prints nothing,
+        # as the documentation of Python's signal module advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (SSChainError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

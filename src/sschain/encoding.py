@@ -184,11 +184,20 @@ def rlp_encode(item: RlpItem) -> bytes:
         return _long_head(length, LONG_STRING_BASE) + item
     if isinstance(item, (list, tuple)):
         payload = b"".join([rlp_encode(child) for child in item])
-        length = len(payload)
-        if length <= SHORT_PAYLOAD_MAX:
-            return _SHORT_LIST_HEADS[length] + payload
-        return _long_head(length, LONG_LIST_BASE) + payload
+        return rlp_list_head(len(payload)) + payload
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
+
+
+def rlp_list_head(length: int) -> bytes:
+    """Prefix of an RLP list whose items' encodings total ``length`` bytes.
+
+    A list's encoding is this prefix followed by its items' encodings, so
+    a caller that already holds those bytes frames them without
+    re-encoding the items.
+    """
+    if length <= SHORT_PAYLOAD_MAX:
+        return _SHORT_LIST_HEADS[length]
+    return _long_head(length, LONG_LIST_BASE)
 
 
 def rlp_decode(data: bytes) -> RlpItem:

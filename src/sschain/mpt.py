@@ -12,7 +12,13 @@ time (``hex_encode``). Three node kinds make up the tree:
 A node serializes as the RLP list of its fields, with child references
 embedded inline when their encoding is shorter than 32 bytes and as a
 32-byte digest otherwise; a node's digest is ``hash256`` of its RLP.
-The root node is always stored and referenced by digest.
+The root node is always stored and referenced by digest. One encoder
+writes those bytes for every commit: ``_encode_leaf``,
+``_encode_extension`` and ``_encode_branch`` take each child as the
+reference bytes its parent embeds (the empty string's RLP for no child,
+the child's own encoding if inline, the digest's RLP otherwise) and frame
+them with ``rlp_list_head``, so a child is encoded once, bottom-up, and
+never re-serialized inside its parent.
 
 Updates never modify existing nodes: ``insert`` returns a new handle that
 shares every untouched subtree with its parent, so any number of
@@ -20,12 +26,13 @@ historical handles stay readable, and committing after a single-key
 update writes only the nodes along that key's path. ``commit`` collapses
 freshly stored subtrees into digest references inside the handle, so a
 later commit re-serializes only what changed since. A trie whose keys
-are all known at once is better built by ``commit_items``, which makes
-each node once from the sorted keys and commits the same nodes.
+are all known at once is better built by ``commit_items``, which encodes
+each node once, straight from the sorted keys, and writes the same bytes
+without making node objects.
 
 The committed root digest is a pure function of the key-value content:
 insertion order never affects it. The empty trie commits to the fixed
-sentinel ``hash256(rlp_encode(b""))``.
+sentinel ``hash256(rlp_encode(b""))``, the digest of ``_EMPTY_NODE``.
 
 There is no delete; replacing a key's value is the only update.
 """
@@ -47,6 +54,7 @@ from .encoding import (
     hp_encode,
     rlp_decode,
     rlp_encode,
+    rlp_list_head,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
 from .store import KvStore
@@ -104,7 +112,13 @@ class HashRef:
 Node = Union[Leaf, Extension, Branch]
 Ref = Union[Node, HashRef, None]
 
-EMPTY_ROOT: Digest = hash256(rlp_encode(b""))
+_EMPTY_NODE = rlp_encode(b"")
+"""Encoding of the empty trie, and the reference to an absent child."""
+
+_DIGEST_HEAD = rlp_encode(bytes(DIGEST_SIZE))[:1]
+"""RLP prefix of a 32-byte digest embedded as a child reference."""
+
+EMPTY_ROOT: Digest = hash256(_EMPTY_NODE)
 """Root digest of the empty trie."""
 
 
@@ -175,10 +189,10 @@ class Trie:
         if self._committed is not None:
             return self._committed
         if self._root is None:
-            self.store.put(rlp_encode(b""))
+            self.store.put(_EMPTY_NODE)
             self._committed = EMPTY_ROOT
             return EMPTY_ROOT
-        _, collapsed, encoded = _commit_node(self._root, self.store)
+        collapsed, encoded = _commit_node(self._root, self.store)
         root_digest = self.store.put(encoded)
         self._root = collapsed
         self._committed = root_digest
@@ -297,7 +311,7 @@ def _reachable(root: Digest, store: KvStore) -> set[Digest]:
             raise CorruptError(f"dangling trie reference {digest.hex()}") from None
         first = False
         seen.add(digest)
-        if raw == rlp_encode(b""):
+        if raw == _EMPTY_NODE:
             continue
         node = _decode_node(_parse_rlp(raw))
         stack.extend(_digest_refs(node))
@@ -324,82 +338,108 @@ def _common_prefix(a: Nibbles, b: Nibbles) -> Nibbles:
     return a[:n]
 
 
-def _commit_node(node: Node, store: KvStore) -> tuple[RlpItem, Node, bytes]:
-    """Serialize ``node`` bottom-up.
+def _commit_node(node: Node, store: KvStore) -> tuple[Node, bytes]:
+    """Serialize ``node`` bottom-up; return (collapsed node, encoded bytes).
 
-    Returns (reference representation for the parent, collapsed node,
-    encoded bytes). Children whose encoding reaches 32 bytes are written
-    to the store and collapse to a ``HashRef``; smaller ones embed inline.
+    Children whose encoding reaches 32 bytes are written to the store and
+    collapse to a ``HashRef``; smaller ones embed inline.
     """
     if isinstance(node, Leaf):
-        struct: RlpItem = [hp_encode(node.path, True), node.value]
-        collapsed: Node = node
-    elif isinstance(node, Extension):
-        child_repr, child_collapsed = _commit_ref(node.child, store)
-        struct = [hp_encode(node.prefix, False), child_repr]
-        collapsed = Extension(node.prefix, child_collapsed)
-    else:
-        reprs: list[RlpItem] = []
-        collapsed_children: list[Ref] = []
-        for child in node.children:
-            child_repr, child_collapsed = _commit_ref(child, store)
-            reprs.append(child_repr)
-            collapsed_children.append(child_collapsed)
-        struct = reprs + [node.value if node.value is not None else b""]
-        collapsed = Branch(tuple(collapsed_children), node.value)
-    return struct, collapsed, rlp_encode(struct)
+        return node, _encode_leaf(node.path, node.value)
+    if isinstance(node, Extension):
+        child_ref, child_collapsed = _commit_ref(node.child, store)
+        collapsed: Node = Extension(node.prefix, child_collapsed)
+        return collapsed, _encode_extension(node.prefix, child_ref)
+    refs: list[bytes] = []
+    collapsed_children: list[Ref] = []
+    for child in node.children:
+        child_ref, child_collapsed = _commit_ref(child, store)
+        refs.append(child_ref)
+        collapsed_children.append(child_collapsed)
+    return Branch(tuple(collapsed_children), node.value), _encode_branch(refs, node.value)
+
+
+def _commit_ref(ref: Ref, store: KvStore) -> tuple[bytes, Ref]:
+    """Commit a child; return (its reference bytes, collapsed reference)."""
+    if ref is None:
+        return _EMPTY_NODE, None
+    if isinstance(ref, HashRef):
+        return _DIGEST_HEAD + ref.digest, ref
+    collapsed, encoded = _commit_node(ref, store)
+    if len(encoded) < DIGEST_SIZE:
+        return encoded, collapsed
+    digest = store.put(encoded)
+    return _DIGEST_HEAD + digest, HashRef(digest)
 
 
 def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest:
     """Commit the trie holding ``key -> value`` for each pair; return its root.
 
     Keys must be distinct and non-empty, values non-empty. The trie is
-    built bottom-up from the sorted keys, each node once, as geth's
-    ``StackTrie`` does, instead of path-copied per key; the root and the
-    store entries written are those of inserting every pair into an empty
-    :class:`Trie` and committing it, the empty node included.
+    encoded bottom-up from the sorted keys, each node once and straight
+    to bytes by the encoder ``Trie.commit`` uses, as geth's ``StackTrie``
+    does, instead of path-copied per key; no node objects are made. The
+    root and the store entries written are those of inserting every pair
+    into an empty :class:`Trie` and committing it, the empty node
+    included.
     """
     paths = sorted((hex_encode(key), value) for key, value in items)
     if not paths:
-        return Trie(store).commit()
-    _, _, encoded = _commit_node(_build_sorted(paths, 0), store)
-    return store.put(encoded)
+        return store.put(_EMPTY_NODE)
+    return store.put(_build_sorted(paths, 0, len(paths), 0, store))
 
 
-def _build_sorted(paths: list[tuple[Nibbles, bytes]], depth: int) -> Node:
-    """The node holding ``paths``, sorted, which share their first
-    ``depth`` nibbles: a leaf for one path, otherwise a branch, behind an
-    extension over whatever more the first and last paths share."""
-    if len(paths) == 1:
-        path, value = paths[0]
-        return Leaf(path[depth:], value)
-    first, last = paths[0][0], paths[-1][0]
+def _build_sorted(
+    paths: list[tuple[Nibbles, bytes]], lo: int, hi: int, depth: int, store: KvStore
+) -> bytes:
+    """Encoding of the node holding ``paths[lo:hi]``, sorted, which share
+    their first ``depth`` nibbles: a leaf for one path, otherwise a
+    branch, behind an extension over whatever more the first and last
+    paths share. Children that reach 32 bytes are written to ``store``."""
+    if hi - lo == 1:
+        path, value = paths[lo]
+        return _encode_leaf(path[depth:], value)
+    first, last = paths[lo][0], paths[hi - 1][0]
     end = depth + len(_common_prefix(first[depth:], last[depth:]))
     value: Optional[bytes] = None
-    start = 0
+    start = lo
     if len(first) == end:
-        value, start = paths[0][1], 1
-    children: list[Ref] = [None] * 16
-    while start < len(paths):
+        value, start = paths[lo][1], lo + 1
+    refs = [_EMPTY_NODE] * 16
+    while start < hi:
         nibble, stop = paths[start][0][end], start + 1
-        while stop < len(paths) and paths[stop][0][end] == nibble:
+        while stop < hi and paths[stop][0][end] == nibble:
             stop += 1
-        children[nibble] = _build_sorted(paths[start:stop], end + 1)
+        refs[nibble] = _reference(_build_sorted(paths, start, stop, end + 1, store), store)
         start = stop
-    branch = Branch(tuple(children), value)
-    return Extension(first[depth:end], branch) if end > depth else branch
+    branch = _encode_branch(refs, value)
+    if end > depth:
+        return _encode_extension(first[depth:end], _reference(branch, store))
+    return branch
 
 
-def _commit_ref(ref: Ref, store: KvStore) -> tuple[RlpItem, Ref]:
-    if ref is None:
-        return b"", None
-    if isinstance(ref, HashRef):
-        return ref.digest, ref
-    struct, collapsed, encoded = _commit_node(ref, store)
+def _reference(encoded: bytes, store: KvStore) -> bytes:
+    """The bytes a parent embeds for a child node encoded as ``encoded``:
+    the encoding itself if shorter than a digest, else the RLP of the
+    digest it is stored under."""
     if len(encoded) < DIGEST_SIZE:
-        return struct, collapsed
-    digest = store.put(encoded)
-    return digest, HashRef(digest)
+        return encoded
+    return _DIGEST_HEAD + store.put(encoded)
+
+
+def _encode_leaf(path: Nibbles, value: bytes) -> bytes:
+    payload = rlp_encode(hp_encode(path, True)) + rlp_encode(value)
+    return rlp_list_head(len(payload)) + payload
+
+
+def _encode_extension(prefix: Nibbles, child_ref: bytes) -> bytes:
+    payload = rlp_encode(hp_encode(prefix, False)) + child_ref
+    return rlp_list_head(len(payload)) + payload
+
+
+def _encode_branch(child_refs: list[bytes], value: Optional[bytes]) -> bytes:
+    payload = b"".join(child_refs) + (_EMPTY_NODE if value is None else rlp_encode(value))
+    return rlp_list_head(len(payload)) + payload
 
 
 def _parse_rlp(raw: bytes) -> RlpItem:

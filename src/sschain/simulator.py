@@ -32,7 +32,6 @@ from .chain import (
     Chain,
     Transaction,
     default_producer,
-    tenths_from_text,
     text_from_tenths,
 )
 from .encoding import Digest, hash256
@@ -277,7 +276,7 @@ def run_experiment(config: SimConfig) -> SimReport:
                     continue
                 while len(credits[target]) <= w:
                     credits[target].append([])
-                credits[target][w].append((tx.receiver, tenths_from_text(tx.amount)))
+                credits[target][w].append((tx.receiver, tx.tenths))
 
     local_accounts: dict[int, list[tuple[bytes, str]]] = {
         i: [] for i in range(num_shards)

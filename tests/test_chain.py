@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from typing import Optional
 
@@ -119,7 +120,33 @@ class TestAmountText:
 class TestTransaction:
     def test_rlp_round_trip(self) -> None:
         tx = Transaction(addr(1), addr(2), "4.2", 7)
-        assert Transaction.from_rlp_item(tx.to_rlp_item()) == tx
+        decoded = Transaction.from_rlp_item(tx.to_rlp_item())
+        assert decoded == tx
+        assert decoded.tenths == 42
+
+    def test_amount_parsed_once_into_tenths(self) -> None:
+        tx = Transaction(addr(1), addr(2), "13", 0)
+        assert tx.tenths == 130
+        assert "tenths" not in repr(tx)
+        with pytest.raises(AttributeError):
+            tx.tenths = 1  # type: ignore[misc]
+
+    def test_equality_and_hash_ignore_tenths(self) -> None:
+        """``"13"`` and ``"13.0"`` parse to the same tenths but are
+        different transactions; equal transactions hash alike."""
+        whole, decimal = (Transaction(addr(1), addr(2), text, 0) for text in ("13", "13.0"))
+        assert whole.tenths == decimal.tenths
+        assert whole != decimal
+        twin = Transaction(addr(1), addr(2), "13", 0)
+        object.__setattr__(twin, "tenths", 0)
+        assert twin == whole and hash(twin) == hash(whole)
+
+    def test_pickle_keeps_tenths(self) -> None:
+        """The process pool ships transactions to its workers by pickle."""
+        tx = Transaction(addr(1), addr(2), "4.2", 7)
+        copy = pickle.loads(pickle.dumps(tx))
+        assert copy == tx and hash(copy) == hash(tx)
+        assert copy.tenths == 42
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -9,6 +9,8 @@ import json
 import os
 import signal
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -709,6 +711,45 @@ class TestSim:
     def test_invalid_shard_count(self, store, capsys) -> None:
         code = main(["--store", store, "sim", "run", "--txs", "10", "--shards", "3"])
         assert code == 1
+
+
+class TestClosedStdout:
+    """A command whose reader has gone exits 1, rolled back, and prints no
+    traceback, whether the lost write fails at ``print`` (unbuffered) or
+    at the final flush (buffered)."""
+
+    @staticmethod
+    def _run(argv: list[str], unbuffered: str) -> subprocess.CompletedProcess:
+        """Run the CLI in a new interpreter whose stdout is a pipe with its
+        read end already closed."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "sschain.cli", *argv],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_fd)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_sim_run(self, store, unbuffered: str) -> None:
+        argv = ["--store", store, "sim", "run", "--txs", "2000", "--shards", "4",
+                "--nodes", "16", "--accounts", "50", "--seed", "7"]
+        done = self._run(argv, unbuffered)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_writing_command_is_rolled_back(self, store, capsys, unbuffered: str) -> None:
+        done = self._run(["--store", store, "chain", "init", "--fund", f"{ADDR_A}=5.0"], unbuffered)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert main(["--store", store, "chain", "query", ADDR_A]) == 1
+        assert main(["--store", store, "chain", "init", "--fund", f"{ADDR_A}=5.0"]) == 0
+        assert lines_of(capsys)[-1].startswith("head 0 root ")
 
 
 class TestUsageErrors:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sschain.encoding import hash256, rlp_encode
+from sschain.encoding import hash256, hex_encode, hp_encode, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError
 from sschain.mpt import (
     EMPTY_ROOT,
@@ -307,3 +308,134 @@ class TestCommitItems:
         reloaded = Trie(built, root)
         for key, value in mapping.items():
             assert reloaded.get(key) == value
+
+
+class EntryLog(MemoryKvStore):
+    """A memory store that also keeps each content entry put into it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries: dict[bytes, bytes] = {}
+
+    def put(self, value: bytes) -> bytes:
+        key = super().put(value)
+        self.entries[key] = value
+        return key
+
+
+def reference_entries(mapping: dict[bytes, bytes]) -> tuple[bytes, dict[bytes, bytes]]:
+    """Root and store entries of the trie holding ``mapping``, built apart
+    from ``mpt``: each node as the RLP structure of its fields, a child
+    embedded as its structure when that encodes to under 32 bytes and as
+    its digest otherwise, each node serialized whole by ``rlp_encode``."""
+    entries: dict[bytes, bytes] = {}
+
+    def ref(struct: list) -> object:
+        encoded = rlp_encode(struct)
+        if len(encoded) < 32:
+            return struct
+        entries[hash256(encoded)] = encoded
+        return hash256(encoded)
+
+    def branch(items: list[tuple[bytes, bytes]]) -> list:
+        slots: list = [b""] * 17
+        groups: dict[int, list[tuple[bytes, bytes]]] = {}
+        for path, value in items:
+            if path:
+                groups.setdefault(path[0], []).append((path[1:], value))
+            else:
+                slots[16] = value
+        for nibble, group in groups.items():
+            slots[nibble] = ref(node(group))
+        return slots
+
+    def node(items: list[tuple[bytes, bytes]]) -> list:
+        if len(items) == 1:
+            path, value = items[0]
+            return [hp_encode(path, True), value]
+        shared = os.path.commonprefix([path for path, _ in items])
+        if not shared:
+            return branch(items)
+        rest = [(path[len(shared) :], value) for path, value in items]
+        return [hp_encode(shared, False), ref(branch(rest))]
+
+    items = [(hex_encode(key), value) for key, value in mapping.items()]
+    encoded = rlp_encode(node(items)) if items else rlp_encode(b"")
+    entries[hash256(encoded)] = encoded
+    return hash256(encoded), entries
+
+
+def node_forms(entries: dict[bytes, bytes]) -> set[str]:
+    """Which encodings the stored nodes use, read back by ``rlp_decode``."""
+    forms = set()
+    for raw in entries.values():
+        if raw[0] >= 0xF8:
+            forms.add("long list")
+        struct = rlp_decode(raw)
+        if not isinstance(struct, list):
+            continue
+        if any(isinstance(item, list) for item in struct):
+            forms.add("inline child")
+        if len(struct) == 17 and struct[16]:
+            forms.add("branch value")
+        if len(struct) == 2 and struct[0][0] & 0x20 and len(struct[1]) > 55:  # a leaf
+            forms.add("long value")
+    return forms
+
+
+class TestNodeBytes:
+    """Both commit paths write exactly the entries of a reference that
+    encodes nodes as RLP structures, apart from the shared node encoder."""
+
+    FORMS = {
+        b"\x01": b"a",
+        b"\x01\x02": b"b" * 60,
+        b"\x01\x03": b"c",
+        b"\x02": b"d",
+        b"\x03": b"e" * 40,
+    }
+
+    def test_fixed_mapping_covers_every_form(self) -> None:
+        root, entries = reference_entries(self.FORMS)
+        assert node_forms(entries) == {
+            "long list", "inline child", "branch value", "long value"
+        }
+        built, inserted = EntryLog(), EntryLog()
+        assert commit_items(built, self.FORMS.items()) == root
+        assert build(inserted, self.FORMS.items()).commit() == root
+        assert built.entries == inserted.entries == entries
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.binary(min_size=1, max_size=3), st.binary(min_size=1, max_size=70),
+            max_size=30,
+        ),
+        st.dictionaries(
+            st.binary(min_size=1, max_size=3), st.binary(min_size=1, max_size=70),
+            max_size=12,
+        ),
+    )
+    def test_both_paths_match_the_reference(
+        self, first: dict[bytes, bytes], more: dict[bytes, bytes]
+    ) -> None:
+        """Short keys make prefix keys and inline children; values past 55
+        bytes take the long string form. ``Trie.commit`` is checked across
+        a commit, more inserts over the collapsed handle, and a second
+        commit."""
+        merged = {**first, **more}
+        first_root, first_entries = reference_entries(first)
+        merged_root, merged_entries = reference_entries(merged)
+
+        built = EntryLog()
+        assert commit_items(built, merged.items()) == merged_root
+        assert built.entries == merged_entries
+
+        store = EntryLog()
+        trie = build(store, first.items())
+        assert trie.commit() == first_root
+        assert store.entries == first_entries
+        for key, value in more.items():
+            trie = trie.insert(key, value)
+        assert trie.commit() == merged_root
+        assert store.entries == {**first_entries, **merged_entries}
