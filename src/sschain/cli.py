@@ -88,13 +88,19 @@ def _tx_arg(text: str) -> tuple[bytes, bytes, str, int]:
 
 
 def _fund_arg(text: str) -> tuple[bytes, str]:
+    """An (address, amount text) pair a block can later spend: the address
+    is an account address and the amount a decimal in tenths, kept as given."""
     address, sep, amount = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("funding must be <address-hex>=<amount>")
     try:
-        return bytes.fromhex(address), amount
+        raw = bytes.fromhex(address)
+        chainmod.tenths_from_text(amount)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(raw) != chainmod.ADDRESS_SIZE:
+        raise argparse.ArgumentTypeError(f"expected a {chainmod.ADDRESS_SIZE}-byte address")
+    return raw, amount
 
 
 class Workspace:

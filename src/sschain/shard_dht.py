@@ -221,6 +221,16 @@ class Shard:
         owner = _ring_owner(list(self.members.values()))
         return {key: owner(int.from_bytes(key, "big")).node_id for key in keys}
 
+    def add_member(self, node: NodeIdentity) -> None:
+        """Insert ``node``.
+
+        Raises:
+            DuplicateNodeError: its id is already a member.
+        """
+        if node.node_id in self.members:
+            raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
+        self.members[node.node_id] = node
+
 
 StoreFactory = Callable[[ShardId], KvStore]
 
@@ -258,10 +268,10 @@ class ShardTable:
         return [n for shard in self.shards.values() for n in shard.members.values()]
 
     def find_node(self, node_id: Digest) -> Optional[NodeIdentity]:
-        for shard in self.shards.values():
-            if node_id in shard.members:
-                return shard.members[node_id]
-        return None
+        """The member with ``node_id``, looked up in the one shard its
+        ring position names, where every member sits."""
+        shard = self.shards[shard_of_position(ring_position(node_id), self.num_shards)]
+        return shard.members.get(node_id)
 
     def shard_for(self, address: bytes) -> Shard:
         return self.shards[shard_of(address, self.num_shards)]
@@ -278,11 +288,9 @@ class ShardTable:
             raise ShardError(
                 f"node labeled for shard {node.shard} but belongs to {expected}"
             )
-        if self.find_node(node.node_id) is not None:
-            raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
         shard = self.shards[expected]
         before = shard.assignments() if shard.members else {}
-        shard.members[node.node_id] = node
+        shard.add_member(node)
         return _diff_assignments(before, shard.assignments() if before else {})
 
     def node_leave(self, node_id: Digest) -> RemapReport:
@@ -395,10 +403,13 @@ def table_from_config(
 ) -> ShardTable:
     """Parse :func:`table_to_config` output and rebuild the membership.
 
+    Members are loaded as data, each straight into its shard: rebuilding
+    a membership moves no key, so no move report is worked out.
+
     Raises:
         ShardError: malformed line, a shard count that is not a decimal
             integer, a node id that is not a hex digest, a role flag that is
-            not ``0`` or ``1``, or no shard count.
+            not ``0`` or ``1``, no shard count, or a node id given twice.
     """
     num_shards: Optional[int] = None
     nodes: list[tuple[Digest, bool, bool]] = []
@@ -419,7 +430,8 @@ def table_from_config(
         raise ShardError("table config missing the shards line")
     table = ShardTable(num_shards, store_factory, trie_store)
     for node_id, book, authority in nodes:
-        table.node_join(NodeIdentity.derive(node_id, num_shards, book, authority))
+        node = NodeIdentity.derive(node_id, num_shards, book, authority)
+        table.shards[node.shard].add_member(node)
     return table
 
 

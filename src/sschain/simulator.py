@@ -1,13 +1,16 @@
 """Desk-scale throughput experiments over the sharded chain.
 
-A run builds a deterministic transfer workload from a seed, splits it by
-sender shard, and lets every shard process its own stream as a little
-chain of its own, optionally on a process pool. Transfers whose receiver
-lives in another shard debit locally and hand the credit to the owning
-shard, which folds it into the same window's block. When all shards
-finish, their final account versions merge into one fresh trie whose
-root is the run's final state root; it depends only on (seed, config),
-never on worker scheduling.
+A run builds a deterministic transfer workload from a seed and
+partitions it in one walk over the stream. The k-th transfer of sender
+shard i lands in window k // txs_per_block of shard i; if its receiver
+lives in another shard, the (receiver, tenths) credit lands in that
+shard's window with the same index, and the owner folds it into that
+window's block. A shard job is plain data: (shard index, its addresses,
+one (transfers, credits in) pair per window of the run), and every job
+runs all the run's windows as a little chain of its own, optionally on a
+process pool. When all shards finish, their final account versions merge
+into one fresh trie whose root is the run's final state root; it depends
+only on (seed, config), never on worker scheduling.
 
 Workload generation keeps a pessimistic balance per account (credits are
 ignored, debits are not), so every emitted transfer is valid no matter
@@ -26,7 +29,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .chain import (
     Chain,
@@ -34,7 +36,7 @@ from .chain import (
     default_producer,
     text_from_tenths,
 )
-from .encoding import Digest, hash256
+from .encoding import hash256
 from .errors import SSChainError
 from .merkle_dag import AccountState
 from .mpt import commit_items
@@ -109,7 +111,6 @@ class SimReport:
     per_shard_loads: list[int]
     final_state_root: bytes
     windows: int
-    seed: int
     scaling_series: list[tuple[int, float]] = field(default_factory=list)
 
     def json_lines(self) -> list[str]:
@@ -204,45 +205,40 @@ def generate_workload(config: SimConfig) -> list[Transaction]:
     return txs
 
 
-def _chunk(stream: list[Transaction], size: int) -> list[list[Transaction]]:
-    return [stream[i : i + size] for i in range(0, len(stream), size)] or []
-
-
-ShardJob = tuple[
-    int,  # shard index
-    list[tuple[bytes, str]],  # local accounts with initial balances
-    list[list[Transaction]],  # windows of local transactions
-    list[list[tuple[bytes, int]]],  # per-window incoming credits
-]
+Window = tuple[list[Transaction], list[tuple[bytes, int]]]  # (transfers, credits in)
+ShardJob = tuple[int, list[bytes], list[Window]]  # (shard index, its addresses, windows)
 
 
 def _run_shard_job(job: ShardJob) -> tuple[int, int, dict[bytes, bytes]]:
-    """Process one shard's stream in isolation.
+    """Process one shard's job in isolation: fund each of its addresses at
+    :data:`INITIAL_BALANCE_TENTHS`, then apply one block per window.
 
+    Every job holds the run's window count, so a window past the shard's
+    own transfers is a block of only the credits it receives, or an empty
+    one, which changes no account.
     Returns (shard index, processed count, address -> final version digest).
     Runs in a worker process, so it rebuilds its own in-memory table (one
     shard: it writes only local accounts, and a receiver is local iff it is
     one of them); the version digests it reports are pure content hashes,
     identical wherever they are computed.
     """
-    shard_index, accounts, windows, credits = job
+    shard_index, addresses, windows = job
     table = ShardTable(1)
     producer = default_producer(1)
-    for address, balance in accounts:
-        table.shard_update(producer, address, AccountState("0", balance))
+    funded = AccountState("0", text_from_tenths(INITIAL_BALANCE_TENTHS))
+    for address in addresses:
+        table.shard_update(producer, address, funded)
     chain = Chain(table, producer)
-    is_local = {address for address, _ in accounts}.__contains__
+    is_local = set(addresses).__contains__
     processed = 0
-    for window in range(max(len(windows), len(credits))):
-        txs = windows[window] if window < len(windows) else []
-        window_credits = credits[window] if window < len(credits) else []
-        block = chain.apply_block(txs, credits=window_credits, is_local=is_local)
+    for txs, credits in windows:
+        block = chain.apply_block(txs, credits=credits, is_local=is_local)
         if chain.last_rejected:
             raise SimError(
                 f"shard {shard_index} rejected {len(chain.last_rejected)} txs"
             )
         processed += len(block.txs)
-    final = {address: table.trie.get(address) for address, _balance in accounts}
+    final = {address: table.trie.get(address) for address in addresses}
     return shard_index, processed, final
 
 
@@ -256,39 +252,30 @@ def run_experiment(config: SimConfig) -> SimReport:
     txs = generate_workload(config)
     addresses = account_addresses(config.seed, config.effective_accounts)
     num_shards = config.num_shards
+    size = config.effective_txs_per_block
     home = {address: shard_of(address, num_shards).index for address in addresses}
 
-    streams: dict[int, list[Transaction]] = {i: [] for i in range(num_shards)}
-    for tx in txs:
-        streams[home[tx.sender]].append(tx)
-    windows = {
-        i: _chunk(stream, config.effective_txs_per_block)
-        for i, stream in streams.items()
-    }
-    credits: dict[int, list[list[tuple[bytes, int]]]] = {
-        i: [] for i in range(num_shards)
-    }
-    for i, shard_windows in windows.items():
-        for w, window_txs in enumerate(shard_windows):
-            for tx in window_txs:
-                target = home[tx.receiver]
-                if target == i:
-                    continue
-                while len(credits[target]) <= w:
-                    credits[target].append([])
-                credits[target][w].append((tx.receiver, tx.tenths))
-
-    local_accounts: dict[int, list[tuple[bytes, str]]] = {
-        i: [] for i in range(num_shards)
-    }
-    initial = text_from_tenths(INITIAL_BALANCE_TENTHS)
+    accounts: list[list[bytes]] = [[] for _ in range(num_shards)]
     for address in addresses:
-        local_accounts[home[address]].append((address, initial))
-
+        accounts[home[address]].append(address)
+    sent = [0] * num_shards
+    for tx in txs:
+        sent[home[tx.sender]] += 1
+    total_windows = -(-max(sent) // size)
+    windows: list[list[Window]] = [
+        [([], []) for _ in range(total_windows)] for _ in range(num_shards)
+    ]
+    placed = [0] * num_shards
+    for tx in txs:
+        i = home[tx.sender]
+        w = placed[i] // size
+        placed[i] += 1
+        windows[i][w][0].append(tx)
+        target = home[tx.receiver]
+        if target != i:
+            windows[target][w][1].append((tx.receiver, tx.tenths))
     jobs: list[ShardJob] = [
-        (i, local_accounts[i], windows[i], credits[i])
-        for i in range(num_shards)
-        if local_accounts[i] or windows[i] or credits[i]
+        (i, accounts[i], windows[i]) for i in range(num_shards) if accounts[i]
     ]
 
     started = time.perf_counter()
@@ -302,12 +289,9 @@ def run_experiment(config: SimConfig) -> SimReport:
 
     merged: dict[bytes, bytes] = {}
     loads = [0] * num_shards
-    total_windows = 0
     for shard_index, processed, final in results:
         loads[shard_index] = processed
         merged.update(final)
-    for i in range(num_shards):
-        total_windows = max(total_windows, len(windows[i]), len(credits[i]))
     final_root = commit_items(MemoryKvStore(), merged.items())
 
     processed_total = sum(loads)
@@ -320,17 +304,13 @@ def run_experiment(config: SimConfig) -> SimReport:
         per_shard_loads=loads,
         final_state_root=final_root,
         windows=total_windows,
-        seed=config.seed,
     )
 
 
-def scaling_series(
-    config: SimConfig, shard_counts: list[int], parallelism: Optional[int] = None
-) -> list[tuple[int, float]]:
+def scaling_series(config: SimConfig, shard_counts: list[int]) -> list[tuple[int, float]]:
     """Throughput at each shard count, same total work, same seed.
 
-    Worker count follows the shard count up to the machine's cores
-    unless ``parallelism`` pins it.
+    Worker count follows the shard count up to the machine's cores.
     """
     cores = os.cpu_count() or 1
     series = []
@@ -339,7 +319,7 @@ def scaling_series(
             config,
             num_shards=count,
             num_nodes=max(config.num_nodes, count),
-            parallelism=parallelism or min(count, cores),
+            parallelism=min(count, cores),
         )
         report = run_experiment(run_config)
         series.append((count, report.tx_per_second_effective))

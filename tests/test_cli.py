@@ -768,6 +768,18 @@ class TestUsageErrors:
             main(["--store", store, "chain", "apply", "--tx", "only:three:parts"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "fund",
+        [f"{ADDR_A}=1.25", f"{ADDR_A}=-3", f"{ADDR_A}=", "abcd=5.0", f"{ADDR_A}00=5.0"],
+        ids=["two-decimals", "negative", "no-amount", "short-address", "long-address"],
+    )
+    def test_bad_fund_argument(self, store, fund: str) -> None:
+        """A funding no block could spend is refused before a workspace exists."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", store, "chain", "init", "--fund", fund])
+        assert excinfo.value.code == 2
+        assert not Path(store).exists()
+
     def test_missing_subcommand(self) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main([])

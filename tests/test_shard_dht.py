@@ -507,6 +507,23 @@ class TestConfig:
         again = restored.find_node(node.node_id)
         assert again is not None and again.book and again.authority
 
+    def test_load_works_out_no_assignments(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """Loading a membership inserts each member into its shard; no key
+        is assigned, as nothing moves."""
+        table = ShardTable(2)
+        for node in make_nodes(8, 2):
+            table.node_join(node)
+        calls: list[Shard] = []
+        assignments = Shard.assignments
+        monkeypatch.setattr(
+            Shard, "assignments", lambda shard: calls.append(shard) or assignments(shard)
+        )
+        restored = table_from_config(table_to_config(table))
+        assert calls == []
+        assert sorted(restored.members(), key=lambda n: n.node_id) == sorted(
+            table.members(), key=lambda n: n.node_id
+        )
+
     def test_malformed_line_rejected(self) -> None:
         with pytest.raises(ShardError):
             table_from_config("shards 2\nbogus line here\n")
@@ -524,6 +541,7 @@ class TestConfig:
             "shards 4\nnode " + "00" * 32 + " 2 x\n",
             "shards 4\nnode " + "00" * 32 + " 2 1\n",
             "shards 4\nnode " + "00" * 32 + " 1 true\n",
+            "shards 4\nnode " + "00" * 32 + " 1 1\nnode " + "00" * 32 + " 0 0\n",
         ],
         ids=[
             "word",
@@ -534,6 +552,7 @@ class TestConfig:
             "flags",
             "book-flag",
             "authority-flag",
+            "duplicate-node",
         ],
     )
     def test_malformed_value_rejected(self, config: str) -> None:

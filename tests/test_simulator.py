@@ -209,19 +209,32 @@ class TestRunExperiment:
         )
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_root_matches_an_integer_replay(self, parallelism: int) -> None:
-        """Four windows on four shards, with cross-shard credits: the root is
-        that of each account's funded version plus one version per window
-        that changed it, replayed in integers and built from scratch."""
+    @pytest.mark.parametrize(
+        "num_txs,num_shards,size,expected_windows",
+        [(600, 4, 50, 4), (3000, 16, 70, 5)],
+        ids=["4-shards-50-per-block", "16-shards-70-per-block"],
+    )
+    def test_root_matches_an_integer_replay(
+        self, num_txs: int, num_shards: int, size: int, expected_windows: int, parallelism: int
+    ) -> None:
+        """Several windows on several shards, with cross-shard credits, some
+        of them to a shard after its own last window: the root is that of
+        each account's funded version plus one version per window that
+        changed it, replayed in integers and built from scratch."""
         config = SimConfig(
-            num_txs=600, num_shards=4, txs_per_block=50, seed=3, parallelism=parallelism
+            num_txs=num_txs,
+            num_shards=num_shards,
+            num_nodes=64,
+            txs_per_block=size,
+            seed=3,
+            parallelism=parallelism,
         )
         addresses = account_addresses(config.seed, config.effective_accounts)
-        home = {address: shard_of(address, 4).index for address in addresses}
-        windows: dict[int, list[list[Transaction]]] = {i: [] for i in range(4)}
+        home = {address: shard_of(address, num_shards).index for address in addresses}
+        windows: dict[int, list[list[Transaction]]] = {i: [] for i in range(num_shards)}
         for tx in generate_workload(config):
             shard = windows[home[tx.sender]]
-            if not shard or len(shard[-1]) == 50:
+            if not shard or len(shard[-1]) == size:
                 shard.append([])
             shard[-1].append(tx)
 
@@ -234,10 +247,11 @@ class TestRunExperiment:
             return version_append(store, document, prev)
 
         versions = {address: append(address, None) for address in addresses}
+        late: set[tuple[int, int]] = set()  # (shard, window) credited after its own windows
         for w in range(max(len(shard) for shard in windows.values())):
             start = dict(state)
             incoming: list[tuple[bytes, int]] = []
-            for i in range(4):
+            for i in range(num_shards):
                 for tx in windows[i][w] if w < len(windows[i]) else []:
                     seq, tenths = state[tx.sender]
                     amount = tenths_from_text(tx.amount)
@@ -252,15 +266,18 @@ class TestRunExperiment:
             for receiver, amount in incoming:
                 r_seq, r_tenths = state[receiver]
                 state[receiver] = (r_seq, r_tenths + amount)
+                if w >= len(windows[home[receiver]]):
+                    late.add((home[receiver], w))
             for address in addresses:
                 if state[address] != start[address]:
                     versions[address] = append(address, versions[address])
+        assert late
 
         trie = Trie(MemoryKvStore())
         for address, version in versions.items():
             trie = trie.insert(address, version.digest)
         report = run_experiment(config)
-        assert report.windows == 4
+        assert report.windows == expected_windows
         assert report.final_state_root == trie.commit()
 
     def test_windows_follow_block_size(self) -> None:
@@ -298,7 +315,7 @@ class TestScaling:
     CONFIG = SimConfig(num_txs=300, num_shards=1, num_nodes=8, seed=3)
 
     def test_series_shape(self) -> None:
-        series = scaling_series(self.CONFIG, [1, 2, 4], parallelism=1)
+        series = scaling_series(self.CONFIG, [1, 2, 4])
         assert [shards for shards, _ in series] == [1, 2, 4]
         assert all(tps > 0 for _, tps in series)
 
