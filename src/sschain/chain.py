@@ -15,18 +15,22 @@ written through the shard table once, after the body and the credits,
 its one new version chained to the version the block started from. This
 is the once-per-block state commit of Ethereum (Yellow Paper section 4).
 A transaction that fails its checks is skipped whole; nothing of it
-lands in the state. ``apply_block`` runs the executor to produce a block
-and reports the skipped transactions on ``last_rejected``.
+lands in the state. ``apply_block`` runs the executor to produce a block,
+reports the skipped transactions on ``last_rejected`` and registers each
+account the block created in its shard's registry of lookup keys.
 ``validate_block`` is strict re-execution through the same executor
 against the parent root; any rejected transaction fails the block, so a
-block validates only if an honest producer could have made it. Every
+block validates only if an honest producer could have made it, and the
+replay registers nothing, accepted or not. Every
 committed root stays readable forever, so ``rollback`` only moves the
 head pointer and reopens the table's trie at its root.
 
 A chain is stored in the table's trie store and nowhere else: each
 header under its own digest, so a ``parent_hash`` is the key of the
-parent; each body as the transaction trie ``tx_root`` commits; and the
-head header's digest in one named entry under :data:`HEAD_KEY`.
+parent; each body as the transaction trie ``tx_root`` commits, built
+from its index keys in their known order, each transaction framed
+directly; and the head header's digest in one named entry under
+:data:`HEAD_KEY`.
 ``apply_block`` writes a header and its body, ``export`` only the head
 pointer. ``load`` reads the pointer, the head block and the head root,
 the same reads at any height. Ancestors' headers are read by parent
@@ -42,17 +46,22 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .encoding import (
     DIGEST_SIZE,
+    SHORT_PAYLOAD_MAX,
+    SHORT_STRING_HEADS,
     Digest,
+    Nibbles,
     RlpItem,
     hash256,
+    hex_encode,
     int_from_bytes,
     int_to_bytes,
     rlp_decode,
     rlp_encode,
+    rlp_list_head,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid
-from .mpt import Trie, commit_items
+from .mpt import Trie, commit_sorted
 from .shard_dht import NodeIdentity, ShardTable
 from .store import KvStore, MemoryKvStore
 
@@ -189,15 +198,63 @@ class Block:
 
 def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
     """Trie root over index -> transaction, both RLP-encoded, committed
-    into ``store`` (a throwaway one if none is given) in one bottom-up
-    build, as geth's ``DeriveSha`` does: each node is encoded straight to
-    bytes, once, by the trie's one node encoder."""
-    items = ((_tx_key(index), rlp_encode(tx.to_rlp_item())) for index, tx in enumerate(txs))
-    return commit_items(MemoryKvStore() if store is None else store, items)
+    into ``store`` (a throwaway one if none is given) by the trie's one
+    bottom-up builder, as geth's ``DeriveSha`` does.
+
+    Nothing is sorted: the index keys go in the order their RLP sorts,
+    1-127, then 0 (``0x80``), then 128 and up (``0x81`` and one byte,
+    ``0x82`` and two, ...). :func:`_encode_tx` frames each transaction
+    directly to the bytes of ``rlp_encode(tx.to_rlp_item())``.
+    """
+    values = [_encode_tx(tx) for tx in txs]
+    if values:
+        values.insert(127, values.pop(0))  # index 0 sorts after 1-127
+    store = MemoryKvStore() if store is None else store
+    return commit_sorted(store, _index_paths(len(values)), values)
+
+
+def _encode_tx(tx: Transaction) -> bytes:
+    """The transaction's wire bytes, ``rlp_encode(tx.to_rlp_item())``,
+    framed directly: an address is ``0x94`` and its 20 bytes, the amount
+    text and the seq are RLP strings, and ``rlp_list_head`` frames the
+    four."""
+    amount = tx.amount.encode()
+    size = len(amount)
+    if size > SHORT_PAYLOAD_MAX:
+        amount = rlp_encode(amount)
+    elif size > 1:
+        amount = SHORT_STRING_HEADS[size] + amount
+    seq = tx.seq
+    seq_item = _SMALL_INTS[seq] if seq < 128 else rlp_encode(int_to_bytes(seq))
+    payload = b"\x94" + tx.sender + b"\x94" + tx.receiver + amount + seq_item
+    return rlp_list_head(len(payload)) + payload
+
+
+def _index_paths(count: int) -> list[Nibbles]:
+    """Nibble paths of the RLP keys of the indexes below ``count``, in
+    key order: 1-127, 0, then each longer key as the nibbles of its
+    leading bytes, made once per 256 indexes, and of its last byte."""
+    paths = _BYTE_PATHS[1 : min(count, 128)]
+    if count:
+        paths.append(_BYTE_PATHS[0x80])
+    index = 128
+    while index < count:
+        stop = min(count, (index | 0xFF) + 1)
+        leading = hex_encode(_tx_key(index)[:-1])
+        paths += [leading + _BYTE_PATHS[i & 0xFF] for i in range(index, stop)]
+        index = stop
+    return paths
 
 
 def _tx_key(index: int) -> bytes:
     return rlp_encode(int_to_bytes(index))
+
+
+_BYTE_PATHS = [hex_encode(bytes([byte])) for byte in range(256)]
+"""The two nibbles of each byte."""
+
+_SMALL_INTS = [rlp_encode(int_to_bytes(value)) for value in range(128)]
+"""RLP of each integer below 128: ``0x80`` for 0, else the byte itself."""
 
 
 def _read_header(
@@ -325,7 +382,9 @@ class Chain:
         """Run transactions on the table's trie, commit it, and append a block.
 
         The new header and its transaction trie are written to the trie
-        store; the stored head pointer moves only on :meth:`export`.
+        store, and each account the block creates is registered in its
+        shard, in first-touch order; the stored head pointer moves only on
+        :meth:`export`.
 
         Invalid transactions are skipped whole and listed on
         ``last_rejected``; valid ones debit the sender, bump its seq, and
@@ -338,9 +397,11 @@ class Chain:
         header is a function of the parent and the body and validation
         can re-derive every field.
         """
-        trie, accepted, rejected, credits_out = self._execute(
+        trie, accepted, rejected, credits_out, created = self._execute(
             self.table.trie, txs, credits, is_local
         )
+        for address in created:
+            self.table.register(address)
         store = self.table.trie_store
         header = _child_header(self.head.header, trie.commit(), accepted, store)
         store.put(rlp_encode(header.to_rlp_item()))
@@ -356,17 +417,19 @@ class Chain:
         txs: Iterable[Transaction],
         credits: Iterable[tuple[bytes, int]],
         is_local: Optional[Callable[[bytes], bool]],
-    ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]]]:
+    ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]], list[bytes]]:
         """The state transition: run a body and credits against ``trie``,
         then write back every account it changed.
 
-        Returns (new trie, accepted, rejected, credits owed elsewhere). Each
-        account is read from the trie once, on first touch, and its seq and
-        balance are parsed then into a :class:`_Account`; every later debit,
-        credit and check works on those integers. After the body and the
-        credits, each changed account is written through the shard table
-        once, in first-touch order, its one new version chained to the
-        version ``trie`` held: one version per touched account per block.
+        Returns (new trie, accepted, rejected, credits owed elsewhere,
+        accounts created, in first-touch order, for the caller to
+        register). Each account is read from the trie once, on first
+        touch, and its seq and balance are parsed then into a
+        :class:`_Account`; every later debit, credit and check works on
+        those integers. After the body and the credits, each changed
+        account is written through the shard table once, in first-touch
+        order, its one new version chained to the version ``trie`` held:
+        one version per touched account per block.
         """
         accounts: dict[bytes, _Account] = {}
         accepted: list[Transaction] = []
@@ -374,27 +437,20 @@ class Chain:
         credits_out: list[tuple[bytes, int]] = []
 
         def account(address: bytes) -> _Account:
-            entry = accounts.get(address)
-            if entry is None:
-                found = self.table.read_account(address, trie=trie)
-                if found is None:
-                    entry = _Account(0, 0, b"", None)
-                else:
-                    state, version = found
-                    entry = _Account(
-                        int(state.seq_number), tenths_from_text(state.balance),
-                        state.code, version,
-                    )
-                accounts[address] = entry
+            """The entry of an account not touched before, read from ``trie``."""
+            found = self.table.read_account(address, trie=trie)
+            if found is None:
+                entry = _Account(0, 0, b"", None)
+            else:
+                state, version = found
+                entry = _Account(
+                    int(state.seq_number), tenths_from_text(state.balance), state.code, version
+                )
+            accounts[address] = entry
             return entry
 
-        def credit(address: bytes, tenths: int) -> None:
-            entry = account(address)
-            entry.tenths += tenths
-            entry.dirty = True
-
         for tx in txs:
-            sender = account(tx.sender)
+            sender = accounts.get(tx.sender) or account(tx.sender)
             if sender.version is None and not sender.dirty:  # not in the trie, not yet paid
                 rejected.append(Rejection(tx, REASON_UNKNOWN_SENDER))
                 continue
@@ -409,20 +465,27 @@ class Chain:
             sender.tenths -= amount
             sender.dirty = True
             if is_local is None or is_local(tx.receiver):
-                credit(tx.receiver, amount)
+                receiver = accounts.get(tx.receiver) or account(tx.receiver)
+                receiver.tenths += amount
+                receiver.dirty = True
             else:
                 credits_out.append((tx.receiver, amount))
             accepted.append(tx)
 
         for address, amount in credits:
-            credit(address, amount)
+            receiver = accounts.get(address) or account(address)
+            receiver.tenths += amount
+            receiver.dirty = True
+        created: list[bytes] = []
         for address, entry in accounts.items():
             if entry.dirty:
                 state = AccountState(str(entry.seq), text_from_tenths(entry.tenths), entry.code)
                 trie, _, _ = self.table.write_account(
                     self.producer, address, state, trie=trie, prev_cid=entry.version
                 )
-        return trie, accepted, rejected, credits_out
+                if entry.version is None:
+                    created.append(address)
+        return trie, accepted, rejected, credits_out, created
 
     def query_account(
         self, address: bytes, at_root: Optional[Digest] = None
@@ -467,9 +530,10 @@ class Chain:
         header for the body, its transaction root built on a throwaway
         store, then re-executes the body against the parent root: strict
         re-execution through the same executor as :meth:`apply_block`, so
-        any rejected transaction fails the block. Blocks made with
-        cross-shard credits, owed out or folded in, do not validate yet:
-        the credits are not in the body.
+        any rejected transaction fails the block. The replay registers no
+        account, so the shard registries stay as they were whatever the
+        answer. Blocks made with cross-shard credits, owed out or folded
+        in, do not validate yet: the credits are not in the body.
 
         Raises:
             UnknownParentError: parent hash names no stored header.
@@ -478,7 +542,9 @@ class Chain:
         parent = _read_header(store, block.header.parent_hash, "parent", UnknownParentError)
         if block.header != _child_header(parent, block.header.state_root, block.txs):
             return False
-        trie, _, rejected, _ = self._execute(Trie(store, parent.state_root), block.txs, (), None)
+        trie, _, rejected, _, _ = self._execute(
+            Trie(store, parent.state_root), block.txs, (), None
+        )
         return not rejected and trie.commit() == block.header.state_root
 
     def export(self) -> None:

@@ -103,6 +103,17 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
     return raw, amount
 
 
+class _FundAction(argparse.Action):
+    """Collect ``--fund`` pairs, refusing an address funded twice: the
+    genesis would keep one of the amounts and drop the other."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        funds = getattr(namespace, self.dest) or []
+        if any(address == values[0] for address, _ in funds):
+            raise argparse.ArgumentError(self, f"address {values[0].hex()} funded twice")
+        setattr(namespace, self.dest, [*funds, values])
+
+
 class Workspace:
     """The --store database, opened on first use inside the command's
     transaction, which :meth:`close` ends. A reading workspace is
@@ -508,7 +519,7 @@ COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
     "chain": ("block chain", {
         "init": _writes("create the chain", cmd_chain_init,
                         _arg("--shards", type=int, default=4),
-                        _arg("--fund", type=_fund_arg, action="append",
+                        _arg("--fund", type=_fund_arg, action=_FundAction,
                              help="<address-hex>=<amount>")),
         "apply": _writes("apply one block of transactions", cmd_chain_apply,
                          _arg("--tx", type=_tx_arg, action="append",

@@ -26,9 +26,12 @@ historical handles stay readable, and committing after a single-key
 update writes only the nodes along that key's path. ``commit`` collapses
 freshly stored subtrees into digest references inside the handle, so a
 later commit re-serializes only what changed since. A trie whose keys
-are all known at once is better built by ``commit_items``, which encodes
-each node once, straight from the sorted keys, and writes the same bytes
-without making node objects.
+are all known at once is better built by ``commit_items``, which sorts
+their nibble paths, or by ``commit_sorted``, for a caller that already
+holds them in order (a block's transaction indexes). The one builder
+behind both encodes each node once, straight from the sorted paths,
+finding each node's children by bisecting them, and writes the same
+bytes without making node objects.
 
 The committed root digest is a pure function of the key-value content:
 insertion order never affects it. The empty trie commits to the fixed
@@ -39,8 +42,9 @@ There is no delete; replacing a key's value is the only update.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .encoding import (
     DIGEST_SIZE,
@@ -120,6 +124,10 @@ _DIGEST_HEAD = rlp_encode(bytes(DIGEST_SIZE))[:1]
 
 EMPTY_ROOT: Digest = hash256(_EMPTY_NODE)
 """Root digest of the empty trie."""
+
+_NEXT_NIBBLE = [bytes([nibble + 1]) for nibble in range(16)]
+"""The one-nibble path just above each nibble, which bounds a child's
+paths when bisecting the sorted paths of its parent."""
 
 
 class Trie:
@@ -375,56 +383,82 @@ def _commit_ref(ref: Ref, store: KvStore) -> tuple[bytes, Ref]:
 def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest:
     """Commit the trie holding ``key -> value`` for each pair; return its root.
 
-    Keys must be distinct and non-empty, values non-empty. The trie is
-    encoded bottom-up from the sorted keys, each node once and straight
-    to bytes by the encoder ``Trie.commit`` uses, as geth's ``StackTrie``
-    does, instead of path-copied per key; no node objects are made. The
-    root and the store entries written are those of inserting every pair
-    into an empty :class:`Trie` and committing it, the empty node
-    included.
+    Keys and values must be non-empty; of a repeated key the last value
+    counts, as with inserts. The root and the store entries written are
+    those of inserting every pair into an empty :class:`Trie` and
+    committing it, the empty node included.
     """
-    paths = sorted((hex_encode(key), value) for key, value in items)
+    entries = {hex_encode(key): value for key, value in items}
+    paths = sorted(entries)
+    return commit_sorted(store, paths, [entries[path] for path in paths])
+
+
+def commit_sorted(store: KvStore, paths: list[Nibbles], values: list[bytes]) -> Digest:
+    """Commit the trie holding ``values[i]`` under the nibble path
+    ``paths[i]``; return its root. The paths must be distinct and sorted.
+
+    The trie is encoded bottom-up, each node once and straight to bytes
+    by the encoder ``Trie.commit`` uses, as geth's ``StackTrie`` does;
+    no node objects are made. A node's children are found by bisecting
+    the sorted paths, and a leaf's bytes before its value are encoded
+    once per suffix and value length, so a leaf costs about one
+    concatenation, its hash and its store write.
+    """
     if not paths:
         return store.put(_EMPTY_NODE)
-    return store.put(_build_sorted(paths, 0, len(paths), 0, store))
+    if len(paths) == 1:
+        return store.put(_encode_leaf(paths[0], values[0]))
+    return store.put(_build_sorted(paths, values, 0, len(paths), 0, store.put, {}))
 
 
 def _build_sorted(
-    paths: list[tuple[Nibbles, bytes]], lo: int, hi: int, depth: int, store: KvStore
+    paths: list[Nibbles], values: list[bytes], lo: int, hi: int, depth: int,
+    put: Callable[[bytes], Digest], leaf_heads: dict[tuple[Nibbles, int], bytes],
 ) -> bytes:
-    """Encoding of the node holding ``paths[lo:hi]``, sorted, which share
-    their first ``depth`` nibbles: a leaf for one path, otherwise a
-    branch, behind an extension over whatever more the first and last
-    paths share. Children that reach 32 bytes are written to ``store``."""
-    if hi - lo == 1:
-        path, value = paths[lo]
-        return _encode_leaf(path[depth:], value)
-    first, last = paths[lo][0], paths[hi - 1][0]
-    end = depth + len(_common_prefix(first[depth:], last[depth:]))
+    """Encoding of the node holding ``paths[lo:hi]``, at least two sorted
+    paths sharing their first ``depth`` nibbles: a branch, behind an
+    extension over whatever more the first and last paths share. Children
+    that reach 32 bytes are written by ``put``; ``leaf_heads`` memoizes
+    :func:`_leaf_head` by leaf suffix and value length for one build."""
+    first, last = paths[lo], paths[hi - 1]
+    end, limit = depth, min(len(first), len(last))
+    while end < limit and first[end] == last[end]:
+        end += 1
     value: Optional[bytes] = None
-    start = lo
     if len(first) == end:
-        value, start = paths[lo][1], lo + 1
+        value, lo = values[lo], lo + 1
     refs = [_EMPTY_NODE] * 16
-    while start < hi:
-        nibble, stop = paths[start][0][end], start + 1
-        while stop < hi and paths[stop][0][end] == nibble:
-            stop += 1
-        refs[nibble] = _reference(_build_sorted(paths, start, stop, end + 1, store), store)
-        start = stop
+    while lo < hi:
+        path = paths[lo]
+        nibble, stop = path[end], lo + 1
+        if stop < hi and paths[stop][end] == nibble:
+            stop = bisect_left(paths, path[:end] + _NEXT_NIBBLE[nibble], stop + 1, hi)
+            encoded = _build_sorted(paths, values, lo, stop, end + 1, put, leaf_heads)
+        else:  # a one-path child: its leaf, framed here
+            suffix, leaf_value = path[end + 1 :], values[lo]
+            shape = (suffix, len(leaf_value))
+            head = leaf_heads.get(shape)
+            if head is None:
+                head = leaf_heads[shape] = _leaf_head(suffix, leaf_value)
+            encoded = head + leaf_value if head else _encode_leaf(suffix, leaf_value)
+        refs[nibble] = encoded if len(encoded) < DIGEST_SIZE else _DIGEST_HEAD + put(encoded)
+        lo = stop
     branch = _encode_branch(refs, value)
-    if end > depth:
-        return _encode_extension(first[depth:end], _reference(branch, store))
-    return branch
+    if end == depth:
+        return branch
+    if len(branch) >= DIGEST_SIZE:
+        branch = _DIGEST_HEAD + put(branch)
+    return _encode_extension(first[depth:end], branch)
 
 
-def _reference(encoded: bytes, store: KvStore) -> bytes:
-    """The bytes a parent embeds for a child node encoded as ``encoded``:
-    the encoding itself if shorter than a digest, else the RLP of the
-    digest it is stored under."""
-    if len(encoded) < DIGEST_SIZE:
-        return encoded
-    return _DIGEST_HEAD + store.put(encoded)
+def _leaf_head(path: Nibbles, value: bytes) -> bytes:
+    """The bytes of a leaf at ``path`` that precede the value, for every
+    value of ``value``'s length; empty for a one-byte value, whose framing
+    depends on the byte."""
+    if len(value) == 1:
+        return b""
+    encoded = _encode_leaf(path, value)
+    return encoded[: len(encoded) - len(value)]
 
 
 def _encode_leaf(path: Nibbles, value: bytes) -> bytes:

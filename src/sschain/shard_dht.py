@@ -338,26 +338,31 @@ class ShardTable:
 
         Returns (new trie, version Cid, changed). When the new state equals
         the previous version's content nothing is written and ``changed``
-        is False. A first version (no ``prev_cid``) also registers the
-        account's lookup key in its shard.
+        is False. The shard registry is left alone: a caller that keeps a
+        first version (no ``prev_cid``) calls :meth:`register`.
 
         Raises:
             NotAuthorizedError: requester lacks book or authority.
         """
         _authorize(requester)
         store = self.shard_for(address).store
-        if prev_cid is None:
-            store.put_named(pipeline_key(address), address)
         version_cid = version_append(store, state.to_json_bytes(), prev_cid)
         if version_cid is None:
             return trie, prev_cid, False
         return trie.insert(address, version_cid.digest), version_cid, True
 
+    def register(self, address: bytes) -> None:
+        """Add ``address``'s lookup key to its shard's registry, which the
+        ring remaps among member nodes; once per account, when its first
+        version is kept."""
+        self.shard_for(address).store.put_named(pipeline_key(address), address)
+
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
     ) -> Cid:
         """Write a new state version for ``address`` into :attr:`trie`,
-        chained to the one it holds; returns its Cid.
+        chained to the one it holds, registering an account it creates;
+        returns its Cid.
 
         The trie moves iff the state content changed; reading
         :attr:`state_root` commits it.
@@ -365,9 +370,12 @@ class ShardTable:
         Raises:
             NotAuthorizedError
         """
+        prev_cid = _version(self.trie, address)
         self.trie, version_cid, _ = self.write_account(
-            requester, address, new_state, trie=self.trie, prev_cid=_version(self.trie, address)
+            requester, address, new_state, trie=self.trie, prev_cid=prev_cid
         )
+        if prev_cid is None:
+            self.register(address)
         return version_cid
 
     def shard_inquire(

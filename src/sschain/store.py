@@ -154,13 +154,15 @@ class MemoryKvStore(KvStore):
         return len(self._entries)
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
-        if not named and key in self._entries and key not in self._named:
-            return
-        self._entries[key] = value
+        """A new content key costs one membership test and one dict store."""
         if named:
+            self._entries[key] = value
             self._named.setdefault(key)
-        else:
-            self._named.pop(key, None)
+        elif key not in self._entries:
+            self._entries[key] = value
+        elif key in self._named:
+            self._entries[key] = value
+            del self._named[key]
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         value = self._entries.get(key)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sschain.chain import (
+    _AMOUNT_RE,
+    _encode_tx,
     HEAD_KEY,
     AmountError,
     BadHeightError,
@@ -191,16 +193,38 @@ class TestTxRoot:
         st.lists(
             st.tuples(
                 st.integers(1, 6), st.integers(7, 12),
-                st.integers(0, 9999), st.integers(0, 300),
+                st.from_regex(_AMOUNT_RE),
+                st.one_of(st.integers(0, 300), st.integers(0, 2**64)),
             ),
             max_size=140,
         )
     )
     def test_matches_the_insert_path(self, fields) -> None:
-        txs = [
-            Transaction(addr(s), addr(r), text_from_tenths(a), q) for s, r, a, q in fields
-        ]
+        """Amounts range over all text ``tenths_from_text`` accepts: one
+        byte or many, non-ASCII digits, a trailing newline, past 55 bytes."""
+        txs = [Transaction(addr(s), addr(r), a, q) for s, r, a, q in fields]
         assert self._built(txs) == self._insert_path(txs)
+
+    @pytest.mark.parametrize(
+        "amount, long_list",
+        [("5", False), ("13", False), ("1234567890.5", True), ("9" * 60, True)],
+        ids=["one-byte-amount", "two-byte-amount", "long-payload", "long-amount"],
+    )
+    def test_direct_framing(self, amount: str, long_list: bool) -> None:
+        """Each transaction is stored as ``rlp_encode(tx.to_rlp_item())``:
+        a one-byte amount encodes as itself, a longer amount pushes the
+        list payload past 55 bytes, one past 55 bytes takes the long string
+        form, and the seqs cross every integer form."""
+        seqs = (0, 127, 128, 255, 256, 2**32)
+        txs = [Transaction(addr(1), addr(2), amount, seq) for seq in seqs]
+        encoded = [rlp_encode(tx.to_rlp_item()) for tx in txs]
+        assert all((raw[0] >= 0xF8) == long_list for raw in encoded)
+        assert [_encode_tx(tx) for tx in txs] == encoded
+        assert self._built(txs) == self._insert_path(txs)
+        store = MemoryKvStore()
+        body = Trie(store, tx_root(txs, store))
+        for index, tx in enumerate(txs):
+            assert body.get(rlp_encode(int_to_bytes(index))) == rlp_encode(tx.to_rlp_item())
 
     @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 255, 256, 257])
     def test_rlp_key_boundaries(self, count: int) -> None:
@@ -683,6 +707,29 @@ class TestValidateBlock:
         chain.apply_block(body)
         assert [r.reason for r in chain.last_rejected] == [reason]
         assert chain.head.header.state_root == header.state_root
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_rejected_replay_registers_nothing(self, backend: str, request) -> None:
+        """A forged child of genesis that pays a new account and carries a
+        wrong state root fails, and no shard registry gains the account's
+        lookup key; applying the body registers it."""
+        table = ShardTable(4) if backend == "memory" else file_table(request.getfixturevalue("db"))
+        chain, _ = TestRollback()._three_blocks(table)
+        genesis = chain.blocks[0].header
+        body = (Transaction(addr(1), addr(9), "1.0", 0),)
+        header = BlockHeader(genesis.digest(), 1, 1, hash256(b"wrong root"), tx_root(body))
+
+        def registries() -> list[list[bytes]]:
+            return [shard.store.named_keys() for shard in table.shards.values()]
+
+        before = registries()
+        assert sum(map(len, before)) == 2
+        assert not chain.validate_block(Block(header, body))
+        assert registries() == before
+        chain.rollback(0)
+        chain.apply_block(body)
+        assert pipeline_key(addr(9)) in table.shard_for(addr(9)).store.named_keys()
+        assert sum(map(len, registries())) == 3
 
     def test_validation_leaves_live_state_alone(self) -> None:
         chain, _ = TestRollback()._three_blocks()

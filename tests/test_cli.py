@@ -780,6 +780,16 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert not Path(store).exists()
 
+    def test_repeated_fund_address(self, store) -> None:
+        """An address funded twice, in any hex case, is refused before a
+        workspace exists: the genesis would keep one amount and drop the
+        other."""
+        funds = ["--fund", f"{ADDR_A}=5.0", "--fund", f"{ADDR_B}=1.0", "--fund", f"{ADDR_A.upper()}=7.0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", store, "chain", "init", *funds])
+        assert excinfo.value.code == 2
+        assert not Path(store).exists()
+
     def test_missing_subcommand(self) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -91,6 +91,23 @@ class TestNamedEntries:
         s.put_named(key, b"does not hash to key")
         assert s.get(key) == b"does not hash to key"
 
+    def test_put_outcomes_match_across_backends(self, db) -> None:
+        """A content put ends the same on both backends: a re-put keeps
+        one entry, a put over a named key unnames only that key, and an
+        empty value raises and writes nothing."""
+
+        def outcome(store) -> tuple:
+            store.put_named(hash256(b"value"), b"pointer")
+            store.put_named(hash256(b"slot"), b"kept")
+            keys = [store.put(b"value"), store.put(b"payload"), store.put(b"payload")]
+            with pytest.raises(EmptyValueError):
+                store.put(b"")
+            return keys, len(store), store.named_keys(), [store.get(key) for key in keys]
+
+        memory = outcome(MemoryKvStore())
+        assert memory == outcome(FileKvStore(db, "kv"))
+        assert memory[1:3] == (3, [hash256(b"slot")])
+
     def test_content_put_over_named_entry_unnames_it(self, store) -> None:
         key = hash256(b"value")
         store.put_named(key, b"pointer")
