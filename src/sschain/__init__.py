@@ -4,7 +4,7 @@ sharding, blocks with rollback, and a throughput simulator.
 """
 
 from .chain import Block, BlockHeader, Chain, Transaction
-from .encoding import hash256, hex_decode, hex_encode, hp_decode, hp_encode, rlp_decode, rlp_encode
+from .encoding import hash256, hex_encode, hp_decode, hp_encode, rlp_decode, rlp_encode
 from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import (
     AccountState,
@@ -13,7 +13,6 @@ from .merkle_dag import (
     Link,
     NameRegistry,
     account_history,
-    account_update,
     dag_build_directory,
     dag_get,
     dag_put,
@@ -60,14 +59,12 @@ __all__ = [
     "Transaction",
     "Trie",
     "account_history",
-    "account_update",
     "assign_key",
     "dag_build_directory",
     "dag_get",
     "dag_put",
     "effective_throughput",
     "hash256",
-    "hex_decode",
     "hex_encode",
     "hp_decode",
     "hp_encode",

@@ -91,16 +91,17 @@ class UnknownParentError(ChainError):
     """A block's parent hash matches no stored header."""
 
 
-_AMOUNT_RE = re.compile(r"^(\d+)(?:\.(\d))?$")
+_AMOUNT_RE = re.compile(r"([0-9]+)(?:\.([0-9]))?")
 
 
 def tenths_from_text(text: str) -> int:
     """Parse ``"13.0"`` or ``"13"`` into integer tenths.
 
     Raises:
-        AmountError: negative, empty, or more than one fractional digit.
+        AmountError: negative, empty, more than one fractional digit, or
+            any character besides ASCII digits and the point.
     """
-    match = _AMOUNT_RE.match(text)
+    match = _AMOUNT_RE.fullmatch(text)
     if match is None:
         raise AmountError(f"bad decimal amount {text!r}")
     whole, frac = match.groups()
@@ -181,9 +182,7 @@ class BlockHeader:
         parent, number, timestamp, state_root, tx_root = item
         if not all(isinstance(f, bytes) for f in item):
             raise CorruptError("header fields must be byte strings")
-        if len(parent) != DIGEST_SIZE or len(state_root) != DIGEST_SIZE:
-            raise CorruptError("header digests have wrong length")
-        if len(tx_root) != DIGEST_SIZE:
+        if not len(parent) == len(state_root) == len(tx_root) == DIGEST_SIZE:
             raise CorruptError("header digests have wrong length")
         return cls(
             parent, int_from_bytes(number), int_from_bytes(timestamp), state_root, tx_root

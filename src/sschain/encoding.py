@@ -68,10 +68,6 @@ class CodecError(SSChainError, ValueError):
     """Malformed input to one of the codecs."""
 
 
-class OddLengthError(CodecError):
-    """A nibble sequence that must pack into whole bytes has odd length."""
-
-
 class RlpDecodeError(CodecError):
     """Bytes are not a complete, canonical RLP encoding."""
 
@@ -112,27 +108,15 @@ def hex_encode(data: bytes) -> Nibbles:
     return data.hex().encode().translate(_HEX_DIGIT_TO_NIBBLE)
 
 
-def hex_decode(nibbles: Nibbles) -> bytes:
-    """Inverse of :func:`hex_encode`.
-
-    Raises:
-        OddLengthError: if the nibble count is odd.
-        CodecError: if any element is outside [0, 15].
-    """
-    if len(nibbles) % 2:
-        raise OddLengthError(f"cannot pack {len(nibbles)} nibbles into bytes")
-    _check_nibbles(nibbles)
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-    )
-
-
 def hp_encode(nibbles: Nibbles, is_leaf: bool) -> bytes:
     """Pack a nibble path and a leaf flag into bytes (hex-prefix form).
 
     Output length is always ``1 + len(nibbles) // 2``.
     """
-    _check_nibbles(nibbles)
+    # The translation tables map every byte, so a value above 15 must be
+    # refused here rather than packed.
+    if nibbles and max(nibbles) > 15:
+        raise CodecError(f"nibble value {max(nibbles)} out of range [0, 15]")
     flag = HP_FLAG_LEAF if is_leaf else 0
     # An odd path puts its first nibble beside the flag; an even one pads.
     prefix = "%x" % (flag | HP_FLAG_ODD) if len(nibbles) % 2 else "%x0" % flag
@@ -226,13 +210,6 @@ SHORT_STRING_HEADS = [
 _SHORT_LIST_HEADS = [
     bytes([SHORT_LIST_PREFIX + n]) for n in range(SHORT_PAYLOAD_MAX + 1)
 ]
-
-
-def _check_nibbles(nibbles: Nibbles) -> None:
-    # The translation tables map every byte, so a value above 15 must be
-    # refused here rather than packed.
-    if nibbles and max(nibbles) > 15:
-        raise CodecError(f"nibble value {max(nibbles)} out of range [0, 15]")
 
 
 def _long_head(length: int, long_base: int) -> bytes:

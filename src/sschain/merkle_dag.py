@@ -122,12 +122,6 @@ class DagNode:
     data: bytes = b""
     links: tuple[Link, ...] = ()
 
-    def link(self, name: str) -> Optional[Link]:
-        for link in self.links:
-            if link.name == name:
-                return link
-        return None
-
 
 @dataclass(frozen=True, slots=True)
 class AccountState:
@@ -273,33 +267,6 @@ def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Cid:
         leaf_cid = dag_put(store, DagNode(data=payload))
         links.append(Link(name, leaf_cid, len(payload)))
     return dag_put(store, DagNode(links=tuple(sorted(links, key=lambda l: l.name))))
-
-
-def account_update(
-    store: KvStore, dir_cid: Cid, name: str, new_state: AccountState
-) -> Cid:
-    """Replace one named entry of a directory; return the new directory Cid.
-
-    Only the leaf and the directory node are rewritten; sibling links are
-    reused byte-for-byte. An update that leaves the content unchanged
-    returns ``dir_cid`` itself.
-
-    Raises:
-        NotFoundError: ``name`` is not linked from the directory.
-    """
-    directory = dag_get(store, dir_cid)
-    old = directory.link(name)
-    if old is None:
-        raise NotFoundError(f"no entry named {name!r} under {dir_cid}")
-    payload = new_state.to_json_bytes()
-    leaf_cid = dag_put(store, DagNode(data=payload))
-    if leaf_cid == old.cid:
-        return dir_cid
-    links = tuple(
-        Link(name, leaf_cid, len(payload)) if link.name == name else link
-        for link in directory.links
-    )
-    return dag_put(store, DagNode(data=directory.data, links=links))
 
 
 def version_put(store: KvStore, root: Cid, prev: Optional[Cid] = None) -> Cid:

@@ -84,10 +84,6 @@ class ShardId:
     def index(self) -> int:
         return int(self.bits, 2) if self.bits else 0
 
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
     def __str__(self) -> str:
         return self.bits if self.bits else "(single)"
 

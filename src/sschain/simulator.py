@@ -18,7 +18,9 @@ how the stream is later batched, and the stream itself is identical for
 any shard count.
 
 The consensus delay is accounted arithmetically per block window rather
-than slept, so measured wall time is pure processing.
+than slept, so measured wall time is pure processing; a report's
+effective rate is :func:`effective_throughput` of the processed count,
+that wall time, the delay and the window count.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class SimError(SSChainError):
 
 class ConfigInvalidError(SimError, ValueError):
     """A SimConfig field is out of range."""
-
-
-class IntervalTooShortError(SimError):
-    """Block interval cannot fit processing plus consensus."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,24 +141,12 @@ class SimReport:
 
 
 def effective_throughput(
-    processing_s: float, consensus_s: float, block_interval_s: float, txs: int
+    txs: int, processing_s: float, consensus_s: float, windows: int
 ) -> float:
-    """Sustained tx/s when every interval fits processing plus consensus.
-
-    Raises:
-        IntervalTooShortError: the interval cannot absorb both phases.
-        ConfigInvalidError: negative inputs.
-    """
-    if min(processing_s, consensus_s, block_interval_s) < 0 or txs < 0:
-        raise ConfigInvalidError("throughput inputs must be >= 0")
-    if block_interval_s < processing_s + consensus_s:
-        raise IntervalTooShortError(
-            f"interval {block_interval_s}s < {processing_s}s processing "
-            f"+ {consensus_s}s consensus"
-        )
-    if txs == 0:
-        return 0.0
-    return txs / block_interval_s
+    """Transactions per second of processing plus one consensus delay per
+    block window; 0.0 for no transactions or no accounted time."""
+    accounted = processing_s + consensus_s * windows
+    return txs / accounted if txs and accounted > 0 else 0.0
 
 
 def account_addresses(seed: int, count: int) -> list[bytes]:
@@ -295,12 +281,12 @@ def run_experiment(config: SimConfig) -> SimReport:
     final_root = commit_items(MemoryKvStore(), merged.items())
 
     processed_total = sum(loads)
-    accounted = wall + config.consensus_delay_s * total_windows
-    tps = processed_total / accounted if processed_total and accounted > 0 else 0.0
     return SimReport(
         txs_processed=processed_total,
         wall_seconds=wall,
-        tx_per_second_effective=tps,
+        tx_per_second_effective=effective_throughput(
+            processed_total, wall, config.consensus_delay_s, total_windows
+        ),
         per_shard_loads=loads,
         final_state_root=final_root,
         windows=total_windows,

@@ -770,8 +770,14 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "fund",
-        [f"{ADDR_A}=1.25", f"{ADDR_A}=-3", f"{ADDR_A}=", "abcd=5.0", f"{ADDR_A}00=5.0"],
-        ids=["two-decimals", "negative", "no-amount", "short-address", "long-address"],
+        [
+            f"{ADDR_A}=1.25", f"{ADDR_A}=-3", f"{ADDR_A}=", f"{ADDR_A}=٣.٥",
+            "abcd=5.0", f"{ADDR_A}00=5.0",
+        ],
+        ids=[
+            "two-decimals", "negative", "no-amount", "arabic-indic-digits",
+            "short-address", "long-address",
+        ],
     )
     def test_bad_fund_argument(self, store, fund: str) -> None:
         """A funding no block could spend is refused before a workspace exists."""

@@ -22,7 +22,6 @@ from sschain.merkle_dag import (
     NameRegistry,
     UnknownCidError,
     account_history,
-    account_update,
     dag_build_directory,
     dag_get,
     dag_put,
@@ -150,57 +149,67 @@ class TestDirectory:
             dag_build_directory(MemoryKvStore(), [("n", b"1"), ("n", b"2")])
 
 
+def with_account(
+    files: list[tuple[str, bytes]], name: str, state: AccountState
+) -> list[tuple[str, bytes]]:
+    """``files`` with the payload named ``name`` replaced by ``state``'s document."""
+    return [(n, state.to_json_bytes() if n == name else p) for n, p in files]
+
+
 class TestAccountUpdate:
+    """Updating one account's file rebuilds its directory from the new
+    file set; content addressing keeps every untouched entry as it was."""
+
     def test_two_of_four_links_change(self) -> None:
         store = MemoryKvStore()
         root = dag_build_directory(store, FOUR_FILES)
         before = {l.name: l.cid for l in dag_get(store, root).links}
-        root2 = account_update(store, root, "acct-a.dat", AccountState("7", "10.0"))
-        root3 = account_update(store, root2, "acct-c.dat", AccountState("1", "3.0"))
+        files = with_account(FOUR_FILES, "acct-a.dat", AccountState("7", "10.0"))
+        files = with_account(files, "acct-c.dat", AccountState("1", "3.0"))
+        root3 = dag_build_directory(store, files)
         after = {l.name: l.cid for l in dag_get(store, root3).links}
         changed = {n for n in before if before[n] != after[n]}
         assert changed == {"acct-a.dat", "acct-c.dat"}
         assert root3 != root
         # untouched entries are the same stored bytes
         for name in ("acct-b.dat", "acct-d.dat"):
-            assert store.get(before[name].digest) is store.get(after[name].digest) or (
-                store.get(before[name].digest) == store.get(after[name].digest)
-            )
+            assert store.get(before[name].digest) == store.get(after[name].digest)
 
     def test_old_root_still_readable(self) -> None:
         store = MemoryKvStore()
         root = dag_build_directory(store, FOUR_FILES)
-        account_update(store, root, "acct-b.dat", AccountState("9", "1.1"))
-        node = dag_get(store, root)
-        payload = dag_get(store, node.link("acct-b.dat").cid).data
-        assert payload == FOUR_FILES[1][1]
+        dag_build_directory(
+            store, with_account(FOUR_FILES, "acct-b.dat", AccountState("9", "1.1"))
+        )
+        links = {l.name: l.cid for l in dag_get(store, root).links}
+        assert dag_get(store, links["acct-b.dat"]).data == FOUR_FILES[1][1]
 
     def test_identical_state_is_noop(self) -> None:
         store = MemoryKvStore()
         root = dag_build_directory(store, FOUR_FILES)
-        same = account_update(store, root, "acct-a.dat", AccountState("6", "13.0"))
+        same = dag_build_directory(
+            store, with_account(FOUR_FILES, "acct-a.dat", AccountState("6", "13.0"))
+        )
         assert same == root
-
-    def test_unknown_name(self) -> None:
-        store = MemoryKvStore()
-        root = dag_build_directory(store, FOUR_FILES)
-        with pytest.raises(NotFoundError):
-            account_update(store, root, "nope.dat", AccountState("0", "0.0"))
 
     def test_update_stores_only_leaf_and_directory(self) -> None:
         # A flat directory is one level deep, so a fresh update writes
         # exactly two nodes: the new leaf and the new directory.
         store = MemoryKvStore()
-        root = dag_build_directory(store, FOUR_FILES)
+        dag_build_directory(store, FOUR_FILES)
         before = len(store)
-        account_update(store, root, "acct-d.dat", AccountState("42", "0.5"))
+        dag_build_directory(
+            store, with_account(FOUR_FILES, "acct-d.dat", AccountState("42", "0.5"))
+        )
         assert len(store) == before + 2
 
     def test_noop_update_stores_nothing_new(self) -> None:
         store = MemoryKvStore()
-        root = dag_build_directory(store, FOUR_FILES)
+        dag_build_directory(store, FOUR_FILES)
         before = len(store)
-        account_update(store, root, "acct-a.dat", AccountState("6", "13.0"))
+        dag_build_directory(
+            store, with_account(FOUR_FILES, "acct-a.dat", AccountState("6", "13.0"))
+        )
         assert len(store) == before
 
 
@@ -215,22 +224,22 @@ class TestVersionHistory:
     def test_ten_versions_replay_exactly(self) -> None:
         store = MemoryKvStore()
         snapshots = []
-        dir_cid = dag_build_directory(store, FOUR_FILES)
+        files = FOUR_FILES
+        dir_cid = dag_build_directory(store, files)
         head = version_put(store, dir_cid)
-        snapshots.append((head, dir_cid))
+        snapshots.append((head, dir_cid, files))
         for i in range(1, 10):
-            dir_cid = account_update(
-                store, dir_cid, "acct-a.dat", AccountState(str(i), f"{i}.0")
-            )
+            files = with_account(files, "acct-a.dat", AccountState(str(i), f"{i}.0"))
+            dir_cid = dag_build_directory(store, files)
             head = version_put(store, dir_cid, prev=head)
-            snapshots.append((head, dir_cid))
+            snapshots.append((head, dir_cid, files))
         history = account_history(store, head)
-        assert history == [v for v, _ in reversed(snapshots)]
-        for version, expected_dir in snapshots:
+        assert history == [v for v, _, _ in reversed(snapshots)]
+        for version, expected_dir, expected_files in snapshots:
             assert version_root(store, version) == expected_dir
             node = dag_get(store, expected_dir)
             payloads = {l.name: dag_get(store, l.cid).data for l in node.links}
-            assert set(payloads) == {n for n, _ in FOUR_FILES}
+            assert payloads == dict(expected_files)
 
     def test_broken_prev_link(self) -> None:
         store = MemoryKvStore()

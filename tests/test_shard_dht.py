@@ -110,7 +110,7 @@ class TestShardId:
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 16, 64, 1024])
     def test_width_is_log2(self, num_shards: int) -> None:
         sid = shard_of_position(0, num_shards)
-        assert sid.width == num_shards.bit_length() - 1
+        assert len(sid.bits) == num_shards.bit_length() - 1
 
     @pytest.mark.parametrize("num_shards", [0, 3, 6, 100, -4])
     def test_non_power_of_two_rejected(self, num_shards: int) -> None:

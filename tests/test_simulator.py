@@ -16,7 +16,6 @@ from sschain.simulator import (
     INITIAL_BALANCE_TENTHS,
     MAX_TRANSFER_TENTHS,
     ConfigInvalidError,
-    IntervalTooShortError,
     SimConfig,
     account_addresses,
     effective_throughput,
@@ -30,36 +29,33 @@ from sschain.store import MemoryKvStore
 
 class TestEffectiveThroughput:
     def test_headline_configuration(self) -> None:
-        value = effective_throughput(5, 10, 15, 500_000)
+        value = effective_throughput(500_000, 5, 10, 1)
         assert value == pytest.approx(500_000 / 15)
         assert round(value) == 33_333
 
     @pytest.mark.parametrize(
-        "processing,consensus,interval,txs,expected",
+        "txs,processing,consensus,windows,expected",
         [
-            (0, 0, 1, 100, 100.0),
-            (1, 1, 2, 50, 25.0),
-            (5, 10, 15, 0, 0.0),
-            (2, 3, 10, 40, 4.0),
+            (100, 0, 1, 1, 100.0),
+            (50, 1, 1, 1, 25.0),
+            (0, 5, 10, 1, 0.0),
+            (40, 4, 3, 2, 4.0),
         ],
     )
-    def test_values(self, processing, consensus, interval, txs, expected) -> None:
-        assert effective_throughput(processing, consensus, interval, txs) == expected
+    def test_values(self, txs, processing, consensus, windows, expected) -> None:
+        assert effective_throughput(txs, processing, consensus, windows) == expected
 
     def test_interval_exactly_fits(self) -> None:
-        assert effective_throughput(5, 10, 15, 15) == 1.0
-
-    def test_interval_too_short(self) -> None:
-        with pytest.raises(IntervalTooShortError):
-            effective_throughput(5, 10, 14.999, 100)
+        assert effective_throughput(15, 5, 10, 1) == 1.0
 
     @pytest.mark.parametrize(
         "args",
-        [(-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, -1, 1), (0, 0, 1, -1)],
+        [(1, -1, 0, 1), (1, 0, -1, 1), (1, 0, 1, -1), (1, 2, -1, 3)],
     )
     def test_negative_inputs(self, args) -> None:
-        with pytest.raises(ConfigInvalidError):
-            effective_throughput(*args)
+        """Inputs are not range-checked here (``SimConfig.validate`` is);
+        an accounted time of zero or less gives no rate."""
+        assert effective_throughput(*args) == 0.0
 
 
 class TestConfig:
@@ -285,6 +281,14 @@ class TestRunExperiment:
             replace(self.CONFIG, num_shards=1, num_nodes=8, txs_per_block=50)
         )
         assert report.windows == 8  # 400 txs / 50 per block
+
+    def test_rate_is_the_throughput_formula(self) -> None:
+        config = replace(self.CONFIG, txs_per_block=60)
+        report = run_experiment(config)
+        assert report.windows > 1
+        assert report.tx_per_second_effective == effective_throughput(
+            report.txs_processed, report.wall_seconds, config.consensus_delay_s, report.windows
+        )
 
     def test_zero_txs(self) -> None:
         report = run_experiment(SimConfig(num_txs=0))
