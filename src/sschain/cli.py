@@ -10,10 +10,10 @@ table text under :data:`TRIE_ROOT_KEY` and :data:`SHARD_TABLE_KEY`) and
 Each command is declared once, in :data:`COMMANDS`: its group, help
 text, handler, whether it writes, and its arguments. The global flags
 ``--store``, ``--json`` and ``--seed`` are declared once too and work
-before or after the command. :func:`build_parser` builds the top parser
-and one parser per group; a group adds its commands' parsers only when
-a command line reaches it, so one command line builds only the parsers
-it uses.
+before or after the command. :func:`build_parser` builds only the top
+parser: a group's parser and a command's parser are each built when a
+command line reaches it, so a command line builds three parsers (top,
+group, command) and ``sschain <group> --help`` two.
 
 Each command is one transaction, committed only if it succeeds and its
 output has been written, so a failed or killed command, or one whose
@@ -35,6 +35,7 @@ import json
 import os
 import sqlite3
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -75,15 +76,28 @@ def _cid_arg(text: str) -> Cid:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _tx_arg(text: str) -> tuple[bytes, bytes, str, int]:
+def _address(text: str) -> bytes:
+    """An account address: exactly its bytes in hex digits."""
+    raw = _hex_arg(text)
+    if len(raw) != chainmod.ADDRESS_SIZE or len(text) != 2 * chainmod.ADDRESS_SIZE:
+        raise argparse.ArgumentTypeError(f"expected a {chainmod.ADDRESS_SIZE}-byte address")
+    return raw
+
+
+def _tx_arg(text: str) -> chainmod.Transaction:
+    """A transaction a block can hold: two addresses, an amount in tenths
+    and a seq in ASCII digits."""
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             "transaction must be <from-hex>:<to-hex>:<amount>:<seq>"
         )
+    sender, receiver, amount, seq = parts
+    if not (seq.isascii() and seq.isdigit()):
+        raise argparse.ArgumentTypeError(f"seq must be decimal digits: {seq!r}")
     try:
-        return (bytes.fromhex(parts[0]), bytes.fromhex(parts[1]), parts[2], int(parts[3]))
-    except ValueError as exc:
+        return chainmod.Transaction(_address(sender), _address(receiver), amount, int(seq))
+    except chainmod.ChainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -93,13 +107,11 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
     address, sep, amount = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("funding must be <address-hex>=<amount>")
+    raw = _address(address)
     try:
-        raw = bytes.fromhex(address)
         chainmod.tenths_from_text(amount)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if len(raw) != chainmod.ADDRESS_SIZE:
-        raise argparse.ArgumentTypeError(f"expected a {chainmod.ADDRESS_SIZE}-byte address")
     return raw, amount
 
 
@@ -386,8 +398,7 @@ def _load_chain(ws: Workspace) -> chainmod.Chain:
 
 def cmd_chain_apply(args: argparse.Namespace, ws: Workspace) -> int:
     chain = _load_chain(ws)
-    txs = [chainmod.Transaction(*fields) for fields in args.tx or []]
-    block = chain.apply_block(txs)
+    block = chain.apply_block(args.tx or [])
     chain.export()
     rejected = [
         f"REJECTED {r.tx.sender.hex()} {r.reason}" for r in chain.last_rejected
@@ -543,38 +554,52 @@ COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
 }
 
 
-class _GroupParser(argparse.ArgumentParser):
-    """A command group's parser. It adds its commands' parsers when it is
-    first asked to parse, so a command line builds only the group it names."""
+class _LazyParser(argparse.ArgumentParser):
+    """A group's or a command's parser, built when a command line reaches
+    it. ``add_parser`` only records the keyword arguments it passes; the
+    first ``parse_known_args`` builds the parser from them and hands it to
+    ``fill``, which adds the group's command parsers or the command's
+    arguments. Help listings come from the choices ``add_parser`` records,
+    so listing a parser does not build it."""
 
-    commands: dict[str, Command] = {}
+    fill: Callable[[argparse.ArgumentParser], None]
+
+    def __init__(self, **kwargs):
+        self._kwargs: Optional[dict] = kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self.commands:
-            commands, self.commands = self.commands, {}
-            actions = self.add_subparsers(
-                dest="action", required=True, parser_class=argparse.ArgumentParser
-            )
-            for name, (help, func, writes, arguments) in commands.items():
-                leaf = actions.add_parser(name, help=help)
-                for names, options in _GLOBAL_FLAGS:  # work before or after the command
-                    leaf.add_argument(*names, **{**options, "default": argparse.SUPPRESS})
-                for names, options in arguments:
-                    leaf.add_argument(*names, **options)
-                leaf.set_defaults(func=func, write=writes)
+        if self._kwargs is not None:
+            kwargs, self._kwargs = self._kwargs, None
+            super().__init__(**kwargs)
+            self.fill(self)
         return super().parse_known_args(args, namespace)
 
 
+def _add_commands(parser: argparse.ArgumentParser, commands: dict[str, Command]) -> None:
+    actions = parser.add_subparsers(dest="action", required=True, parser_class=_LazyParser)
+    for name, command in commands.items():
+        actions.add_parser(name, help=command[0]).fill = partial(_add_arguments, command=command)
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
+    _, func, writes, arguments = command
+    for names, options in _GLOBAL_FLAGS:  # work before or after the command
+        parser.add_argument(*names, **{**options, "default": argparse.SUPPRESS})
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(func=func, write=writes)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top parser and one lazy parser per group of :data:`COMMANDS`."""
+    """The top parser, with a lazy parser per group of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="sschain", description="Sharded account-state chain tools."
     )
     for names, options in _GLOBAL_FLAGS:
         parser.add_argument(*names, **options)
-    groups = parser.add_subparsers(dest="command", required=True, parser_class=_GroupParser)
+    groups = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
     for name, (help, commands) in COMMANDS.items():
-        groups.add_parser(name, help=help).commands = commands
+        groups.add_parser(name, help=help).fill = partial(_add_commands, commands=commands)
     return parser
 
 

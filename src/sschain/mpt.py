@@ -25,7 +25,15 @@ shares every untouched subtree with its parent, so any number of
 historical handles stay readable, and committing after a single-key
 update writes only the nodes along that key's path. ``commit`` collapses
 freshly stored subtrees into digest references inside the handle, so a
-later commit re-serializes only what changed since. A trie whose keys
+later commit re-serializes only what changed since.
+
+A handle remembers each stored node it has read and decoded, keyed by
+digest, and shares that memo with the handles ``insert`` derives from
+it, so a block that reads an account and then writes it back decodes
+each node on the path once. ``commit`` starts the committed handle on an
+empty memo, so a memo lasts at most one block and does not grow with
+history; a handle opened from a root starts empty too, so it reads, and
+verifies, every node through the store. A trie whose keys
 are all known at once is better built by ``commit_items``, which sorts
 their nibble paths, or by ``commit_sorted``, for a caller that already
 holds them in order (a block's transaction indexes). The one builder
@@ -138,7 +146,7 @@ class Trie:
     deriving new handles from one lineage is a single-writer affair.
     """
 
-    __slots__ = ("store", "_root", "_committed")
+    __slots__ = ("store", "_root", "_committed", "_nodes")
 
     def __init__(self, store: KvStore, root_hash: Optional[Digest] = None):
         """Open a trie. With a root digest, the root node is loaded eagerly.
@@ -150,6 +158,7 @@ class Trie:
         """
         self.store = store
         self._committed: Optional[Digest] = root_hash
+        self._nodes: dict[Digest, Node] = {}
         if root_hash is None or root_hash == EMPTY_ROOT:
             self._root: Ref = None
             return
@@ -186,14 +195,17 @@ class Trie:
         new.store = self.store
         new._root = self._insert(self._root, hex_encode(key), value)
         new._committed = None
+        new._nodes = self._nodes
         return new
 
     def commit(self) -> Digest:
         """Serialize every node not yet in the store; return the root digest.
 
         Committing twice without intervening inserts returns the same
-        digest and writes nothing new.
+        digest and writes nothing new. Either way the handle's node memo
+        starts again empty.
         """
+        self._nodes = {}
         if self._committed is not None:
             return self._committed
         if self._root is None:
@@ -283,13 +295,17 @@ class Trie:
     def _resolve(self, ref: Ref) -> Optional[Node]:
         if ref is None or isinstance(ref, (Leaf, Extension, Branch)):
             return ref
+        node = self._nodes.get(ref.digest)
+        if node is not None:
+            return node
         try:
             raw = self.store.get(ref.digest)
         except NotFoundError:
             raise CorruptError(
                 f"unresolvable trie reference {ref.digest.hex()}"
             ) from None
-        return _decode_node(_parse_rlp(raw))
+        node = self._nodes[ref.digest] = _decode_node(_parse_rlp(raw))
+        return node
 
 
 def new_node_count(old_root: Digest, new_root: Digest, store: KvStore) -> int:

@@ -26,6 +26,7 @@ that wall time, the delay and the window count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -87,8 +88,10 @@ class SimConfig:
             raise ConfigInvalidError(f"num_txs must be >= 0: {self.num_txs}")
         if self.parallelism < 1:
             raise ConfigInvalidError(f"parallelism must be >= 1: {self.parallelism}")
-        if self.consensus_delay_s < 0:
-            raise ConfigInvalidError(f"consensus_delay_s must be >= 0: {self.consensus_delay_s}")
+        if not (math.isfinite(self.consensus_delay_s) and self.consensus_delay_s >= 0):
+            raise ConfigInvalidError(
+                f"consensus_delay_s must be finite and >= 0: {self.consensus_delay_s}"
+            )
         if self.num_accounts < 0 or self.txs_per_block < 0:
             raise ConfigInvalidError("count parameters must be >= 0")
 
@@ -162,29 +165,45 @@ def generate_workload(config: SimConfig) -> list[Transaction]:
     Senders are only picked while their pessimistic balance (credits
     ignored) covers the amount, so no later partitioning can invalidate
     a transfer.
+
+    The stream is that of ``randint(1, MAX_TRANSFER_TENTHS)`` for each
+    amount and ``randrange(len(addresses))`` for each pick, drawn inline
+    as ``random.Random`` draws a number below ``n``: ``n.bit_length()``
+    random bits, drawn again while the value is ``n`` or more.
     """
     rng = random.Random(config.seed)
     addresses = account_addresses(config.seed, config.effective_accounts)
-    if config.num_txs > 0 and len(addresses) < 2:
+    count = len(addresses)
+    if config.num_txs > 0 and count < 2:
         raise ConfigInvalidError("transfers need at least two accounts")
-    balances = {address: INITIAL_BALANCE_TENTHS for address in addresses}
-    seqs = {address: 0 for address in addresses}
+    getrandbits = rng.getrandbits
+    pick_bits, amount_bits = count.bit_length(), MAX_TRANSFER_TENTHS.bit_length()
+    amount_texts = [text_from_tenths(tenths) for tenths in range(MAX_TRANSFER_TENTHS + 1)]
+    balances = [INITIAL_BALANCE_TENTHS] * count
+    seqs = [0] * count
     txs: list[Transaction] = []
     for _ in range(config.num_txs):
-        amount = rng.randint(1, MAX_TRANSFER_TENTHS)
+        amount = getrandbits(amount_bits)
+        while amount >= MAX_TRANSFER_TENTHS:
+            amount = getrandbits(amount_bits)
+        amount += 1
         for _attempt in range(64):
-            sender = addresses[rng.randrange(len(addresses))]
+            sender = getrandbits(pick_bits)
+            while sender >= count:
+                sender = getrandbits(pick_bits)
             if balances[sender] >= amount:
                 break
         else:
-            sender = max(addresses, key=lambda a: (balances[a], a))
+            sender = max(range(count), key=lambda i: (balances[i], addresses[i]))
             if balances[sender] < amount:
                 break
         receiver = sender
         while receiver == sender:
-            receiver = addresses[rng.randrange(len(addresses))]
+            receiver = getrandbits(pick_bits)
+            while receiver >= count:
+                receiver = getrandbits(pick_bits)
         txs.append(
-            Transaction(sender, receiver, text_from_tenths(amount), seqs[sender])
+            Transaction(addresses[sender], addresses[receiver], amount_texts[amount], seqs[sender])
         )
         seqs[sender] += 1
         balances[sender] -= amount

@@ -784,6 +784,35 @@ def recorded_writes(monkeypatch, store: FileKvStore) -> list[tuple[bytes, bool]]
     return writes
 
 
+class TestBlockReads:
+    def test_a_block_reads_each_trie_node_once(self, db, monkeypatch) -> None:
+        """A block on a file store reads each stored trie node at most once:
+        its account reads and its write-back share one node memo. This
+        block made 132 store reads, 42 of them repeated trie nodes, before
+        the memo; it makes 90."""
+        table = file_table(db)
+        fund(table, {addr(i): "100.0" for i in range(40)})
+        chain = Chain(table)
+        chain.apply_block([Transaction(addr(i), addr(i + 1), "1.0", 0) for i in range(0, 40, 2)])
+        reads: list[tuple[str, bytes]] = []
+        real_read = FileKvStore._read
+
+        def read(store: FileKvStore, key: bytes):
+            reads.append((store.space, key))
+            return real_read(store, key)
+
+        monkeypatch.setattr(FileKvStore, "_read", read)
+        block = chain.apply_block(
+            [Transaction(addr(i), addr(i + 3), "2.0", 1) for i in range(0, 20, 2)]
+        )
+        assert block.header.state_root.hex() == (
+            "09e73a06c8651f857cb228411c9e7ba936974810af4b82b2dbe6e63461d3be3f"
+        )
+        trie_reads = [key for space, key in reads if space == "trie"]
+        assert trie_reads and len(trie_reads) == len(set(trie_reads))
+        assert len(reads) == 90
+
+
 class TestExportLoad:
     def test_round_trip(self, db) -> None:
         chain, _ = file_chain(db)

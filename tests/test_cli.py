@@ -708,6 +708,13 @@ class TestSim:
         second = json.loads(capsys.readouterr().out)
         assert first["txs"] == second["txs"] == 30
 
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_consensus_delay(self, capsys, delay: str) -> None:
+        assert main(["sim", "run", "--txs", "10", "--consensus", delay]) == 1
+        assert capsys.readouterr().err == (
+            f"error: consensus_delay_s must be finite and >= 0: {float(delay)}\n"
+        )
+
     def test_invalid_shard_count(self, store, capsys) -> None:
         code = main(["--store", store, "sim", "run", "--txs", "10", "--shards", "3"])
         assert code == 1
@@ -767,6 +774,32 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--store", store, "chain", "apply", "--tx", "only:three:parts"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "tx",
+        [
+            f"{ADDR_A}:{ADDR_B}:1.0:\u0660", f"{ADDR_A}:{ADDR_B}:1.0:0_0",
+            f"{ADDR_A}:{ADDR_B}:1.0: 0", f"{ADDR_A}:{ADDR_B}:1.0:-1", f"{ADDR_A}:{ADDR_B}:1.0:",
+            f"{ADDR_A[:20]} {ADDR_A[20:]}:{ADDR_B}:1.0:0", f"{ADDR_A[:38]}:{ADDR_B}:1.0:0",
+            f"{ADDR_A}:{ADDR_B}00:1.0:0", f"{ADDR_A}:{ADDR_B}:1.25:0", f"{ADDR_A}:{ADDR_A}:1.0:0",
+        ],
+        ids=[
+            "arabic-indic-seq", "underscore-seq", "spaced-seq", "negative-seq", "no-seq",
+            "spaced-address", "short-address", "long-address", "two-decimals",
+            "self-transfer",
+        ],
+    )
+    def test_tx_no_block_could_hold(self, store, capsys, tx: str) -> None:
+        """A transaction no block could hold is refused at parse time, as a
+        bad ``--fund`` is: exit 2, and the workspace is not opened, so
+        its head stays where it was."""
+        assert main(["--store", store, "chain", "init", "--fund", f"{ADDR_A}=50.0"]) == 0
+        before = Path(store, "sschain.db").read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", store, "chain", "apply", "--tx", tx])
+        assert excinfo.value.code == 2
+        assert "argument --tx: " in capsys.readouterr().err
+        assert Path(store, "sschain.db").read_bytes() == before
 
     @pytest.mark.parametrize(
         "fund",
@@ -962,10 +995,10 @@ class TestCommandTable:
             "trie root", "shard map", "chain query", "sim run",
         }
 
-    def test_a_command_builds_only_the_parsers_it_reaches(
-        self, store, capsys, monkeypatch
-    ) -> None:
-        built = []
+    @staticmethod
+    def built_parsers(monkeypatch) -> list:
+        """The parsers built from now on, as ``ArgumentParser.__init__`` runs."""
+        built: list = []
         real = argparse.ArgumentParser.__init__
 
         def counting(self, *args, **kwargs) -> None:
@@ -973,8 +1006,38 @@ class TestCommandTable:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_a_command_builds_only_the_parsers_it_reaches(
+        self, store, capsys, monkeypatch
+    ) -> None:
+        """Top, group and command: the other groups and commands are
+        never built."""
+        built = self.built_parsers(monkeypatch)
         assert main(["--store", store, "chain", "query", ADDR_A]) == 1
-        assert len(built) <= 13
+        assert len(built) == 3
+
+    @pytest.mark.parametrize(
+        "argv,parsers",
+        [
+            (["chain", "apply", "--tx", f"{ADDR_A}:{ADDR_B}:1.0:0"], 3),
+            (["sim", "run", "--txs", "10"], 3),
+            (["--help"], 1),
+            (["chain", "--help"], 2),
+        ],
+        ids=["chain-apply", "sim-run", "help", "chain-help"],
+    )
+    def test_parsers_built_per_command_line(
+        self, store, capsys, monkeypatch, argv: list[str], parsers: int
+    ) -> None:
+        def record(root: Path, write: bool) -> None:
+            raise Recorded(write)
+
+        monkeypatch.setattr(cli, "Workspace", record)
+        built = self.built_parsers(monkeypatch)
+        with pytest.raises((Recorded, SystemExit)):
+            main(["--store", store, *argv])
+        assert len(built) == parsers
 
 
 class TestMissingWorkspace:

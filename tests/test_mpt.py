@@ -170,6 +170,64 @@ class TestCommitAndReload:
                 trie.get(key)
 
 
+class TestNodeMemo:
+    """A handle decodes each stored node once: the handles ``insert``
+    derives share its memo, and a commit or a fresh open starts empty."""
+
+    @pytest.fixture()
+    def file_store(self, tmp_path):
+        db = open_database(tmp_path / "memo.db")
+        yield FileKvStore(db, "trie")
+        db.close()
+
+    def test_reads_and_inserts_read_each_node_once(self, file_store, monkeypatch) -> None:
+        pairs = random_pairs(random.Random(4), 200)
+        root = build(file_store, pairs.items()).commit()
+        reads: list[bytes] = []
+        real_read = file_store._read
+
+        def read(key: bytes):
+            reads.append(key)
+            return real_read(key)
+
+        monkeypatch.setattr(file_store, "_read", read)
+        trie = Trie(file_store, root)
+        keys = list(pairs)[:50]
+        for key in keys:
+            assert trie.get(key) == pairs[key]
+        for key in keys:
+            trie = trie.insert(key, b"new " + key)
+        assert reads and len(reads) == len(set(reads))
+
+    def test_inserts_share_it_and_commit_empties_it(self) -> None:
+        store = MemoryKvStore()
+        pairs = random_pairs(random.Random(5), 100)
+        root = build(store, pairs.items()).commit()
+        trie = Trie(store, root)
+        trie.get(next(iter(pairs)))
+        assert trie._nodes
+        derived = trie.insert(b"fresh key", b"fresh value")
+        assert derived._nodes is trie._nodes
+        derived.commit()
+        assert derived._nodes == {}
+        assert Trie(store, root)._nodes == {}
+
+    def test_a_fresh_handle_verifies_every_node(self, file_store) -> None:
+        pairs = random_pairs(random.Random(6), 100)
+        root = build(file_store, pairs.items()).commit()
+        trie = Trie(file_store, root)
+        for key in pairs:
+            trie.get(key)
+        victim = next(iter(trie._nodes))
+        file_store.db.execute(
+            "UPDATE kv SET value = ? WHERE space = 'trie' AND key = ?", (b"tampered", victim)
+        )
+        fresh = Trie(file_store, root)
+        with pytest.raises(CorruptError):
+            for key in pairs:
+                fresh.get(key)
+
+
 class TestRootDeterminism:
     def test_insertion_order_independent(self) -> None:
         rng = random.Random(42)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 from typing import Optional
 
@@ -71,6 +72,8 @@ class TestConfig:
             dict(consensus_delay_s=-1.0),
             dict(num_accounts=-5),
             dict(txs_per_block=-1),
+            dict(consensus_delay_s=float("nan")),
+            dict(consensus_delay_s=float("inf")),
         ],
     )
     def test_invalid(self, kwargs: dict) -> None:
@@ -163,6 +166,45 @@ class TestWorkload:
 
     def test_zero_txs(self) -> None:
         assert generate_workload(SimConfig(num_txs=0)) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(num_txs=3000, seed=8),
+            SimConfig(num_txs=2000, num_accounts=50, seed=7),
+            SimConfig(num_txs=3000, num_accounts=2, seed=2),  # runs dry: a short stream
+        ],
+        ids=["seed-8", "seed-7", "two-accounts"],
+    )
+    def test_stream_matches_the_randrange_reference(self, config: SimConfig) -> None:
+        assert generate_workload(config) == reference_workload(config)
+
+
+def reference_workload(config: SimConfig) -> list[Transaction]:
+    """The stream drawn through ``randint`` and ``randrange``, with balances
+    and seqs kept by address: what :func:`generate_workload` draws inline."""
+    rng = random.Random(config.seed)
+    addresses = account_addresses(config.seed, config.effective_accounts)
+    balances = {address: INITIAL_BALANCE_TENTHS for address in addresses}
+    seqs = {address: 0 for address in addresses}
+    txs = []
+    for _ in range(config.num_txs):
+        amount = rng.randint(1, MAX_TRANSFER_TENTHS)
+        for _attempt in range(64):
+            sender = addresses[rng.randrange(len(addresses))]
+            if balances[sender] >= amount:
+                break
+        else:
+            sender = max(addresses, key=lambda a: (balances[a], a))
+            if balances[sender] < amount:
+                break
+        receiver = sender
+        while receiver == sender:
+            receiver = addresses[rng.randrange(len(addresses))]
+        txs.append(Transaction(sender, receiver, text_from_tenths(amount), seqs[sender]))
+        seqs[sender] += 1
+        balances[sender] -= amount
+    return txs
 
 
 class TestRunExperiment:
