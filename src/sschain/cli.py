@@ -42,7 +42,6 @@ from typing import Callable, Optional
 from . import chain as chainmod
 from . import merkle_dag as dagmod
 from . import shard_dht as shardmod
-from . import simulator as simmod
 from .encoding import DIGEST_SIZE, Digest, hash256
 from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, DagNode, NameRegistry
@@ -99,6 +98,14 @@ def _tx_arg(text: str) -> chainmod.Transaction:
         return chainmod.Transaction(_address(sender), _address(receiver), amount, int(seq))
     except chainmod.ChainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _counts_arg(text: str) -> list[int]:
+    """One or more comma-separated shard counts in ASCII digits."""
+    parts = [part for part in text.split(",") if part]
+    if not parts or not all(part.isascii() and part.isdigit() for part in parts):
+        raise argparse.ArgumentTypeError(f"expected comma-separated shard counts: {text!r}")
+    return [int(part) for part in parts]
 
 
 def _fund_arg(text: str) -> tuple[bytes, str]:
@@ -445,6 +452,7 @@ def cmd_chain_rollback(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_sim_run(args: argparse.Namespace, ws: Workspace) -> int:
+    from . import simulator as simmod  # only the sim commands load it
     config = simmod.SimConfig(
         num_nodes=args.nodes,
         num_shards=args.shards,
@@ -456,8 +464,7 @@ def cmd_sim_run(args: argparse.Namespace, ws: Workspace) -> int:
         txs_per_block=args.txs_per_block,
     )
     if args.scaling:
-        counts = [int(part) for part in args.scaling.split(",") if part]
-        report = simmod.run_scaling(config, counts)
+        report = simmod.run_scaling(config, args.scaling)
     else:
         report = simmod.run_experiment(config)
     if args.json:
@@ -549,7 +556,7 @@ COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
                       _arg("--txs-per-block", type=int, default=0),
                       _arg("--consensus", type=float, default=10.0),
                       _arg("--parallelism", type=int, default=1),
-                      _arg("--scaling", help="comma-separated shard counts")),
+                      _arg("--scaling", type=_counts_arg, help="comma-separated shard counts")),
     }),
 }
 
@@ -619,11 +626,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (SSChainError, sqlite3.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"error: not found: {exc}", file=sys.stderr)
+        return 1
+    except (SSChainError, sqlite3.Error, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         ws.close()

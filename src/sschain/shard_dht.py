@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .encoding import DIGEST_SIZE, Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError

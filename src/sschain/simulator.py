@@ -30,7 +30,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .chain import (
@@ -64,6 +63,8 @@ class SimConfig:
 
     ``num_accounts`` and ``txs_per_block`` default (when zero) to a
     hundredth of the transaction count and to one window respectively.
+    A run uses at most ``parallelism`` workers, one per shard job and one
+    per core; with one, it runs serially in this process.
     """
 
     num_nodes: int = 8
@@ -283,11 +284,13 @@ def run_experiment(config: SimConfig) -> SimReport:
         (i, accounts[i], windows[i]) for i in range(num_shards) if accounts[i]
     ]
 
-    started = time.perf_counter()
-    if config.parallelism == 1 or len(jobs) <= 1:
+    workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        started = time.perf_counter()
         results = [_run_shard_job(job) for job in jobs]
     else:
-        workers = min(config.parallelism, len(jobs))
+        from concurrent.futures import ProcessPoolExecutor  # loaded untimed, for a pool only
+        started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_shard_job, jobs))
     wall = time.perf_counter() - started
@@ -315,16 +318,15 @@ def run_experiment(config: SimConfig) -> SimReport:
 def scaling_series(config: SimConfig, shard_counts: list[int]) -> list[tuple[int, float]]:
     """Throughput at each shard count, same total work, same seed.
 
-    Worker count follows the shard count up to the machine's cores.
+    Worker count follows the shard count; :func:`run_experiment` caps it.
     """
-    cores = os.cpu_count() or 1
     series = []
     for count in shard_counts:
         run_config = replace(
             config,
             num_shards=count,
             num_nodes=max(config.num_nodes, count),
-            parallelism=min(count, cores),
+            parallelism=count,
         )
         report = run_experiment(run_config)
         series.append((count, report.tx_per_second_effective))

@@ -122,6 +122,27 @@ class TestStore:
         assert main(["--store", store, "store", "get", "00" * 32]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_put_a_directory(self, store, tmp_path, capsys) -> None:
+        assert main(["--store", store, "store", "put", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_get_into_a_directory(self, store, tmp_path, capsys) -> None:
+        source = tmp_path / "in.txt"
+        source.write_text("hello")
+        main(["--store", store, "store", "put", str(source)])
+        key = lines_of(capsys)[0]
+        assert main(["--store", store, "store", "get", key, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_store_that_is_a_file(self, tmp_path, capsys) -> None:
+        """A ``--store`` path that is a regular file is an error, and the
+        file is left as it was."""
+        path = tmp_path / "plain"
+        path.write_bytes(b"not a workspace")
+        assert main(["--store", str(path), "chain", "init"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_bytes() == b"not a workspace"
+
 
 class TestDag:
     def test_add_single_file(self, store, tmp_path, capsys) -> None:
@@ -719,6 +740,14 @@ class TestSim:
         code = main(["--store", store, "sim", "run", "--txs", "10", "--shards", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize("counts", ["3", "1,0"])
+    def test_scaling_count_out_of_range(self, store, capsys, counts: str) -> None:
+        """A count in digits that no run can use is a domain error, as
+        ``--shards`` is."""
+        code = main(["--store", store, "sim", "run", "--txs", "10", "--scaling", counts])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: num_shards must be a power of two: ")
+
 
 class TestClosedStdout:
     """A command whose reader has gone exits 1, rolled back, and prints no
@@ -828,6 +857,19 @@ class TestUsageErrors:
             main(["--store", store, "chain", "init", *funds])
         assert excinfo.value.code == 2
         assert not Path(store).exists()
+
+    @pytest.mark.parametrize(
+        "counts", ["abc", ",,", "", "1,x", "-1", "1, 2", "1.0", "\u0663"],
+        ids=["letters", "only-commas", "empty", "one-bad-part", "negative", "spaced",
+             "decimal", "arabic-indic-digit"],
+    )
+    def test_bad_scaling_argument(self, capsys, counts: str) -> None:
+        """Shard counts that are not ASCII digits, or none at all, are a
+        usage error, raised while parsing and so before any experiment."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim", "run", "--txs", "10", "--scaling", counts])
+        assert excinfo.value.code == 2
+        assert "argument --scaling: " in capsys.readouterr().err
 
     def test_missing_subcommand(self) -> None:
         with pytest.raises(SystemExit) as excinfo:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import random
 from dataclasses import replace
 from typing import Optional
@@ -370,3 +372,52 @@ class TestScaling:
         assert len(report.scaling_series) == 2
         lines = report.json_lines()
         assert [json.loads(l)["shards"] for l in lines] == [1, 2]
+
+
+class FakePool:
+    """A stand-in for ``ProcessPoolExecutor`` that records each pool's
+    worker count and maps in this process, so no worker is started."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        FakePool.made.append(max_workers)
+
+    def __enter__(self) -> "FakePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, func, items):
+        return map(func, items)
+
+
+class TestWorkerCount:
+    """``run_experiment`` alone decides how many workers a run gets: at
+    most ``parallelism``, one per shard job and one per core."""
+
+    CONFIG = SimConfig(num_txs=400, num_shards=4, num_nodes=8, seed=3)
+
+    @pytest.fixture()
+    def pools(self, monkeypatch) -> list[int]:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "made", [])
+        return FakePool.made
+
+    @pytest.mark.parametrize(
+        "parallelism,cores,expected",
+        [(1000, 2, [2]), (1000, 8, [4]), (3, 8, [3]), (1000, 1, []), (1000, None, []), (1, 8, [])],
+        ids=["cores", "jobs", "parallelism", "one-core", "unknown-cores", "serial"],
+    )
+    def test_capped(self, pools, monkeypatch, parallelism, cores, expected) -> None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        serial = run_experiment(self.CONFIG)
+        report = run_experiment(replace(self.CONFIG, parallelism=parallelism))
+        assert pools == expected
+        assert report.final_state_root == serial.final_state_root
+
+    def test_scaling_series_leaves_the_cap_to_run_experiment(self, pools, monkeypatch) -> None:
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scaling_series(replace(self.CONFIG, num_shards=1), [1, 2, 4])
+        assert pools == [2, 2]
