@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .encoding import (
     DIGEST_SIZE,
-    SHORT_PAYLOAD_MAX,
-    SHORT_STRING_HEADS,
     Digest,
     Nibbles,
     RlpItem,
@@ -115,12 +114,22 @@ def text_from_tenths(value: int) -> str:
     return f"{value // 10}.{value % 10}"
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=1024)
+def _amount(text: str) -> tuple[int, bytes]:
+    """``text`` in tenths, as :func:`tenths_from_text` parses it, and as
+    an RLP string. A transfer stream repeats a few amount texts, so this
+    bounded memo parses and frames each of them once; a malformed text
+    raises every time, as a raise is not cached."""
+    return tenths_from_text(text), rlp_encode(text.encode())
+
+
+@dataclass(init=False, frozen=True, slots=True)
 class Transaction:
     """One transfer: ``amount`` moves sender -> receiver at sender seq.
 
-    ``tenths`` is ``amount`` parsed once, at construction; it takes no
-    part in equality, hashing or the encoding.
+    ``tenths`` is ``amount`` in tenths, taken at construction from the
+    bounded memo of parsed amount texts; it takes no part in equality,
+    hashing or the encoding.
     """
 
     sender: bytes
@@ -129,14 +138,20 @@ class Transaction:
     seq: int
     tenths: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.sender) != ADDRESS_SIZE or len(self.receiver) != ADDRESS_SIZE:
+    def __init__(self, sender: bytes, receiver: bytes, amount: str, seq: int) -> None:
+        if len(sender) != ADDRESS_SIZE or len(receiver) != ADDRESS_SIZE:
             raise ChainError(f"addresses are {ADDRESS_SIZE} bytes")
-        if self.sender == self.receiver:
+        if sender == receiver:
             raise ChainError("self-transfers are not allowed")
-        if self.seq < 0:
-            raise ChainError(f"negative seq {self.seq}")
-        object.__setattr__(self, "tenths", tenths_from_text(self.amount))
+        if seq < 0:
+            raise ChainError(f"negative seq {seq}")
+        tenths = _amount(amount)[0]
+        set_slot = object.__setattr__  # the class is frozen
+        set_slot(self, "sender", sender)
+        set_slot(self, "receiver", receiver)
+        set_slot(self, "amount", amount)
+        set_slot(self, "seq", seq)
+        set_slot(self, "tenths", tenths)
 
     def to_rlp_item(self) -> RlpItem:
         return [self.sender, self.receiver, self.amount.encode(), int_to_bytes(self.seq)]
@@ -214,19 +229,14 @@ def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Dige
 
 def _encode_tx(tx: Transaction) -> bytes:
     """The transaction's wire bytes, ``rlp_encode(tx.to_rlp_item())``,
-    framed directly: an address is ``0x94`` and its 20 bytes, the amount
-    text and the seq are RLP strings, and ``rlp_list_head`` frames the
-    four."""
-    amount = tx.amount.encode()
-    size = len(amount)
-    if size > SHORT_PAYLOAD_MAX:
-        amount = rlp_encode(amount)
-    elif size > 1:
-        amount = SHORT_STRING_HEADS[size] + amount
+    framed directly: an address is ``0x94`` and its 20 bytes, the amount's
+    RLP string comes from the bounded memo of parsed amount texts, the
+    seq is an RLP string, and ``rlp_list_head`` frames the four."""
+    amount = _amount(tx.amount)[1]
     seq = tx.seq
     seq_item = _SMALL_INTS[seq] if seq < 128 else rlp_encode(int_to_bytes(seq))
-    payload = b"\x94" + tx.sender + b"\x94" + tx.receiver + amount + seq_item
-    return rlp_list_head(len(payload)) + payload
+    head = rlp_list_head(2 * (1 + ADDRESS_SIZE) + len(amount) + len(seq_item))
+    return b"".join((head, b"\x94", tx.sender, b"\x94", tx.receiver, amount, seq_item))
 
 
 def _index_paths(count: int) -> list[Nibbles]:

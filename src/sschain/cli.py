@@ -123,14 +123,17 @@ def _fund_arg(text: str) -> tuple[bytes, str]:
 
 
 class _FundAction(argparse.Action):
-    """Collect ``--fund`` pairs, refusing an address funded twice: the
-    genesis would keep one of the amounts and drop the other."""
+    """Collect ``--fund`` pairs as address -> amount text in first-seen
+    order, refusing an address funded twice: the genesis would keep one
+    of the amounts and drop the other."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        funds = getattr(namespace, self.dest) or []
-        if any(address == values[0] for address, _ in funds):
-            raise argparse.ArgumentError(self, f"address {values[0].hex()} funded twice")
-        setattr(namespace, self.dest, [*funds, values])
+        funds = getattr(namespace, self.dest) or {}
+        address, amount = values
+        if address in funds:
+            raise argparse.ArgumentError(self, f"address {address.hex()} funded twice")
+        funds[address] = amount
+        setattr(namespace, self.dest, funds)
 
 
 class Workspace:
@@ -389,7 +392,7 @@ def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
     if table.trie_store.has(chainmod.HEAD_KEY):
         raise SSChainError(f"chain already initialized in {ws.root / DB_NAME}")
     producer = chainmod.default_producer(table.num_shards)
-    for address, amount in args.fund or []:
+    for address, amount in (args.fund or {}).items():
         table.shard_update(producer, address, AccountState("0", amount))
     chain = chainmod.Chain(table, producer)
     chain.export()

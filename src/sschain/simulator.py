@@ -316,25 +316,36 @@ def run_experiment(config: SimConfig) -> SimReport:
 
 
 def scaling_series(config: SimConfig, shard_counts: list[int]) -> list[tuple[int, float]]:
-    """Throughput at each shard count, same total work, same seed.
+    """Throughput at each shard count, same total work, same seed; each
+    count's config is checked before the first run.
 
     Worker count follows the shard count; :func:`run_experiment` caps it.
+
+    Raises:
+        ConfigInvalidError
     """
-    series = []
-    for count in shard_counts:
-        run_config = replace(
-            config,
-            num_shards=count,
-            num_nodes=max(config.num_nodes, count),
-            parallelism=count,
-        )
-        report = run_experiment(run_config)
-        series.append((count, report.tx_per_second_effective))
-    return series
+    configs = [
+        replace(config, num_shards=count, num_nodes=max(config.num_nodes, count), parallelism=count)
+        for count in shard_counts
+    ]
+    for run_config in configs:
+        run_config.validate()
+    return [
+        (run_config.num_shards, run_experiment(run_config).tx_per_second_effective)
+        for run_config in configs
+    ]
 
 
 def run_scaling(config: SimConfig, shard_counts: list[int]) -> SimReport:
-    """One report for ``config`` with the scaling series attached."""
+    """One report for ``config``, run after its scaling series, with the
+    series attached. Every config is checked, ``config`` first, before
+    the first run.
+
+    Raises:
+        ConfigInvalidError
+    """
+    config.validate()
+    series = scaling_series(config, shard_counts)
     report = run_experiment(config)
-    report.scaling_series = scaling_series(config, shard_counts)
+    report.scaling_series = series
     return report

@@ -28,6 +28,7 @@ for rollback.
 from __future__ import annotations
 
 import sqlite3
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,31 +172,48 @@ class MemoryKvStore(KvStore):
 
 class FileKvStore(KvStore):
     """One space of the ``kv`` table in a SQLite database; survives reopen.
-    Writes join ``db``'s open transaction, if any, and threads may share it."""
+    Writes join ``db``'s open transaction, if any, and threads may share
+    it: each statement and its fetch run under the connection's lock."""
 
     verify_on_read = True
 
     def __init__(self, db: sqlite3.Connection, space: str):
         self.db = db
         self.space = space
+        self._lock: threading.Lock = db.lock  # set by open_database
 
     def __len__(self) -> int:
         query = "SELECT count(*) FROM kv WHERE space = ?"
-        return self.db.execute(query, (self.space,)).fetchone()[0]
+        with self._lock:
+            return self.db.execute(query, (self.space,)).fetchone()[0]
 
     def named_keys(self) -> list[Digest]:
         query = "SELECT key FROM kv WHERE space = ? AND named IS NOT NULL ORDER BY named"
-        return [key for (key,) in self.db.execute(query, (self.space,))]
+        with self._lock:
+            return [key for (key,) in self.db.execute(query, (self.space,))]
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
-        self.db.execute(_PUT_NAMED if named else _PUT_CONTENT, (self.space, key, value))
+        with self._lock:
+            self.db.execute(_PUT_NAMED if named else _PUT_CONTENT, (self.space, key, value))
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         query = "SELECT value, named IS NOT NULL FROM kv WHERE space = ? AND key = ?"
-        row = self.db.execute(query, (self.space, key)).fetchone()
+        with self._lock:
+            row = self.db.execute(query, (self.space, key)).fetchone()
         if row is not None and not isinstance(row[0], bytes):
             raise CorruptError(f"entry {key.hex()} in {self.space} is not a byte string")
         return row
+
+
+class _Connection(sqlite3.Connection):
+    """A connection with the lock its stores run their statements under.
+    Threads that share a connection share its cached statements, so
+    without the lock one thread's read can step another's statement: on
+    Python 3.13, reads then returned another key's row, or none."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.lock = threading.Lock()
 
 
 def open_database(path: str | Path) -> sqlite3.Connection:
@@ -203,9 +221,9 @@ def open_database(path: str | Path) -> sqlite3.Connection:
     raise :class:`StoreError` if it is in another format.
 
     The connection autocommits unless the caller issues ``BEGIN``, and
-    any thread may use it.
+    any thread may use it through a :class:`FileKvStore`.
     """
-    db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    db = sqlite3.connect(path, isolation_level=None, check_same_thread=False, factory=_Connection)
     try:
         db.execute("PRAGMA journal_mode = WAL")
         db.execute("PRAGMA synchronous = NORMAL")

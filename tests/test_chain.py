@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sschain.chain import (
     _AMOUNT_RE,
+    _amount,
     _encode_tx,
     HEAD_KEY,
     AmountError,
@@ -165,8 +166,22 @@ class TestTransaction:
         ],
     )
     def test_invalid_rejected(self, kwargs: dict) -> None:
-        with pytest.raises((ChainError, AmountError)):
-            Transaction(**kwargs)
+        """Every time: the amount memo keeps no failed parse."""
+        for _ in range(2):
+            with pytest.raises(ChainError):
+                Transaction(**kwargs)
+
+    def test_amount_memo_past_its_bound(self) -> None:
+        """More distinct amount texts than the memo holds, then the first
+        again: each transaction's tenths and wire bytes are its own
+        text's, and texts of equal tenths stay apart."""
+        bound = _amount.cache_info().maxsize
+        texts = [text for n in range(bound) for text in (str(n), text_from_tenths(n))]
+        for seq, text in enumerate([*texts, texts[0]]):
+            tx = Transaction(addr(1), addr(2), text, seq)
+            assert tx.tenths == tenths_from_text(text)
+            assert _encode_tx(tx) == rlp_encode(tx.to_rlp_item())
+        assert _amount.cache_info().currsize == bound
 
 
 class TestTxRoot:

@@ -741,12 +741,17 @@ class TestSim:
         assert code == 1
 
     @pytest.mark.parametrize("counts", ["3", "1,0"])
-    def test_scaling_count_out_of_range(self, store, capsys, counts: str) -> None:
+    def test_scaling_count_out_of_range(self, store, capsys, monkeypatch, counts: str) -> None:
         """A count in digits that no run can use is a domain error, as
-        ``--shards`` is."""
+        ``--shards`` is, and it is refused before the first run."""
+        from sschain import simulator
+
+        runs: list[simulator.SimConfig] = []
+        monkeypatch.setattr(simulator, "generate_workload", lambda config: runs.append(config) or [])
         code = main(["--store", store, "sim", "run", "--txs", "10", "--scaling", counts])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: num_shards must be a power of two: ")
+        assert runs == []
 
 
 class TestClosedStdout:
