@@ -52,6 +52,7 @@ DB_NAME = "sschain.db"
 _OLD_LAYOUT = ("objects", "trie", "shards", "chain", "table.cfg", "TRIE_ROOT", "names.txt")
 TRIE_ROOT_KEY = hash256(b"sschain trie root")
 SHARD_TABLE_KEY = hash256(b"sschain shard table")
+DEFAULT_SHARDS = 4
 
 
 def _hex_arg(text: str) -> bytes:
@@ -206,6 +207,16 @@ class Workspace:
         except (UnicodeDecodeError, shardmod.ShardError) as exc:
             raise CorruptError(f"stored shard table: {exc}") from exc
 
+    def shard_table(self, shards: Optional[int]) -> shardmod.ShardTable:
+        """The stored table, whose count a given ``shards`` must match, or
+        a new one of ``shards`` (4 if not given) when none is stored."""
+        table = self.load_table(DEFAULT_SHARDS if shards is None else shards)
+        if shards is not None and shards != table.num_shards:
+            raise SSChainError(
+                f"--shards {shards} disagrees with the stored table's {table.num_shards} shards"
+            )
+        return table
+
     def save_table(self, table: shardmod.ShardTable) -> None:
         config = shardmod.table_to_config(table).encode()
         self.store("workspace").put_named(SHARD_TABLE_KEY, config)
@@ -343,7 +354,7 @@ def cmd_trie_root(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_shard_map(args: argparse.Namespace, ws: Workspace) -> int:
-    shard = shardmod.shard_of(args.address, ws.load_table(args.shards).num_shards)
+    shard = shardmod.shard_of(args.address, ws.shard_table(args.shards).num_shards)
     suffix = f" (prefix {shard.bits})" if shard.bits else ""
     _emit(
         args,
@@ -361,7 +372,7 @@ def _report_payload(report: shardmod.RemapReport) -> list[dict]:
 
 
 def cmd_shard_join(args: argparse.Namespace, ws: Workspace) -> int:
-    table = ws.load_table(default_shards=args.shards)
+    table = ws.shard_table(args.shards)
     node = shardmod.NodeIdentity.derive(
         args.node_id, table.num_shards, book=args.book, authority=args.authority
     )
@@ -388,7 +399,7 @@ def cmd_shard_leave(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
-    table = ws.load_table(default_shards=args.shards)
+    table = ws.shard_table(args.shards)
     if table.trie_store.has(chainmod.HEAD_KEY):
         raise SSChainError(f"chain already initialized in {ws.root / DB_NAME}")
     producer = chainmod.default_producer(table.num_shards)
@@ -528,10 +539,10 @@ COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
     }),
     "shard": ("shard table", {
         "map": _reads("address to shard", cmd_shard_map,
-                      _arg("address", type=_hex_arg), _arg("--shards", type=int, default=4)),
+                      _arg("address", type=_hex_arg), _arg("--shards", type=int)),
         "join": _writes("add a member node", cmd_shard_join,
                         _arg("node_id", type=_digest_arg),
-                        _arg("--shards", type=int, default=4),
+                        _arg("--shards", type=int),
                         _arg("--book", action=argparse.BooleanOptionalAction, default=True),
                         _arg("--authority", action=argparse.BooleanOptionalAction, default=True)),
         "leave": _writes("remove a member node", cmd_shard_leave,
@@ -539,14 +550,14 @@ COMMANDS: dict[str, tuple[str, dict[str, Command]]] = {
     }),
     "chain": ("block chain", {
         "init": _writes("create the chain", cmd_chain_init,
-                        _arg("--shards", type=int, default=4),
+                        _arg("--shards", type=int),
                         _arg("--fund", type=_fund_arg, action=_FundAction,
                              help="<address-hex>=<amount>")),
         "apply": _writes("apply one block of transactions", cmd_chain_apply,
                          _arg("--tx", type=_tx_arg, action="append",
                               help="<from>:<to>:<amount>:<seq>")),
         "query": _reads("account state at head or a root", cmd_chain_query,
-                        _arg("address", type=_hex_arg), _arg("--root", type=_digest_arg)),
+                        _arg("address", type=_address), _arg("--root", type=_digest_arg)),
         "rollback": _writes("move the head to a height", cmd_chain_rollback,
                             _arg("height", type=int)),
     }),

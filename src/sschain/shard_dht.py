@@ -6,7 +6,9 @@ byte string and reads the digest as a big-endian integer. The top
 shard labels are fixed-width bit strings and shard count must be a power
 of two. Within a shard, keys go to the member node with the smallest
 position at or clockwise of the key (wrapping past the top), so a node
-joining or leaving moves only the keys on its own arc.
+joining or leaving moves only the keys on its own arc, from just after
+its predecessor up to its own position. A change reads its shard's
+registry once and reports exactly those keys.
 
 A ``ShardTable`` holds one isolated key-value store per shard plus the
 global account trie, whose ``trie`` handle is the one current state (a
@@ -150,21 +152,11 @@ def assign_key(ring: Sequence[NodeIdentity], key_pos: int) -> NodeIdentity:
     Raises:
         EmptyRingError: no nodes given.
     """
-    return _ring_owner(ring)(key_pos)
-
-
-def _ring_owner(ring: Sequence[NodeIdentity]) -> Callable[[int], NodeIdentity]:
-    """Sort ``ring`` once; return the clockwise-owner lookup over it."""
     if not ring:
         raise EmptyRingError("cannot assign a key on an empty ring")
     members = sorted(ring, key=lambda n: (n.position, n.node_id))
-    positions = [n.position for n in members]
-
-    def owner(key_pos: int) -> NodeIdentity:
-        idx = bisect_left(positions, key_pos % RING_MODULUS)
-        return members[idx % len(members)]
-
-    return owner
+    idx = bisect_left([n.position for n in members], key_pos % RING_MODULUS)
+    return members[idx % len(members)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,14 +200,6 @@ class Shard:
         self.shard_id = shard_id
         self.members: dict[Digest, NodeIdentity] = {}
         self.store = store
-
-    def assignments(self) -> dict[Digest, Digest]:
-        """Current key -> owning node id map over this shard's entries."""
-        keys = self.store.named_keys()
-        if not keys:
-            return {}
-        owner = _ring_owner(list(self.members.values()))
-        return {key: owner(int.from_bytes(key, "big")).node_id for key in keys}
 
     def add_member(self, node: NodeIdentity) -> None:
         """Insert ``node``.
@@ -273,7 +257,8 @@ class ShardTable:
         return self.shards[shard_of(address, self.num_shards)]
 
     def node_join(self, node: NodeIdentity) -> RemapReport:
-        """Add a node to its prefix shard; report keys that moved to it.
+        """Add a node to its prefix shard; report the keys on its arc,
+        which move to it from its clockwise successor.
 
         Raises:
             DuplicateNodeError: node id already present.
@@ -285,12 +270,15 @@ class ShardTable:
                 f"node labeled for shard {node.shard} but belongs to {expected}"
             )
         shard = self.shards[expected]
-        before = shard.assignments() if shard.members else {}
+        others = list(shard.members.values())
         shard.add_member(node)
-        return _diff_assignments(before, shard.assignments() if before else {})
+        if not others:
+            return RemapReport(())
+        keys, successor = _arc(shard.store, others, node.position)
+        return RemapReport(tuple(Move(key, successor.node_id, node.node_id) for key in keys))
 
     def node_leave(self, node_id: Digest) -> RemapReport:
-        """Remove a node; its keys move to the clockwise successor.
+        """Remove a node; the keys on its arc move to its clockwise successor.
 
         Raises:
             NotFoundError: unknown node id.
@@ -304,9 +292,9 @@ class ShardTable:
             raise ShardEmptyError(
                 f"node {node_id.hex()} is the last member of shard {node.shard}"
             )
-        before = shard.assignments()
         del shard.members[node_id]
-        return _diff_assignments(before, shard.assignments())
+        keys, successor = _arc(shard.store, list(shard.members.values()), node.position)
+        return RemapReport(tuple(Move(key, node_id, successor.node_id) for key in keys))
 
     def pointer(self, address: bytes) -> Optional[Cid]:
         """Version Cid :attr:`trie` holds for ``address``, if any."""
@@ -454,13 +442,20 @@ def _authorize(node: NodeIdentity) -> None:
         )
 
 
-def _diff_assignments(
-    before: dict[Digest, Digest], after: dict[Digest, Digest]
-) -> RemapReport:
-    moves = [
-        Move(key, before[key], after[key])
-        for key in before
-        if after.get(key, before[key]) != before[key]
-    ]
-    moves.sort(key=lambda m: m.key)
-    return RemapReport(tuple(moves))
+def _arc(
+    store: KvStore, others: Sequence[NodeIdentity], position: int
+) -> tuple[list[Digest], NodeIdentity]:
+    """Sorted registry keys on the arc a node at ``position`` owns among
+    ``others``, (predecessor, position], which wraps past the top of the
+    ring when the predecessor sits above it; and its clockwise successor,
+    which owns those keys without it. The registry is read once."""
+    ring = sorted(others, key=lambda n: (n.position, n.node_id))
+    idx = bisect_left([n.position for n in ring], position)
+    # Keys are digests, so as bytes they order as their positions do.
+    low = ring[idx - 1].position.to_bytes(DIGEST_SIZE, "big")  # idx 0 wraps
+    high = position.to_bytes(DIGEST_SIZE, "big")
+    if low < high:
+        keys = [k for k in store.named_keys() if low < k <= high]
+    else:  # the arc wraps: every key but those on (position, low]
+        keys = [k for k in store.named_keys() if not high < k <= low]
+    return sorted(keys), ring[idx % len(ring)]

@@ -338,6 +338,25 @@ class TestShard:
         capsys.readouterr()
         assert main(["--store", store, "shard", "leave", NODE_2]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["chain", "init", "--fund", f"{ADDR_A}=50.0"], ["shard", "join", NODE_2],
+         ["shard", "map", ADDR_A]],
+        ids=["chain-init", "shard-join", "shard-map"],
+    )
+    def test_shards_disagreeing_with_the_stored_table(self, store, capsys, argv) -> None:
+        """A --shards other than the stored table's count is an error that
+        names both counts, and writes nothing; the stored count works."""
+        assert main(["--store", store, "shard", "join", NODE_1]) == 0
+        capsys.readouterr()
+        before = Path(store, "sschain.db").read_bytes()
+        assert main(["--store", store, *argv, "--shards", "8"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --shards 8 disagrees with the stored table's 4 shards\n"
+        )
+        assert Path(store, "sschain.db").read_bytes() == before
+        assert main(["--store", store, *argv, "--shards", "4"]) == 0
+
 
 class TestChain:
     def _init(self, store, capture, fund: str = "50.0") -> str:
@@ -875,6 +894,19 @@ class TestUsageErrors:
             main(["sim", "run", "--txs", "10", "--scaling", counts])
         assert excinfo.value.code == 2
         assert "argument --scaling: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "address", ["", "abcd", f"{ADDR_A}00"], ids=["empty", "short", "long"]
+    )
+    def test_bad_query_address(self, store, capsys, address: str) -> None:
+        """``chain query`` checks its address at parse time, as ``--tx`` and
+        ``--fund`` do."""
+        assert main(["--store", store, "chain", "init", "--fund", f"{ADDR_A}=50.0"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", store, "chain", "query", address])
+        assert excinfo.value.code == 2
+        assert "argument address: " in capsys.readouterr().err
 
     def test_missing_subcommand(self) -> None:
         with pytest.raises(SystemExit) as excinfo:

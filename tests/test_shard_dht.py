@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
+from typing import Callable, Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sschain import shard_dht
 from sschain.errors import CorruptError, NotFoundError
 from sschain.merkle_dag import (
     AccountState,
@@ -26,6 +29,7 @@ from sschain.shard_dht import (
     NodeIdentity,
     NotAuthorizedError,
     NotPowerOfTwoError,
+    RemapReport,
     Shard,
     ShardEmptyError,
     ShardError,
@@ -39,7 +43,7 @@ from sschain.shard_dht import (
     table_from_config,
     table_to_config,
 )
-from sschain.store import MemoryKvStore
+from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
 
 # --- independent oracles -------------------------------------------------
 
@@ -489,6 +493,94 @@ class TestMigration:
         assert abs(moved - expected) < 2000  # about three standard deviations
 
 
+def _key_at(position: int) -> bytes:
+    """The registry key whose ring position is ``position``."""
+    return (position % RING_MODULUS).to_bytes(32, "big")
+
+
+@contextlib.contextmanager
+def _backend(kind: str) -> Iterator[KvStore]:
+    if kind == "memory":
+        yield MemoryKvStore()
+        return
+    db = open_database(":memory:")
+    try:
+        yield FileKvStore(db, "shards/0")
+    finally:
+        db.close()
+
+
+class TestArcOracle:
+    """Every join's and leave's report, move for move and in order, is the
+    brute-force diff of the :func:`assign_key` owners before and after."""
+
+    @staticmethod
+    def _check(shard: Shard, change: Callable[[], RemapReport]) -> tuple:
+        before = TestMigration._owners(shard) if shard.members else {}
+        report = change()
+        after = TestMigration._owners(shard) if before else {}
+        expected = tuple(
+            (key, before[key], after[key]) for key in sorted(before) if before[key] != after[key]
+        )
+        assert tuple((m.key, m.src, m.dst) for m in report.moves) == expected
+        return expected
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    @given(
+        node_ids=st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=8, unique=True),
+        keys=st.lists(st.binary(min_size=32, max_size=32), max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_memberships(
+        self, kind: str, node_ids: list[bytes], keys: list[bytes], data: st.DataObject
+    ) -> None:
+        """Every node joins in turn, then all but one leave in a drawn
+        order. The registry also holds a key at each node's position and
+        one just past it, and keys at both ends of the ring."""
+        nodes = [NodeIdentity.derive(node_id, 1) for node_id in node_ids]
+        leavers = data.draw(st.permutations(nodes))[1:]
+        forced = [_key_at(0), _key_at(-1)]
+        for node in nodes:
+            forced += [_key_at(node.position), _key_at(node.position + 1)]
+        with _backend(kind) as store:
+            table = ShardTable(1, lambda _sid: store)
+            shard = shard_by_index(table, 0)
+            for key in dict.fromkeys(keys + forced):
+                store.put_named(key, b"registered")
+            for node in nodes:
+                self._check(shard, lambda: table.node_join(node))
+            for node in leavers:
+                self._check(shard, lambda: table.node_leave(node.node_id))
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_edge_cases(self, kind: str) -> None:
+        """A join into an empty shard moves nothing and one into a shard
+        of one member takes its arc; a key at the node's own position moves
+        with it and one at its predecessor's stays; the arc of the
+        lowest-placed node wraps past the top of the ring, both ways."""
+        ring = sorted(make_nodes(5, 1, seed="edge"), key=lambda n: n.position)
+        lowest = ring[0]
+        with _backend(kind) as store:
+            table = ShardTable(1, lambda _sid: store)
+            shard = shard_by_index(table, 0)
+            for key in [_key_at(node.position) for node in ring] + [_key_at(0), _key_at(-1)]:
+                store.put_named(key, b"registered")
+            assert self._check(shard, lambda: table.node_join(ring[2])) == ()
+            one_member = [move[0] for move in self._check(shard, lambda: table.node_join(ring[3]))]
+            assert _key_at(ring[3].position) in one_member
+            assert _key_at(ring[2].position) not in one_member
+            for node in (ring[4], ring[1]):
+                self._check(shard, lambda: table.node_join(node))
+            wrapped = sorted([_key_at(0), _key_at(-1), _key_at(lowest.position)])
+            assert self._check(shard, lambda: table.node_join(lowest)) == tuple(
+                (key, ring[1].node_id, lowest.node_id) for key in wrapped
+            )
+            assert self._check(shard, lambda: table.node_leave(lowest.node_id)) == tuple(
+                (key, lowest.node_id, ring[1].node_id) for key in wrapped
+            )
+
+
 class TestConfig:
     def test_round_trip(self) -> None:
         table = ShardTable(4)
@@ -508,16 +600,14 @@ class TestConfig:
         assert again is not None and again.book and again.authority
 
     def test_load_works_out_no_assignments(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        """Loading a membership inserts each member into its shard; no key
-        is assigned, as nothing moves."""
+        """Loading a membership inserts each member into its shard; no
+        arc is worked out, as nothing moves."""
         table = ShardTable(2)
         for node in make_nodes(8, 2):
             table.node_join(node)
-        calls: list[Shard] = []
-        assignments = Shard.assignments
-        monkeypatch.setattr(
-            Shard, "assignments", lambda shard: calls.append(shard) or assignments(shard)
-        )
+        calls: list[tuple] = []
+        arc = shard_dht._arc
+        monkeypatch.setattr(shard_dht, "_arc", lambda *args: calls.append(args) or arc(*args))
         restored = table_from_config(table_to_config(table))
         assert calls == []
         assert sorted(restored.members(), key=lambda n: n.node_id) == sorted(
