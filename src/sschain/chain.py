@@ -508,7 +508,11 @@ class Chain:
         trie = self.table.trie if at_root is None else Trie(self.table.trie_store, at_root)
         found = self.table.read_account(address, trie=trie)
         if found is None:
-            raise NotFoundError(f"account {address.hex()} not at root {trie.commit().hex()}")
+            # The trie has no delete, so a key absent from the pending
+            # state is absent at the head root too; naming that root
+            # leaves uncommitted writes and the node memo alone.
+            root = self.head.header.state_root if at_root is None else at_root
+            raise NotFoundError(f"account {address.hex()} not at root {root.hex()}")
         return found[0]
 
     def rollback(self, to_height: int) -> "Chain":

@@ -16,13 +16,13 @@ fixed contract: exactly ``json.dumps(doc, indent=2) + "\n"`` with the
 keys in the order ``AccountState.to_json_bytes`` writes them. Leaf Cids,
 version Cids and state roots all hash these bytes, so any change to the
 form changes every root. Directory nodes group state files; version
-nodes wrap a root and link back to the prior version, giving a rollback
-trail (``account_history``). A chain writes one version per touched
-account per block, after the block's body and credits, chained to the
-version the previous block left, so the trail steps block by block. A
-``NameRegistry`` maps a publisher's node id to its latest root,
-latest-sequence-wins, as RLP ``[sequence, target digest]`` under the
-node id in its ``records``.
+nodes wrap a root and link back to the prior version through their
+``prev`` link, giving a rollback trail. A chain writes one version per
+touched account per block, after the block's body and credits, chained
+to the version the previous block left, so the trail steps block by
+block. A ``NameRegistry`` maps a publisher's node id to its latest
+root, latest-sequence-wins, as RLP ``[sequence, target digest]`` under
+the node id in its ``records``.
 
 A version node is the DAG node ``[b"", [[b"prev", prev, prev_size],
 [b"root", root, root_size]]]`` (no ``prev`` link on a first version),
@@ -313,25 +313,6 @@ def version_append(
             return None
         prev_size = len(raw)
     return Cid(store.put(_encode_version(leaf_cid, len(leaf), prev, prev_size)))
-
-
-def account_history(store: KvStore, version_head: Cid) -> list[Cid]:
-    """All version Cids reachable from ``version_head``, newest first.
-
-    Adopting any returned Cid as current is a rollback; nothing is
-    deleted by moving the head.
-
-    Raises:
-        NotFoundError: head or any prev link does not resolve.
-        CorruptError: a node on the trail fails its digest or is not a
-            version node.
-    """
-    history = []
-    cursor: Optional[Cid] = version_head
-    while cursor is not None:
-        history.append(cursor)
-        cursor = _parse_version(_get_verified(store, cursor), cursor)[2]
-    return history
 
 
 @dataclass(frozen=True, slots=True)

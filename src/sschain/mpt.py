@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .encoding import (
     DIGEST_SIZE,
@@ -306,52 +306,6 @@ class Trie:
             ) from None
         node = self._nodes[ref.digest] = _decode_node(_parse_rlp(raw))
         return node
-
-
-def new_node_count(old_root: Digest, new_root: Digest, store: KvStore) -> int:
-    """Number of stored nodes reachable from ``new_root`` but not ``old_root``.
-
-    Only digest-referenced nodes count; inline children live inside their
-    parent's bytes.
-    """
-    return len(_reachable(new_root, store) - _reachable(old_root, store))
-
-
-def _reachable(root: Digest, store: KvStore) -> set[Digest]:
-    if root == EMPTY_ROOT and not store.has(root):
-        return {root}
-    seen: set[Digest] = set()
-    stack = [root]
-    first = True
-    while stack:
-        digest = stack.pop()
-        if digest in seen:
-            continue
-        try:
-            raw = store.get(digest)
-        except NotFoundError:
-            if first:
-                raise RootNotFoundError(f"root {digest.hex()} not in store") from None
-            raise CorruptError(f"dangling trie reference {digest.hex()}") from None
-        first = False
-        seen.add(digest)
-        if raw == _EMPTY_NODE:
-            continue
-        node = _decode_node(_parse_rlp(raw))
-        stack.extend(_digest_refs(node))
-    return seen
-
-
-def _digest_refs(node: Node) -> Iterator[Digest]:
-    refs: list[Ref]
-    if isinstance(node, Leaf):
-        return
-    refs = [node.child] if isinstance(node, Extension) else list(node.children)
-    for ref in refs:
-        if isinstance(ref, HashRef):
-            yield ref.digest
-        elif isinstance(ref, (Extension, Branch)):
-            yield from _digest_refs(ref)
 
 
 def _common_prefix(a: Nibbles, b: Nibbles) -> Nibbles:

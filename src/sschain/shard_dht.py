@@ -16,10 +16,10 @@ chain moves it block by block). ``shard_update`` writes an account's
 state into its shard as a small version DAG chained to the version in
 ``trie``, and inserts it in ``trie``, which is committed only when
 ``state_root`` is read. The trie leaf is the account's one lookup
-pointer: ``pointer`` and ``shard_inquire`` read it there. The shard
-store keeps only a registry of its accounts' lookup keys, one named
-entry per account written when the account first appears, which the
-ring remaps among member nodes. The lookup key is the fixed pipeline
+pointer, which ``pointer`` reads. The shard store keeps only a registry
+of its accounts' lookup keys, one named entry per account written when
+the account first appears, which the ring remaps among member nodes.
+The lookup key is the fixed pipeline
 
     hash256(rlp_encode(hp_encode(hex_encode(address), leaf)))
 
@@ -40,7 +40,7 @@ from .encoding import DIGEST_SIZE, Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError
 from .merkle_dag import AccountState, Cid, dag_get, version_append, version_root
 from .mpt import Trie
-from .store import KvStore, MemoryKvStore, StoreEntry
+from .store import KvStore, MemoryKvStore
 
 
 class ShardError(SSChainError):
@@ -171,10 +171,6 @@ class RemapReport:
     """Keys that changed owner after a membership change."""
 
     moves: tuple[Move, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.moves)
 
     def lines(self) -> list[str]:
         return [
@@ -361,17 +357,6 @@ class ShardTable:
         if prev_cid is None:
             self.register(address)
         return version_cid
-
-    def shard_inquire(
-        self, requester: NodeIdentity, address: bytes
-    ) -> StoreEntry:
-        """(lookup key, version digest) for an address, read from :attr:`trie`.
-
-        Raises:
-            NotAuthorizedError; NotFoundError: the trie holds no version.
-        """
-        _authorize(requester)
-        return StoreEntry(pipeline_key(address), self.trie.get(address))
 
 
 _COUNT = re.compile(r"[0-9]+")

@@ -30,7 +30,6 @@ from __future__ import annotations
 import sqlite3
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 
 from .encoding import DIGEST_SIZE, Digest, hash256
@@ -64,14 +63,6 @@ class StoreError(SSChainError):
 
 class EmptyValueError(StoreError):
     """Empty values are not storable; absence is expressed by a missing key."""
-
-
-@dataclass(frozen=True)
-class StoreEntry:
-    """A (key, value) pair as returned by shard lookups."""
-
-    key: Digest
-    value: bytes
 
 
 class KvStore(ABC):
@@ -126,9 +117,9 @@ class KvStore(ABC):
         _check_key(key)
         return self._read(key) is not None
 
+    @abstractmethod
     def named_keys(self) -> list[Digest]:
         """Keys of all named entries, in first-write order."""
-        return list(self._named)
 
     @abstractmethod
     def __len__(self) -> int:
@@ -153,6 +144,9 @@ class MemoryKvStore(KvStore):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def named_keys(self) -> list[Digest]:
+        return list(self._named)
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
         """A new content key costs one membership test and one dict store."""

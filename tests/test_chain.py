@@ -30,10 +30,12 @@ from sschain.chain import (
 )
 from sschain.encoding import hash256, int_to_bytes, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
-from sschain.merkle_dag import AccountState, Cid, account_history
+from sschain.merkle_dag import AccountState, Cid
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable, pipeline_key
 from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
+
+from test_merkle_dag import version_trail
 
 
 class PutLog(MemoryKvStore):
@@ -418,7 +420,7 @@ class TestApplyBlock:
         for address, versions in ((addr(1), 2), (addr(2), 1)):
             pointer = chain.table.pointer(address)
             assert pointer == Cid(head.get(address))
-            assert len(account_history(chain.table.shard_for(address).store, pointer)) == versions
+            assert len(version_trail(chain.table.shard_for(address).store, pointer)) == versions
 
     def test_block_writes_each_touched_account_once(self) -> None:
         """An account that sends three times and receives once in a block
@@ -426,7 +428,7 @@ class TestApplyBlock:
         the block validates."""
         chain = build_chain({addr(1): "10.0", addr(3): "5.0"})
         store = chain.table.shard_for(addr(1)).store
-        before = account_history(store, chain.table.pointer(addr(1)))
+        before = version_trail(store, chain.table.pointer(addr(1)))
         block = chain.apply_block(
             [
                 Transaction(addr(1), addr(2), "1.0", 0),
@@ -437,7 +439,7 @@ class TestApplyBlock:
         )
         assert len(block.txs) == 4
         assert chain.validate_block(block)
-        after = account_history(store, chain.table.pointer(addr(1)))
+        after = version_trail(store, chain.table.pointer(addr(1)))
         assert after[1:] == before
         state = chain.query_account(addr(1))
         assert (state.seq_number, state.balance) == ("3", "10.0")
@@ -546,18 +548,38 @@ class TestLedgerOracle:
         with pytest.raises(RootNotFoundError):
             chain.query_account(addr(1), at_root=hash256(b"never-committed"))
 
+    @pytest.mark.parametrize("root_given", [False, True])
+    def test_failed_query_writes_nothing(self, root_given: bool) -> None:
+        """A query of an absent account names the root it read, the head's
+        when none is given, and leaves the table's uncommitted writes
+        uncommitted."""
+
+        def pending_chain() -> Chain:
+            chain = build_chain({addr(1): "10.0"})
+            fund(chain.table, {addr(3): "4.0"})
+            return chain
+
+        chain = pending_chain()
+        root = chain.head.header.state_root
+        store = chain.table.trie_store
+        before = len(store)
+        with pytest.raises(NotFoundError) as caught:
+            chain.query_account(addr(9), at_root=root if root_given else None)
+        assert len(store) == before
+        assert str(caught.value).endswith(f"not at root {root.hex()}")
+        txs = [Transaction(addr(1), addr(2), "1.0", 0)]
+        unqueried = pending_chain().apply_block(txs)
+        assert chain.apply_block(txs).header == unqueried.header
+
 
 def assert_lookups_read_head(table: ShardTable, present: list[bytes], absent: list[bytes]) -> None:
-    """``pointer`` and ``shard_inquire`` agree with the head trie."""
-    producer = default_producer(table.num_shards)
+    """``pointer`` agrees with the head trie, and each present account's
+    lookup key is in its shard's registry."""
     for address in present:
-        version = Cid(table.trie.get(address))
-        assert table.pointer(address) == version
-        assert table.shard_inquire(producer, address).value == version.digest
+        assert table.pointer(address) == Cid(table.trie.get(address))
+        assert pipeline_key(address) in table.shard_for(address).store.named_keys()
     for address in absent:
         assert table.pointer(address) is None
-        with pytest.raises(NotFoundError):
-            table.shard_inquire(producer, address)
 
 
 class TestRollback:

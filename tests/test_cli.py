@@ -599,8 +599,9 @@ class TestChain:
         assert main(["--store", store, "chain", "apply"]) == 1
 
     def test_query_unknown_account(self, store, capsys) -> None:
-        self._init(store, capsys)
+        root = self._init(store, capsys)
         assert main(["--store", store, "chain", "query", ADDR_B]) == 1
+        assert capsys.readouterr().err == f"error: account {ADDR_B} not at root {root}\n"
 
     def test_json_mode(self, store, capsys) -> None:
         self._init(store, capsys)

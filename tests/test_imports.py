@@ -31,7 +31,11 @@ def test_package_loads_no_submodule() -> None:
 
 @pytest.mark.parametrize(
     "module,absent",
-    [("sschain.cli", {"sschain.simulator", *POOL}), ("sschain.simulator", POOL)],
+    [
+        ("sschain.cli", {"sschain.simulator", *POOL}),
+        ("sschain.simulator", POOL),
+        ("sschain.store", {"dataclasses"}),
+    ],
 )
 def test_module_leaves_the_pool_unloaded(module: str, absent: set[str]) -> None:
     loaded = loaded_after(f"import {module}")
