@@ -21,7 +21,8 @@ account the block created in its shard's registry of lookup keys.
 ``validate_block`` is strict re-execution through the same executor
 against the parent root; any rejected transaction fails the block, so a
 block validates only if an honest producer could have made it, and the
-replay registers nothing, accepted or not. Every
+replay, through overlays of the table's stores, writes nothing,
+accepted or not. Every
 committed root stays readable forever, so ``rollback`` only moves the
 head pointer and reopens the table's trie at its root.
 
@@ -129,7 +130,10 @@ class Transaction:
 
     ``tenths`` is ``amount`` in tenths, taken at construction from the
     bounded memo of parsed amount texts; it takes no part in equality,
-    hashing or the encoding.
+    hashing or the encoding. The class is frozen, so ``__init__`` checks
+    its arguments and then fills the five slots through their
+    descriptors' ``__set__``, bound once at import, which costs less per
+    transfer than ``object.__setattr__``.
     """
 
     sender: bytes
@@ -146,12 +150,11 @@ class Transaction:
         if seq < 0:
             raise ChainError(f"negative seq {seq}")
         tenths = _amount(amount)[0]
-        set_slot = object.__setattr__  # the class is frozen
-        set_slot(self, "sender", sender)
-        set_slot(self, "receiver", receiver)
-        set_slot(self, "amount", amount)
-        set_slot(self, "seq", seq)
-        set_slot(self, "tenths", tenths)
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+        _set_amount(self, amount)
+        _set_seq(self, seq)
+        _set_tenths(self, tenths)
 
     def to_rlp_item(self) -> RlpItem:
         return [self.sender, self.receiver, self.amount.encode(), int_to_bytes(self.seq)]
@@ -168,6 +171,15 @@ class Transaction:
         except UnicodeDecodeError as exc:
             raise CorruptError("transaction amount is not valid text") from exc
         return cls(sender, receiver, amount_text, int_from_bytes(seq))
+
+
+# The slot setters ``Transaction.__init__`` calls; they skip the frozen
+# class's ``__setattr__``.
+_set_sender = Transaction.sender.__set__
+_set_receiver = Transaction.receiver.__set__
+_set_amount = Transaction.amount.__set__
+_set_seq = Transaction.seq.__set__
+_set_tenths = Transaction.tenths.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,6 +313,23 @@ def _read_block(store: KvStore, header: BlockHeader) -> Block:
         raise CorruptError(f"body of block {header.number}: {exc}") from exc
 
 
+class _Overlay(MemoryKvStore):
+    """A replay's store: reads fall through to ``base``, writes stay here
+    and go when it does, so ``base`` is left as it was. Its ``len`` counts
+    an entry in both twice; a trie reads it only to tell an empty store."""
+
+    def __init__(self, base: KvStore) -> None:
+        super().__init__()
+        self.base = base
+        self.verify_on_read = base.verify_on_read
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self._entries)
+
+    def _read(self, key: Digest) -> tuple[bytes, bool] | None:
+        return super()._read(key) or self.base._read(key)
+
+
 @dataclass(slots=True)
 class _Account:
     """One account inside a block: the version the block started from
@@ -407,7 +436,7 @@ class Chain:
         can re-derive every field.
         """
         trie, accepted, rejected, credits_out, created = self._execute(
-            self.table.trie, txs, credits, is_local
+            self.table, self.table.trie, txs, credits, is_local
         )
         for address in created:
             self.table.register(address)
@@ -422,13 +451,14 @@ class Chain:
 
     def _execute(
         self,
+        table: ShardTable,
         trie: Trie,
         txs: Iterable[Transaction],
         credits: Iterable[tuple[bytes, int]],
         is_local: Optional[Callable[[bytes], bool]],
     ) -> tuple[Trie, list[Transaction], list[Rejection], list[tuple[bytes, int]], list[bytes]]:
         """The state transition: run a body and credits against ``trie``,
-        then write back every account it changed.
+        then write back through ``table`` every account it changed.
 
         Returns (new trie, accepted, rejected, credits owed elsewhere,
         accounts created, in first-touch order, for the caller to
@@ -447,7 +477,7 @@ class Chain:
 
         def account(address: bytes) -> _Account:
             """The entry of an account not touched before, read from ``trie``."""
-            found = self.table.read_account(address, trie=trie)
+            found = table.read_account(address, trie=trie)
             if found is None:
                 entry = _Account(0, 0, b"", None)
             else:
@@ -489,7 +519,7 @@ class Chain:
         for address, entry in accounts.items():
             if entry.dirty:
                 state = AccountState(str(entry.seq), text_from_tenths(entry.tenths), entry.code)
-                trie, _, _ = self.table.write_account(
+                trie, _, _ = table.write_account(
                     self.producer, address, state, trie=trie, prev_cid=entry.version
                 )
                 if entry.version is None:
@@ -543,10 +573,12 @@ class Chain:
         header for the body, its transaction root built on a throwaway
         store, then re-executes the body against the parent root: strict
         re-execution through the same executor as :meth:`apply_block`, so
-        any rejected transaction fails the block. The replay registers no
-        account, so the shard registries stay as they were whatever the
-        answer. Blocks made with cross-shard credits, owed out or folded
-        in, do not validate yet: the credits are not in the body.
+        any rejected transaction fails the block. The replay reads the
+        table's stores through overlays that keep its writes and are
+        dropped after it, so it writes nothing, registers no account and
+        leaves every store as it was, whatever the answer. Blocks made
+        with cross-shard credits, owed out or folded in, do not validate
+        yet: the credits are not in the body.
 
         Raises:
             UnknownParentError: parent hash names no stored header.
@@ -555,8 +587,14 @@ class Chain:
         parent = _read_header(store, block.header.parent_hash, "parent", UnknownParentError)
         if block.header != _child_header(parent, block.header.state_root, block.txs):
             return False
+        table = self.table
+        replay = ShardTable(
+            table.num_shards,
+            lambda sid: _Overlay(table.shards[sid].store),
+            _Overlay(store),
+        )
         trie, _, rejected, _, _ = self._execute(
-            Trie(store, parent.state_root), block.txs, (), None
+            replay, Trie(replay.trie_store, parent.state_root), block.txs, (), None
         )
         return not rejected and trie.commit() == block.header.state_root
 

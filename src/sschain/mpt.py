@@ -30,10 +30,14 @@ later commit re-serializes only what changed since.
 A handle remembers each stored node it has read and decoded, keyed by
 digest, and shares that memo with the handles ``insert`` derives from
 it, so a block that reads an account and then writes it back decodes
-each node on the path once. ``commit`` starts the committed handle on an
-empty memo, so a memo lasts at most one block and does not grow with
-history; a handle opened from a root starts empty too, so it reads, and
-verifies, every node through the store. A trie whose keys
+each node on the path once. ``commit`` gives the committed handle a new
+memo holding exactly the nodes it wrote, as collapsed nodes under their
+digests, so the next block reads none of them back from the store: the
+clean-node cache of geth's trie database, scoped to one handle. A memo
+therefore holds at most one commit's nodes plus one block's reads and
+does not grow with history; as nodes are content-addressed, it is right
+on any branch. A handle opened from a root starts on an empty memo, so
+it reads, and verifies, every node through the store. A trie whose keys
 are all known at once is better built by ``commit_items``, which sorts
 their nibble paths, or by ``commit_sorted``, for a caller that already
 holds them in order (a block's transaction indexes). The one builder
@@ -201,18 +205,19 @@ class Trie:
     def commit(self) -> Digest:
         """Serialize every node not yet in the store; return the root digest.
 
-        Committing twice without intervening inserts returns the same
-        digest and writes nothing new. Either way the handle's node memo
-        starts again empty.
+        The handle's node memo becomes the nodes this commit wrote, each
+        under its digest, so reads after the commit decode nothing it
+        encoded. Committing twice without intervening inserts returns the
+        same digest, writes nothing new and keeps the memo.
         """
-        self._nodes = {}
         if self._committed is not None:
             return self._committed
+        self._nodes = {}
         if self._root is None:
             self.store.put(_EMPTY_NODE)
             self._committed = EMPTY_ROOT
             return EMPTY_ROOT
-        collapsed, encoded = _commit_node(self._root, self.store)
+        collapsed, encoded = _commit_node(self._root, self.store, self._nodes)
         root_digest = self.store.put(encoded)
         self._root = collapsed
         self._committed = root_digest
@@ -316,37 +321,39 @@ def _common_prefix(a: Nibbles, b: Nibbles) -> Nibbles:
     return a[:n]
 
 
-def _commit_node(node: Node, store: KvStore) -> tuple[Node, bytes]:
+def _commit_node(node: Node, store: KvStore, written: dict[Digest, Node]) -> tuple[Node, bytes]:
     """Serialize ``node`` bottom-up; return (collapsed node, encoded bytes).
 
-    Children whose encoding reaches 32 bytes are written to the store and
-    collapse to a ``HashRef``; smaller ones embed inline.
+    Children whose encoding reaches 32 bytes are written to the store,
+    recorded in ``written`` under their digest, and collapse to a
+    ``HashRef``; smaller ones embed inline.
     """
     if isinstance(node, Leaf):
         return node, _encode_leaf(node.path, node.value)
     if isinstance(node, Extension):
-        child_ref, child_collapsed = _commit_ref(node.child, store)
+        child_ref, child_collapsed = _commit_ref(node.child, store, written)
         collapsed: Node = Extension(node.prefix, child_collapsed)
         return collapsed, _encode_extension(node.prefix, child_ref)
     refs: list[bytes] = []
     collapsed_children: list[Ref] = []
     for child in node.children:
-        child_ref, child_collapsed = _commit_ref(child, store)
+        child_ref, child_collapsed = _commit_ref(child, store, written)
         refs.append(child_ref)
         collapsed_children.append(child_collapsed)
     return Branch(tuple(collapsed_children), node.value), _encode_branch(refs, node.value)
 
 
-def _commit_ref(ref: Ref, store: KvStore) -> tuple[bytes, Ref]:
+def _commit_ref(ref: Ref, store: KvStore, written: dict[Digest, Node]) -> tuple[bytes, Ref]:
     """Commit a child; return (its reference bytes, collapsed reference)."""
     if ref is None:
         return _EMPTY_NODE, None
     if isinstance(ref, HashRef):
         return _DIGEST_HEAD + ref.digest, ref
-    collapsed, encoded = _commit_node(ref, store)
+    collapsed, encoded = _commit_node(ref, store, written)
     if len(encoded) < DIGEST_SIZE:
         return encoded, collapsed
     digest = store.put(encoded)
+    written[digest] = collapsed
     return _DIGEST_HEAD + digest, HashRef(digest)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 from typing import Optional
@@ -154,6 +155,30 @@ class TestTransaction:
         copy = pickle.loads(pickle.dumps(tx))
         assert copy == tx and hash(copy) == hash(tx)
         assert copy.tenths == 42
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol: int) -> None:
+        """``__init__`` fills the slots through their descriptors, and
+        unpickling fills them without it, under every protocol."""
+        tx = Transaction(addr(1), addr(2), "4.2", 7)
+        copy = pickle.loads(pickle.dumps(tx, protocol))
+        assert copy == tx and hash(copy) == hash(tx)
+        assert copy.tenths == 42 and repr(copy) == repr(tx)
+
+    @pytest.mark.parametrize("name", ["sender", "receiver", "amount", "seq"])
+    def test_fields_are_frozen(self, name: str) -> None:
+        tx = Transaction(addr(1), addr(2), "4.2", 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tx, name, getattr(tx, name))
+
+    def test_replace_checks_again(self) -> None:
+        tx = Transaction(addr(1), addr(2), "4.2", 7)
+        with pytest.raises(ChainError):
+            dataclasses.replace(tx, seq=-1)
+        with pytest.raises(ChainError):
+            dataclasses.replace(tx, receiver=addr(1))
+        moved = dataclasses.replace(tx, amount="13")
+        assert moved == Transaction(addr(1), addr(2), "13", 7) and moved.tenths == 130
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -773,6 +798,35 @@ class TestValidateBlock:
         assert pipeline_key(addr(9)) in table.shard_for(addr(9)).store.named_keys()
         assert sum(map(len, registries())) == 3
 
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize("case", ["wrong-root", "rejected-tx", "accepted"])
+    def test_validation_writes_nothing(self, backend: str, case: str, request) -> None:
+        """A block made by another chain from the same genesis, which pays
+        a new account: refused for a wrong state root, refused with a
+        rejectable transaction added, or accepted, the replay leaves the
+        trie store and every shard store with the entries they had."""
+        balances = {addr(1): "10.0", addr(3): "10.0"}
+        producer = build_chain(balances)
+        block = producer.apply_block(
+            [Transaction(addr(1), addr(2), "1.0", 0), Transaction(addr(3), addr(1), "2.0", 0)]
+        )
+        header, body = block.header, block.txs
+        if case == "wrong-root":
+            header = dataclasses.replace(header, state_root=hash256(b"wrong root"))
+        elif case == "rejected-tx":
+            body += (Transaction(addr(1), addr(2), "1.0", 99),)
+            header = dataclasses.replace(header, tx_root=tx_root(body))
+        table = ShardTable(4) if backend == "memory" else file_table(request.getfixturevalue("db"))
+        fund(table, balances)
+        chain = Chain(table)
+
+        def sizes() -> list[int]:
+            return [len(table.trie_store)] + [len(s.store) for s in table.shards.values()]
+
+        before = sizes()
+        assert chain.validate_block(Block(header, body)) is (case == "accepted")
+        assert sizes() == before
+
     def test_validation_leaves_live_state_alone(self) -> None:
         chain, _ = TestRollback()._three_blocks()
         table = chain.table
@@ -824,9 +878,12 @@ def recorded_writes(monkeypatch, store: FileKvStore) -> list[tuple[bytes, bool]]
 class TestBlockReads:
     def test_a_block_reads_each_trie_node_once(self, db, monkeypatch) -> None:
         """A block on a file store reads each stored trie node at most once:
-        its account reads and its write-back share one node memo. This
-        block made 132 store reads, 42 of them repeated trie nodes, before
-        the memo; it makes 90."""
+        its account reads and its write-back share one node memo, which
+        starts as the nodes the previous commit wrote. The second block
+        touches only accounts the first wrote, so it reads no trie node;
+        before the memo outlived the commit it made 90 store reads, 30 of
+        them trie nodes, and now makes 60. The third touches accounts the
+        second did not write, so it reads 19 trie nodes (26 before)."""
         table = file_table(db)
         fund(table, {addr(i): "100.0" for i in range(40)})
         chain = Chain(table)
@@ -845,9 +902,18 @@ class TestBlockReads:
         assert block.header.state_root.hex() == (
             "09e73a06c8651f857cb228411c9e7ba936974810af4b82b2dbe6e63461d3be3f"
         )
+        assert [key for space, key in reads if space == "trie"] == []
+        assert len(reads) == 60
+        reads.clear()
+        block = chain.apply_block(
+            [Transaction(addr(i), addr(i + 1), "3.0", 1) for i in range(24, 40, 2)]
+        )
+        assert block.header.state_root.hex() == (
+            "2e9adac798e2d9e9365247869bc081222dd800fc0b82629c705541a74efaa534"
+        )
         trie_reads = [key for space, key in reads if space == "trie"]
-        assert trie_reads and len(trie_reads) == len(set(trie_reads))
-        assert len(reads) == 90
+        assert len(trie_reads) == len(set(trie_reads)) == 19
+        assert len(reads) == 67
 
 
 class TestExportLoad:
@@ -989,6 +1055,46 @@ class TestExportLoad:
         assert reloaded.head_height == 1
         assert len(reloaded.blocks) == 2
         assert reloaded.head.header.state_root == roots[1]
+
+    def test_branch_and_reload_match_the_memory_replay(self, db) -> None:
+        """Apply two blocks, roll back one, apply another, reload: every
+        root is the one the same steps reach on memory stores, and a
+        reloaded handle still verifies each node it reads, though the
+        handle that committed a node keeps it."""
+
+        def run(table: ShardTable) -> tuple[Chain, list[bytes]]:
+            fund(table, {addr(i): "50.0" for i in range(12)})
+            chain = Chain(table)
+            roots = [chain.head.header.state_root]
+            for txs in (
+                [Transaction(addr(i), addr(i + 1), "1.0", 0) for i in range(0, 12, 2)],
+                [Transaction(addr(i), addr(i + 20), "2.5", 1) for i in range(0, 12, 4)],
+            ):
+                roots.append(chain.apply_block(txs).header.state_root)
+            chain.rollback(1)
+            txs = [Transaction(addr(i), addr(i + 30), "3.0", 1) for i in range(0, 12, 4)]
+            roots.append(chain.apply_block(txs).header.state_root)
+            return chain, roots
+
+        chain, roots = run(file_table(db))
+        memory, memory_roots = run(ShardTable(4))
+        assert roots == memory_roots and len(set(roots)) == 4
+        chain.export()
+        loaded = Chain.load(file_table(db))
+        assert loaded.blocks == memory.blocks
+        held = [addr(i) for i in (*range(12), 30, 34, 38)]
+        for address in held:
+            assert loaded.query_account(address) == memory.query_account(address)
+        with pytest.raises(NotFoundError):
+            loaded.query_account(addr(20))
+        victim = next(iter(chain.table.trie._nodes))
+        set_entry(db, victim, b"tampered")
+        for address in held:
+            assert chain.query_account(address) == memory.query_account(address)
+        reloaded = Chain.load(file_table(db))
+        with pytest.raises(CorruptError):
+            for address in held:
+                reloaded.query_account(address)
 
     def test_load_cost_does_not_grow_with_height(self, tmp_path, monkeypatch) -> None:
         """Loading reads the pointer, the head block and the head root: the

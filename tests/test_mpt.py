@@ -18,6 +18,8 @@ from sschain.mpt import (
     StoreEmptyError,
     Trie,
     TrieDecodeError,
+    _decode_node,
+    _parse_rlp,
     commit_items,
 )
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -171,7 +173,8 @@ class TestCommitAndReload:
 
 class TestNodeMemo:
     """A handle decodes each stored node once: the handles ``insert``
-    derives share its memo, and a commit or a fresh open starts empty."""
+    derives share its memo, a commit leaves the committed handle the
+    nodes it wrote, and a fresh open starts empty."""
 
     @pytest.fixture()
     def file_store(self, tmp_path):
@@ -198,7 +201,7 @@ class TestNodeMemo:
             trie = trie.insert(key, b"new " + key)
         assert reads and len(reads) == len(set(reads))
 
-    def test_inserts_share_it_and_commit_empties_it(self) -> None:
+    def test_inserts_share_it_and_commit_keeps_what_it_wrote(self, monkeypatch) -> None:
         store = MemoryKvStore()
         pairs = random_pairs(random.Random(5), 100)
         root = build(store, pairs.items()).commit()
@@ -207,9 +210,39 @@ class TestNodeMemo:
         assert trie._nodes
         derived = trie.insert(b"fresh key", b"fresh value")
         assert derived._nodes is trie._nodes
-        derived.commit()
-        assert derived._nodes == {}
+        written: list[bytes] = []
+        real_write = store._write
+
+        def write(key: bytes, value: bytes, named: bool) -> None:
+            written.append(key)
+            real_write(key, value, named)
+
+        monkeypatch.setattr(store, "_write", write)
+        new_root = derived.commit()
+        memo = derived._nodes
+        # The root is written last and held by the handle, not the memo.
+        assert written[-1] == new_root and memo is not trie._nodes
+        assert memo and set(memo) == set(written[:-1])
+        for digest, node in memo.items():
+            assert node == _decode_node(_parse_rlp(store.get(digest)))
+        assert derived.commit() == new_root and derived._nodes is memo
         assert Trie(store, root)._nodes == {}
+
+    def test_a_committed_handle_reads_nothing_back(self, file_store, monkeypatch) -> None:
+        pairs = random_pairs(random.Random(7), 200)
+        trie = build(file_store, pairs.items())
+        trie.commit()
+        reads: list[bytes] = []
+        real_read = file_store._read
+
+        def read(key: bytes):
+            reads.append(key)
+            return real_read(key)
+
+        monkeypatch.setattr(file_store, "_read", read)
+        for key, value in pairs.items():
+            assert trie.get(key) == value
+        assert reads == []
 
     def test_a_fresh_handle_verifies_every_node(self, file_store) -> None:
         pairs = random_pairs(random.Random(6), 100)
