@@ -182,8 +182,8 @@ class Workspace:
     def store(self, space: str) -> FileKvStore:
         return FileKvStore(self.db, space)
 
-    def shard_store(self, shard_id: shardmod.ShardId) -> KvStore:
-        return self.store(f"shards/{shard_id.index}")
+    def shard_store(self, index: int) -> KvStore:
+        return self.store(f"shards/{index}")
 
     def trie_root(self) -> Digest:
         """Root of the standalone trie commands; the empty root at first."""
@@ -354,21 +354,25 @@ def cmd_trie_root(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_shard_map(args: argparse.Namespace, ws: Workspace) -> int:
-    shard = shardmod.shard_of(args.address, ws.shard_table(args.shards).num_shards)
-    suffix = f" (prefix {shard.bits})" if shard.bits else ""
+    num_shards = ws.shard_table(args.shards).num_shards
+    shard = shardmod.shard_of(args.address, num_shards)
+    width = num_shards.bit_length() - 1  # one shard has no prefix bits
+    prefix = format(shard, f"0{width}b") if width else ""
+    suffix = f" (prefix {prefix})" if prefix else ""
     _emit(
         args,
-        {"address": args.address.hex(), "shard": shard.index, "prefix": shard.bits},
-        [f"{args.address.hex()} -> shard {shard.index}{suffix}"],
+        {"address": args.address.hex(), "shard": shard, "prefix": prefix},
+        [f"{args.address.hex()} -> shard {shard}{suffix}"],
     )
     return 0
 
 
-def _report_payload(report: shardmod.RemapReport) -> list[dict]:
-    return [
-        {"key": m.key.hex(), "from": m.src.hex(), "to": m.dst.hex()}
-        for m in report.moves
-    ]
+def _report_payload(moves: tuple[shardmod.Move, ...]) -> list[dict]:
+    return [{"key": m.key.hex(), "from": m.src.hex(), "to": m.dst.hex()} for m in moves]
+
+
+def _moved_lines(moves: tuple[shardmod.Move, ...]) -> list[str]:
+    return [f"MOVED {m.key.hex()} {m.src.hex()} {m.dst.hex()}" for m in moves]
 
 
 def cmd_shard_join(args: argparse.Namespace, ws: Workspace) -> int:
@@ -376,24 +380,24 @@ def cmd_shard_join(args: argparse.Namespace, ws: Workspace) -> int:
     node = shardmod.NodeIdentity.derive(
         args.node_id, table.num_shards, book=args.book, authority=args.authority
     )
-    report = table.node_join(node)
+    moves = table.node_join(node)
     ws.save_table(table)
     _emit(
         args,
-        {"node_id": node.node_id.hex(), "shard": node.shard.index, "moves": _report_payload(report)},
-        [f"joined {node.node_id.hex()} shard {node.shard.index}"] + report.lines(),
+        {"node_id": node.node_id.hex(), "shard": node.shard, "moves": _report_payload(moves)},
+        [f"joined {node.node_id.hex()} shard {node.shard}"] + _moved_lines(moves),
     )
     return 0
 
 
 def cmd_shard_leave(args: argparse.Namespace, ws: Workspace) -> int:
     table = ws.load_table()
-    report = table.node_leave(args.node_id)
+    moves = table.node_leave(args.node_id)
     ws.save_table(table)
     _emit(
         args,
-        {"node_id": args.node_id.hex(), "moves": _report_payload(report)},
-        [f"left {args.node_id.hex()}"] + report.lines(),
+        {"node_id": args.node_id.hex(), "moves": _report_payload(moves)},
+        [f"left {args.node_id.hex()}"] + _moved_lines(moves),
     )
     return 0
 

@@ -118,15 +118,11 @@ class Branch:
     value: Optional[bytes]
 
 
-@dataclass(frozen=True, slots=True)
-class HashRef:
-    """Reference to a node stored under its digest."""
-
-    digest: Digest
-
-
 Node = Union[Leaf, Extension, Branch]
-Ref = Union[Node, HashRef, None]
+Ref = Union[Node, Digest, None]
+"""A child: the node itself (inline, or not yet stored), the digest of a
+stored node, or None for no child. An inline child is always a node
+object, so a ``bytes`` reference is always a digest."""
 
 _EMPTY_NODE = rlp_encode(b"")
 """Encoding of the empty trie, and the reference to an absent child."""
@@ -298,18 +294,16 @@ class Trie:
         return Extension(common, branch) if common else branch
 
     def _resolve(self, ref: Ref) -> Optional[Node]:
-        if ref is None or isinstance(ref, (Leaf, Extension, Branch)):
+        if type(ref) is not bytes:
             return ref
-        node = self._nodes.get(ref.digest)
+        node = self._nodes.get(ref)
         if node is not None:
             return node
         try:
-            raw = self.store.get(ref.digest)
+            raw = self.store.get(ref)
         except NotFoundError:
-            raise CorruptError(
-                f"unresolvable trie reference {ref.digest.hex()}"
-            ) from None
-        node = self._nodes[ref.digest] = _decode_node(_parse_rlp(raw))
+            raise CorruptError(f"unresolvable trie reference {ref.hex()}") from None
+        node = self._nodes[ref] = _decode_node(_parse_rlp(raw))
         return node
 
 
@@ -325,8 +319,8 @@ def _commit_node(node: Node, store: KvStore, written: dict[Digest, Node]) -> tup
     """Serialize ``node`` bottom-up; return (collapsed node, encoded bytes).
 
     Children whose encoding reaches 32 bytes are written to the store,
-    recorded in ``written`` under their digest, and collapse to a
-    ``HashRef``; smaller ones embed inline.
+    recorded in ``written`` under their digest, and collapse to that
+    digest; smaller ones embed inline.
     """
     if isinstance(node, Leaf):
         return node, _encode_leaf(node.path, node.value)
@@ -347,14 +341,14 @@ def _commit_ref(ref: Ref, store: KvStore, written: dict[Digest, Node]) -> tuple[
     """Commit a child; return (its reference bytes, collapsed reference)."""
     if ref is None:
         return _EMPTY_NODE, None
-    if isinstance(ref, HashRef):
-        return _DIGEST_HEAD + ref.digest, ref
+    if type(ref) is bytes:
+        return _DIGEST_HEAD + ref, ref
     collapsed, encoded = _commit_node(ref, store, written)
     if len(encoded) < DIGEST_SIZE:
         return encoded, collapsed
     digest = store.put(encoded)
     written[digest] = collapsed
-    return _DIGEST_HEAD + digest, HashRef(digest)
+    return _DIGEST_HEAD + digest, digest
 
 
 def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest:
@@ -490,5 +484,5 @@ def _decode_ref(item: RlpItem) -> Ref:
     if item == b"":
         return None
     if len(item) == DIGEST_SIZE:
-        return HashRef(item)
+        return item
     raise TrieDecodeError(f"child reference of {len(item)} bytes is not a digest")

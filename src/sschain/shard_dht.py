@@ -1,14 +1,15 @@
 """Consistent-hash ring partitioning accounts into shards.
 
 Identifiers live on a ring of size 2^256: ``ring_position`` hashes any
-byte string and reads the digest as a big-endian integer. The top
-``log2(num_shards)`` bits of an address's position name its shard, so
-shard labels are fixed-width bit strings and shard count must be a power
-of two. Within a shard, keys go to the member node with the smallest
-position at or clockwise of the key (wrapping past the top), so a node
-joining or leaving moves only the keys on its own arc, from just after
-its predecessor up to its own position. A change reads its shard's
-registry once and reports exactly those keys.
+byte string and reads the digest as a big-endian integer. A shard is its
+index: the top ``log2(num_shards)`` bits of an address's position, read
+as an integer, so the shard count must be a power of two, at most
+``MAX_SHARDS``. Those prefix bits are only ever displayed. Within a
+shard, keys go to the member node with the smallest position at or
+clockwise of the key (wrapping past the top), so a node joining or
+leaving moves only the keys on its own arc, from just after its
+predecessor up to its own position. A change reads its shard's registry
+once and returns the moves of exactly those keys.
 
 A ``ShardTable`` holds one isolated key-value store per shard plus the
 global account trie, whose ``trie`` handle is the one current state (a
@@ -76,42 +77,42 @@ def ring_position(data: bytes) -> int:
     return int.from_bytes(hash256(data), "big")
 
 
-@dataclass(frozen=True, slots=True)
-class ShardId:
-    """Fixed-width bit-string label; empty when there is one shard."""
-
-    bits: str
-
-    @property
-    def index(self) -> int:
-        return int(self.bits, 2) if self.bits else 0
-
-    def __str__(self) -> str:
-        return self.bits if self.bits else "(single)"
+MAX_SHARDS = 1 << 16
+"""Largest shard count, 64 times the paper's 1,024; a table holds every
+shard and its store, so a count is bounded before any is made."""
 
 
 def _prefix_width(num_shards: int) -> int:
-    if num_shards < 1 or num_shards & (num_shards - 1):
-        raise NotPowerOfTwoError(f"shard count must be a power of two: {num_shards}")
-    return num_shards.bit_length() - 1
-
-
-def shard_of_position(position: int, num_shards: int) -> ShardId:
-    width = _prefix_width(num_shards)
-    if width == 0:
-        return ShardId("")
-    return ShardId(format(position >> (RING_BITS - width), f"0{width}b"))
-
-
-def shard_of(address: bytes, num_shards: int) -> ShardId:
-    """Shard owning ``address``: the top prefix bits of its ring position.
+    """Prefix bits naming a shard among ``num_shards``: log2 of the count.
 
     Raises:
         NotPowerOfTwoError: num_shards is not a power of two >= 1.
+        ShardError: num_shards exceeds ``MAX_SHARDS``.
     """
-    if _prefix_width(num_shards) == 0:
-        return ShardId("")
-    return shard_of_position(ring_position(address), num_shards)
+    if num_shards < 1 or num_shards & (num_shards - 1):
+        raise NotPowerOfTwoError(f"shard count must be a power of two: {num_shards}")
+    if num_shards > MAX_SHARDS:
+        raise ShardError(f"shard count {num_shards} exceeds {MAX_SHARDS}")
+    return num_shards.bit_length() - 1
+
+
+def shard_of_position(position: int, num_shards: int) -> int:
+    """Index of the shard holding ``position``: its top prefix bits."""
+    return position >> (RING_BITS - _prefix_width(num_shards))
+
+
+def shard_of(address: bytes, num_shards: int) -> int:
+    """Index of the shard owning ``address``: the top prefix bits of its
+    ring position.
+
+    Raises:
+        NotPowerOfTwoError: num_shards is not a power of two >= 1.
+        ShardError: num_shards exceeds ``MAX_SHARDS``.
+    """
+    width = _prefix_width(num_shards)
+    if width == 0:
+        return 0
+    return ring_position(address) >> (RING_BITS - width)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +125,7 @@ class NodeIdentity:
 
     node_id: Digest
     position: int
-    shard: ShardId
+    shard: int
     book: bool = False
     authority: bool = False
 
@@ -161,21 +162,11 @@ def assign_key(ring: Sequence[NodeIdentity], key_pos: int) -> NodeIdentity:
 
 @dataclass(frozen=True, slots=True)
 class Move:
+    """A registry key that changed owner in a membership change."""
+
     key: Digest
     src: Digest
     dst: Digest
-
-
-@dataclass(frozen=True, slots=True)
-class RemapReport:
-    """Keys that changed owner after a membership change."""
-
-    moves: tuple[Move, ...]
-
-    def lines(self) -> list[str]:
-        return [
-            f"MOVED {m.key.hex()} {m.src.hex()} {m.dst.hex()}" for m in self.moves
-        ]
 
 
 def pipeline_key(address: bytes) -> Digest:
@@ -190,10 +181,9 @@ def pipeline_key(address: bytes) -> Digest:
 class Shard:
     """One node group: members keyed by node id, plus a private store."""
 
-    __slots__ = ("shard_id", "members", "store")
+    __slots__ = ("members", "store")
 
-    def __init__(self, shard_id: ShardId, store: KvStore):
-        self.shard_id = shard_id
+    def __init__(self, store: KvStore):
         self.members: dict[Digest, NodeIdentity] = {}
         self.store = store
 
@@ -208,12 +198,13 @@ class Shard:
         self.members[node.node_id] = node
 
 
-StoreFactory = Callable[[ShardId], KvStore]
+StoreFactory = Callable[[int], KvStore]
+"""Makes the store of the shard with the given index."""
 
 
 class ShardTable:
-    """All shards plus the global account trie; ``trie`` is the handle
-    at the current state, committed or not.
+    """All shards, listed by index, plus the global account trie;
+    ``trie`` is the handle at the current state, committed or not.
 
     Routing is pure (an address's shard never depends on membership);
     membership only decides which node inside the shard owns a key.
@@ -225,13 +216,10 @@ class ShardTable:
         store_factory: Optional[StoreFactory] = None,
         trie_store: Optional[KvStore] = None,
     ):
-        width = _prefix_width(num_shards)
-        factory = store_factory or (lambda _sid: MemoryKvStore())
+        _prefix_width(num_shards)
+        factory = store_factory or (lambda _index: MemoryKvStore())
         self.num_shards = num_shards
-        self.shards: dict[ShardId, Shard] = {}
-        for i in range(num_shards):
-            sid = ShardId(format(i, f"0{width}b") if width else "")
-            self.shards[sid] = Shard(sid, factory(sid))
+        self.shards = [Shard(factory(index)) for index in range(num_shards)]
         self.trie_store = trie_store if trie_store is not None else MemoryKvStore()
         self.trie = Trie(self.trie_store)
 
@@ -241,7 +229,7 @@ class ShardTable:
         return self.trie.commit()
 
     def members(self) -> list[NodeIdentity]:
-        return [n for shard in self.shards.values() for n in shard.members.values()]
+        return [n for shard in self.shards for n in shard.members.values()]
 
     def find_node(self, node_id: Digest) -> Optional[NodeIdentity]:
         """The member with ``node_id``, looked up in the one shard its
@@ -252,13 +240,14 @@ class ShardTable:
     def shard_for(self, address: bytes) -> Shard:
         return self.shards[shard_of(address, self.num_shards)]
 
-    def node_join(self, node: NodeIdentity) -> RemapReport:
-        """Add a node to its prefix shard; report the keys on its arc,
-        which move to it from its clockwise successor.
+    def node_join(self, node: NodeIdentity) -> tuple[Move, ...]:
+        """Add a node to its prefix shard; return the moves of the keys on
+        its arc, which go to it from its clockwise successor.
 
         Raises:
             DuplicateNodeError: node id already present.
-            ShardError: node was derived for a different shard count.
+            ShardError: the node's shard is not the one its position names
+                among this table's shards.
         """
         expected = shard_of_position(node.position, self.num_shards)
         if node.shard != expected:
@@ -269,12 +258,13 @@ class ShardTable:
         others = list(shard.members.values())
         shard.add_member(node)
         if not others:
-            return RemapReport(())
+            return ()
         keys, successor = _arc(shard.store, others, node.position)
-        return RemapReport(tuple(Move(key, successor.node_id, node.node_id) for key in keys))
+        return tuple(Move(key, successor.node_id, node.node_id) for key in keys)
 
-    def node_leave(self, node_id: Digest) -> RemapReport:
-        """Remove a node; the keys on its arc move to its clockwise successor.
+    def node_leave(self, node_id: Digest) -> tuple[Move, ...]:
+        """Remove a node; return the moves of the keys on its arc, which go
+        to its clockwise successor.
 
         Raises:
             NotFoundError: unknown node id.
@@ -290,7 +280,7 @@ class ShardTable:
             )
         del shard.members[node_id]
         keys, successor = _arc(shard.store, list(shard.members.values()), node.position)
-        return RemapReport(tuple(Move(key, node_id, successor.node_id) for key in keys))
+        return tuple(Move(key, node_id, successor.node_id) for key in keys)
 
     def pointer(self, address: bytes) -> Optional[Cid]:
         """Version Cid :attr:`trie` holds for ``address``, if any."""

@@ -42,7 +42,7 @@ from .encoding import hash256
 from .errors import SSChainError
 from .merkle_dag import AccountState
 from .mpt import commit_items
-from .shard_dht import ShardTable, shard_of
+from .shard_dht import MAX_SHARDS, ShardTable, shard_of
 from .store import MemoryKvStore
 
 INITIAL_BALANCE_TENTHS = 10000
@@ -79,6 +79,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.num_shards < 1 or self.num_shards & (self.num_shards - 1):
             raise ConfigInvalidError(f"num_shards must be a power of two: {self.num_shards}")
+        if self.num_shards > MAX_SHARDS:
+            raise ConfigInvalidError(f"num_shards {self.num_shards} exceeds {MAX_SHARDS}")
         if self.num_nodes < 1:
             raise ConfigInvalidError(f"num_nodes must be >= 1: {self.num_nodes}")
         if self.num_shards > self.num_nodes:
@@ -259,7 +261,7 @@ def run_experiment(config: SimConfig) -> SimReport:
     addresses = account_addresses(config.seed, config.effective_accounts)
     num_shards = config.num_shards
     size = config.effective_txs_per_block
-    home = {address: shard_of(address, num_shards).index for address in addresses}
+    home = {address: shard_of(address, num_shards) for address in addresses}
 
     accounts: list[list[bytes]] = [[] for _ in range(num_shards)]
     for address in addresses:

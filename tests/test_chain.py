@@ -787,7 +787,7 @@ class TestValidateBlock:
         header = BlockHeader(genesis.digest(), 1, 1, hash256(b"wrong root"), tx_root(body))
 
         def registries() -> list[list[bytes]]:
-            return [shard.store.named_keys() for shard in table.shards.values()]
+            return [shard.store.named_keys() for shard in table.shards]
 
         before = registries()
         assert sum(map(len, before)) == 2
@@ -821,7 +821,7 @@ class TestValidateBlock:
         chain = Chain(table)
 
         def sizes() -> list[int]:
-            return [len(table.trie_store)] + [len(s.store) for s in table.shards.values()]
+            return [len(table.trie_store)] + [len(s.store) for s in table.shards]
 
         before = sizes()
         assert chain.validate_block(Block(header, body)) is (case == "accepted")
@@ -832,7 +832,7 @@ class TestValidateBlock:
         table = chain.table
 
         def live() -> tuple:
-            keys = [shard.store.named_keys() for shard in table.shards.values()]
+            keys = [shard.store.named_keys() for shard in table.shards]
             return table.pointer(addr(1)), table.state_root, keys
 
         before = live()
@@ -850,7 +850,7 @@ def db(tmp_path):
 def file_table(db) -> ShardTable:
     """A four-shard table whose stores are spaces of ``db``."""
     return ShardTable(
-        4, lambda sid: FileKvStore(db, f"shards/{sid.index}"), FileKvStore(db, "trie")
+        4, lambda index: FileKvStore(db, f"shards/{index}"), FileKvStore(db, "trie")
     )
 
 

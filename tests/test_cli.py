@@ -23,7 +23,7 @@ from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
 from sschain.merkle_dag import AccountState, Cid, NameRegistry, dag_build_directory, name_publish
 from sschain.mpt import EMPTY_ROOT
-from sschain.shard_dht import ShardTable, shard_of
+from sschain.shard_dht import ShardTable, pipeline_key, shard_of
 from sschain.store import FileKvStore, MemoryKvStore, open_database
 
 ADDR_A = hash256(b"cli-a")[:20].hex()
@@ -308,16 +308,49 @@ class TestTrie:
 
 class TestShard:
     def test_map_line(self, store, capsys) -> None:
-        address = bytes.fromhex(ADDR_A)
-        expected = shard_of(address, 4)
+        assert shard_of(bytes.fromhex(ADDR_A), 4) == 0
         assert main(["--store", store, "shard", "map", ADDR_A]) == 0
-        assert lines_of(capsys) == [
-            f"{ADDR_A} -> shard {expected.index} (prefix {expected.bits})"
-        ]
+        assert lines_of(capsys) == [f"{ADDR_A} -> shard 0 (prefix 00)"]
 
     def test_map_single_shard_has_no_prefix(self, store, capsys) -> None:
         assert main(["--store", store, "shard", "map", ADDR_A, "--shards", "1"]) == 0
         assert lines_of(capsys) == [f"{ADDR_A} -> shard 0"]
+
+    @pytest.mark.parametrize("shards,shard,prefix", [("1", 0, ""), ("8", 1, "001")])
+    def test_map_json(self, store, capsys, shards: str, shard: int, prefix: str) -> None:
+        """The prefix is the shard index in log2(count) bits, empty at one shard."""
+        assert main(["--store", store, "--json", "shard", "map", ADDR_A, "--shards", shards]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"address": ADDR_A, "shard": shard, "prefix": prefix}
+
+    def test_map_shard_count_above_bound(self, tmp_path, capsys) -> None:
+        missing = tmp_path / "none"
+        argv = ["--store", str(missing), "shard", "map", ADDR_A, "--shards", "131072"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: shard count 131072 exceeds 65536\n"
+        assert not missing.exists()
+
+    def test_join_moved_lines(self, store, capsys) -> None:
+        """A join prints its node and shard, then one MOVED line per registry
+        key it takes, in key order, from its successor to itself; a leave
+        in --json gives the same keys back."""
+        funds = [
+            arg
+            for i in range(12)
+            for arg in ("--fund", f"{hash256(f'account-{i}'.encode())[:20].hex()}=1.0")
+        ]
+        assert main(["--store", store, "chain", "init", "--shards", "1", *funds]) == 0
+        assert main(["--store", store, "shard", "join", NODE_1]) == 0
+        capsys.readouterr()
+        assert main(["--store", store, "shard", "join", NODE_2]) == 0
+        joined, *moved = lines_of(capsys)
+        assert joined == f"joined {NODE_2} shard 0"
+        keys = [line.split()[1] for line in moved]
+        assert keys and keys == sorted(keys)
+        assert moved == [f"MOVED {key} {NODE_1} {NODE_2}" for key in keys]
+        assert main(["--store", store, "--json", "shard", "leave", NODE_2]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["moves"] == [{"key": key, "from": NODE_2, "to": NODE_1} for key in keys]
 
     def test_join_persists_and_duplicates_fail(self, store, capsys, tmp_path) -> None:
         assert main(["--store", store, "shard", "join", NODE_1, "--shards", "2"]) == 0
@@ -586,10 +619,30 @@ class TestChain:
 
     def test_corrupt_shard_table_is_an_error(self, store, capsys) -> None:
         self._init(store, capsys)
-        for damage in (b"shards four\n", b"shards \xff\n"):
+        for damage in (b"shards four\n", b"shards \xff\n", b"shards 131072\n"):
             set_entry(store, "workspace", SHARD_TABLE_KEY, damage)
             assert main(["--store", store, "chain", "query", ADDR_A]) == 1
             assert capsys.readouterr().err.startswith("error: stored shard table: ")
+
+    def test_registry_entries_are_in_their_shard_space(self, store, capsys) -> None:
+        """Each funded account's registry entry is the named entry under
+        its lookup key in the kv space ``shards/<its shard index>``."""
+        funds = ["--fund", f"{ADDR_A}=5.0", "--fund", f"{ADDR_B}=1.0"]
+        assert main(["--store", store, "chain", "init", "--shards", "4", *funds]) == 0
+        db = sqlite3.connect(Path(store, "sschain.db"))
+        try:
+            rows = db.execute(
+                "SELECT space, key, value FROM kv WHERE named IS NOT NULL AND space LIKE 'shards/%'"
+            ).fetchall()
+            spaces = {space for (space,) in db.execute("SELECT DISTINCT space FROM kv")}
+        finally:
+            db.close()
+        expected = {
+            (f"shards/{shard_of(address, 4)}", pipeline_key(address), address)
+            for address in (bytes.fromhex(ADDR_A), bytes.fromhex(ADDR_B))
+        }
+        assert set(rows) == expected
+        assert spaces == {"shards/0", "shards/2", "trie", "workspace"}
 
     def test_rollback_past_head(self, store, capsys) -> None:
         self._init(store, capsys)
@@ -771,6 +824,17 @@ class TestSim:
         code = main(["--store", store, "sim", "run", "--txs", "10", "--scaling", counts])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: num_shards must be a power of two: ")
+        assert runs == []
+
+    @pytest.mark.parametrize("argv", [["--shards", "131072"], ["--scaling", "1,131072"]])
+    def test_shard_count_above_bound(self, store, capsys, monkeypatch, argv: list[str]) -> None:
+        """A count above the bound is refused before the first run."""
+        from sschain import simulator
+
+        runs: list[simulator.SimConfig] = []
+        monkeypatch.setattr(simulator, "generate_workload", lambda config: runs.append(config) or [])
+        assert main(["--store", store, "sim", "run", "--txs", "10", *argv]) == 1
+        assert capsys.readouterr().err == "error: num_shards 131072 exceeds 65536\n"
         assert runs == []
 
 

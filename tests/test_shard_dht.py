@@ -21,18 +21,18 @@ from sschain.merkle_dag import (
     version_root,
 )
 from sschain.shard_dht import (
+    MAX_SHARDS,
     RING_BITS,
     RING_MODULUS,
     DuplicateNodeError,
     EmptyRingError,
+    Move,
     NodeIdentity,
     NotAuthorizedError,
     NotPowerOfTwoError,
-    RemapReport,
     Shard,
     ShardEmptyError,
     ShardError,
-    ShardId,
     ShardTable,
     assign_key,
     pipeline_key,
@@ -78,10 +78,6 @@ def make_nodes(count: int, num_shards: int, seed: str = "node") -> list[NodeIden
     ]
 
 
-def shard_by_index(table: ShardTable, index: int) -> Shard:
-    return next(s for s in table.shards.values() if s.shard_id.index == index)
-
-
 def read_state(table: ShardTable, address: bytes) -> AccountState:
     """Full inquiry pipeline: pointer -> version node -> leaf -> document."""
     pointer = table.pointer(address)
@@ -114,8 +110,10 @@ class TestRingPosition:
 class TestShardId:
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 16, 64, 1024])
     def test_width_is_log2(self, num_shards: int) -> None:
-        sid = shard_of_position(0, num_shards)
-        assert len(sid.bits) == num_shards.bit_length() - 1
+        """The top log2(count) bits name the shard: the lowest position is
+        in shard 0 and the highest in the last shard."""
+        assert shard_of_position(0, num_shards) == 0
+        assert shard_of_position(RING_MODULUS - 1, num_shards) == num_shards - 1
 
     @pytest.mark.parametrize("num_shards", [0, 3, 6, 100, -4])
     def test_non_power_of_two_rejected(self, num_shards: int) -> None:
@@ -123,20 +121,21 @@ class TestShardId:
             shard_of_position(0, num_shards)
 
     def test_single_shard_label(self) -> None:
-        assert str(shard_of_position(12345, 1)) == "(single)"
+        assert shard_of_position(12345, 1) == 0
+        assert shard_of_position(RING_MODULUS - 1, 1) == 0
 
     def test_prefix_selects_shard(self) -> None:
         # a position with known top bits lands in the matching shard
         pos = 0b1011 << (RING_BITS - 4)
-        assert shard_of_position(pos, 16).index == 0b1011
-        assert shard_of_position(pos, 4).index == 0b10
-        assert shard_of_position(pos, 2).index == 0b1
+        assert shard_of_position(pos, 16) == 0b1011
+        assert shard_of_position(pos, 4) == 0b10
+        assert shard_of_position(pos, 2) == 0b1
 
     @given(st.integers(min_value=0, max_value=RING_MODULUS - 1))
     def test_refinement_is_consistent(self, pos: int) -> None:
         """Splitting shards in half refines the partition, never reshuffles it."""
-        coarse = shard_of_position(pos, 4).index
-        fine = shard_of_position(pos, 8).index
+        coarse = shard_of_position(pos, 4)
+        fine = shard_of_position(pos, 8)
         assert fine >> 1 == coarse
 
     def test_shard_of_hashes_key(self) -> None:
@@ -148,7 +147,7 @@ class TestShardId:
             raise AssertionError("ring_position called")
 
         monkeypatch.setattr("sschain.shard_dht.ring_position", fail)
-        assert shard_of(b"account-key", 1) == ShardId("")
+        assert shard_of(b"account-key", 1) == 0
         with pytest.raises(NotPowerOfTwoError):
             shard_of(b"account-key", 3)
 
@@ -157,14 +156,26 @@ class TestShardId:
         rng = random.Random(7)
         for _ in range(2000):
             key = rng.randbytes(20)
-            counts[shard_of(key, 8).index] += 1
+            counts[shard_of(key, 8)] += 1
         assert sum(counts) == 2000
         assert all(c > 0 for c in counts)
 
-    def test_str_shows_bits(self) -> None:
-        sid = ShardId("101")
-        assert str(sid) == "101"
-        assert sid.index == 5
+    def test_count_bounded(self) -> None:
+        """Every use of a count refuses one above ``MAX_SHARDS`` before
+        anything is made; the bound itself is a valid count."""
+        too_many = MAX_SHARDS * 2
+        assert shard_of(b"account-key", MAX_SHARDS) < MAX_SHARDS
+        made: list[int] = []
+        for use in (
+            lambda: ShardTable(too_many, lambda index: made.append(index) or MemoryKvStore()),
+            lambda: shard_of(b"account-key", too_many),
+            lambda: shard_of_position(0, too_many),
+            lambda: NodeIdentity.derive(hashlib.sha256(b"n").digest(), too_many),
+            lambda: table_from_config(f"shards {too_many}\n"),
+        ):
+            with pytest.raises(ShardError, match=f"shard count {too_many} exceeds {MAX_SHARDS}"):
+                use()
+        assert made == []
 
 
 class TestNodeIdentity:
@@ -177,7 +188,7 @@ class TestNodeIdentity:
     def test_forged_position_rejected(self) -> None:
         node_id = hashlib.sha256(b"n1").digest()
         with pytest.raises(ShardError):
-            NodeIdentity(node_id, position=0, shard=ShardId(""))
+            NodeIdentity(node_id, position=0, shard=0)
 
     def test_roles_default_off(self) -> None:
         node = NodeIdentity.derive(hashlib.sha256(b"n").digest(), 1)
@@ -254,7 +265,14 @@ class TestShardTable:
     def test_creates_all_shards(self) -> None:
         table = ShardTable(8)
         assert len(table.shards) == 8
-        assert [s.shard_id.index for s in table.shards.values()] == list(range(8))
+        assert len({id(shard.store) for shard in table.shards}) == 8
+
+    def test_store_factory_gets_each_index_in_order(self) -> None:
+        made: list[int] = []
+        table = ShardTable(8, lambda index: made.append(index) or MemoryKvStore())
+        assert made == list(range(8))
+        address = b"\x11" * 20
+        assert table.shard_for(address) is table.shards[shard_of(address, 8)]
 
     def test_update_then_read_back(self) -> None:
         table = ShardTable(4)
@@ -296,20 +314,12 @@ class TestShardTable:
 
     def test_shard_stores_isolated(self) -> None:
         table = ShardTable(2)
-        in_zero = next(
-            bytes([i]) * 20
-            for i in range(256)
-            if table.shard_for(bytes([i]) * 20).shard_id.index == 0
-        )
-        in_one = next(
-            bytes([i]) * 20
-            for i in range(256)
-            if table.shard_for(bytes([i]) * 20).shard_id.index == 1
-        )
+        in_zero = next(bytes([i]) * 20 for i in range(256) if shard_of(bytes([i]) * 20, 2) == 0)
+        in_one = next(bytes([i]) * 20 for i in range(256) if shard_of(bytes([i]) * 20, 2) == 1)
         table.shard_update(AUTH, in_zero, AccountState("1", "1.0"))
-        assert len(shard_by_index(table, 1).store) == 0
+        assert len(table.shards[1].store) == 0
         table.shard_update(AUTH, in_one, AccountState("1", "1.0"))
-        assert len(shard_by_index(table, 1).store) > 0
+        assert len(table.shards[1].store) > 0
 
     def test_trie_root_tracks_writes(self) -> None:
         table = ShardTable(4)
@@ -382,10 +392,28 @@ class TestMembership:
     def test_join_wrong_shard_rejected(self) -> None:
         table = ShardTable(4)
         node = make_nodes(1, 4)[0]
-        flipped = "".join("1" if c == "0" else "0" for c in node.shard.bits)
-        forged = NodeIdentity(node.node_id, node.position, ShardId(flipped))
-        with pytest.raises(ShardError):
+        forged = NodeIdentity(node.node_id, node.position, node.shard ^ 1)
+        with pytest.raises(ShardError, match=f"shard {node.shard ^ 1} but belongs to {node.shard}"):
             table.node_join(forged)
+
+    def test_join_label_zero_from_another_count(self) -> None:
+        """A node derived for 8 shards in shard 0 sits in shard 0 of 4
+        shards too, so it joins there."""
+        node = next(n for n in make_nodes(40, 8) if n.shard == 0)
+        table = ShardTable(4)
+        assert table.node_join(node) == ()
+        assert node.node_id in table.shards[0].members
+
+    def test_join_nonzero_label_from_another_count_rejected(self) -> None:
+        """A nonzero shard among 8 is never the same index among 4, so a
+        4-shard table refuses every such node and adds none."""
+        table = ShardTable(4)
+        nodes = [n for n in make_nodes(40, 8) if n.shard != 0]
+        assert {n.shard for n in nodes} == set(range(1, 8))
+        for node in nodes:
+            with pytest.raises(ShardError, match="but belongs to"):
+                table.node_join(node)
+        assert table.members() == []
 
     def test_duplicate_join_rejected(self) -> None:
         table = ShardTable(4)
@@ -428,46 +456,36 @@ class TestMigration:
 
     def test_join_moves_match_brute_force(self) -> None:
         table = self._populated_table(6, 80)
-        shard = shard_by_index(table, 0)
+        shard = table.shards[0]
         before = self._owners(shard)
         newcomer = NodeIdentity.derive(hashlib.sha256(b"late").digest(), 1)
-        report = table.node_join(newcomer)
+        moves = table.node_join(newcomer)
         after = self._owners(shard)
         expected = {
             key: (before[key], after[key]) for key in before if before[key] != after[key]
         }
-        assert {m.key: (m.src, m.dst) for m in report.moves} == expected
+        assert {m.key: (m.src, m.dst) for m in moves} == expected
         assert expected, "joining a populated ring should claim some keys"
-        for move in report.moves:
+        for move in moves:
             assert move.dst == newcomer.node_id
 
     def test_leave_moves_match_brute_force(self) -> None:
         table = self._populated_table(6, 80)
-        shard = shard_by_index(table, 0)
+        shard = table.shards[0]
         leaver = sorted(shard.members.values(), key=lambda n: n.position)[2]
         before = self._owners(shard)
-        report = table.node_leave(leaver.node_id)
+        moves = table.node_leave(leaver.node_id)
         after = self._owners(shard)
         expected = {
             key: (before[key], after[key]) for key in before if before[key] != after[key]
         }
-        assert {m.key: (m.src, m.dst) for m in report.moves} == expected
-        for move in report.moves:
+        assert {m.key: (m.src, m.dst) for m in moves} == expected
+        for move in moves:
             assert move.src == leaver.node_id
-
-    def test_report_lines(self) -> None:
-        table = self._populated_table(3, 40)
-        report = table.node_join(NodeIdentity.derive(hashlib.sha256(b"x").digest(), 1))
-        assert len(report.lines()) == len(report.moves)
-        for line in report.lines():
-            parts = line.split()
-            assert parts[0] == "MOVED"
-            assert len(parts) == 4
 
     def test_join_empty_shard_moves_nothing(self) -> None:
         table = ShardTable(1)
-        report = table.node_join(make_nodes(1, 1)[0])
-        assert report.moves == ()
+        assert table.node_join(make_nodes(1, 1)[0]) == ()
 
     def test_join_claims_expected_fraction(self) -> None:
         """A tenth node claims about a tenth of the keys on average.
@@ -514,14 +532,14 @@ class TestArcOracle:
     brute-force diff of the :func:`assign_key` owners before and after."""
 
     @staticmethod
-    def _check(shard: Shard, change: Callable[[], RemapReport]) -> tuple:
+    def _check(shard: Shard, change: Callable[[], tuple[Move, ...]]) -> tuple:
         before = TestMigration._owners(shard) if shard.members else {}
-        report = change()
+        moves = change()
         after = TestMigration._owners(shard) if before else {}
         expected = tuple(
             (key, before[key], after[key]) for key in sorted(before) if before[key] != after[key]
         )
-        assert tuple((m.key, m.src, m.dst) for m in report.moves) == expected
+        assert tuple((m.key, m.src, m.dst) for m in moves) == expected
         return expected
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
@@ -544,7 +562,7 @@ class TestArcOracle:
             forced += [_key_at(node.position), _key_at(node.position + 1)]
         with _backend(kind) as store:
             table = ShardTable(1, lambda _sid: store)
-            shard = shard_by_index(table, 0)
+            shard = table.shards[0]
             for key in dict.fromkeys(keys + forced):
                 store.put_named(key, b"registered")
             for node in nodes:
@@ -562,7 +580,7 @@ class TestArcOracle:
         lowest = ring[0]
         with _backend(kind) as store:
             table = ShardTable(1, lambda _sid: store)
-            shard = shard_by_index(table, 0)
+            shard = table.shards[0]
             for key in [_key_at(node.position) for node in ring] + [_key_at(0), _key_at(-1)]:
                 store.put_named(key, b"registered")
             assert self._check(shard, lambda: table.node_join(ring[2])) == ()
@@ -587,8 +605,8 @@ class TestConfig:
             table.node_join(node)
         restored = table_from_config(table_to_config(table))
         assert restored.num_shards == 4
-        for sid, shard in table.shards.items():
-            assert sorted(shard.members) == sorted(restored.shards[sid].members)
+        for shard, restored_shard in zip(table.shards, restored.shards, strict=True):
+            assert sorted(shard.members) == sorted(restored_shard.members)
 
     def test_roles_preserved(self) -> None:
         table = ShardTable(2)
@@ -657,7 +675,7 @@ class TestBalance:
         counts = [0] * num_shards
         rng = random.Random(42)
         for _ in range(total):
-            counts[shard_of(rng.randbytes(20), num_shards).index] += 1
+            counts[shard_of(rng.randbytes(20), num_shards)] += 1
         mean = total / num_shards
         slack = 5 / (total / num_shards) ** 0.5
         assert max(counts) / mean <= 1 + slack

@@ -76,6 +76,7 @@ class TestConfig:
             dict(txs_per_block=-1),
             dict(consensus_delay_s=float("nan")),
             dict(consensus_delay_s=float("inf")),
+            dict(num_shards=1 << 17, num_nodes=1 << 17),
         ],
     )
     def test_invalid(self, kwargs: dict) -> None:
@@ -270,7 +271,7 @@ class TestRunExperiment:
             parallelism=parallelism,
         )
         addresses = account_addresses(config.seed, config.effective_accounts)
-        home = {address: shard_of(address, num_shards).index for address in addresses}
+        home = {address: shard_of(address, num_shards) for address in addresses}
         windows: dict[int, list[list[Transaction]]] = {i: [] for i in range(num_shards)}
         for tx in generate_workload(config):
             shard = windows[home[tx.sender]]
