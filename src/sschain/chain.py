@@ -60,7 +60,7 @@ from .encoding import (
     rlp_list_head,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid
+from .merkle_dag import AccountState
 from .mpt import Trie, commit_sorted
 from .shard_dht import NodeIdentity, ShardTable
 from .store import KvStore, MemoryKvStore
@@ -339,7 +339,7 @@ class _Account:
     seq: int
     tenths: int
     code: bytes
-    version: Optional[Cid]
+    version: Optional[Digest]
     dirty: bool = False
 
 

@@ -44,7 +44,7 @@ from . import merkle_dag as dagmod
 from . import shard_dht as shardmod
 from .encoding import DIGEST_SIZE, Digest, hash256
 from .errors import CorruptError, NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid, DagNode, NameRegistry
+from .merkle_dag import AccountState, DagNode, cid_text
 from .mpt import EMPTY_ROOT, Trie
 from .store import FileKvStore, KvStore, open_database
 
@@ -69,9 +69,9 @@ def _digest_arg(text: str) -> bytes:
     return raw
 
 
-def _cid_arg(text: str) -> Cid:
+def _cid_arg(text: str) -> Digest:
     try:
-        return Cid.parse(text)
+        return dagmod.parse_cid(text)
     except dagmod.CidFormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -195,26 +195,38 @@ class Workspace:
     def save_trie_root(self, root: Digest) -> None:
         self.store("workspace").put_named(TRIE_ROOT_KEY, root)
 
-    def load_table(self, default_shards: Optional[int] = None) -> shardmod.ShardTable:
-        trie_store = self.store("trie")
+    def load_table(self, shards: Optional[int] = None) -> Optional[shardmod.ShardTable]:
+        """The stored table, or None if none is stored. A given ``shards``
+        must be a valid count, checked before the database opens so that a
+        refused count creates nothing, and must match a stored table's."""
+        if shards is not None:
+            shardmod.prefix_width(shards)
         config = _find(self.store("workspace"), SHARD_TABLE_KEY)
         if config is None:
-            if default_shards is None:
-                raise SSChainError(f"no shard table in {self.root / DB_NAME}; run chain init")
-            return shardmod.ShardTable(default_shards, self.shard_store, trie_store)
+            return None
         try:
-            return shardmod.table_from_config(config.decode(), self.shard_store, trie_store)
+            table = shardmod.table_from_config(config.decode(), self.shard_store, self.store("trie"))
         except (UnicodeDecodeError, shardmod.ShardError) as exc:
             raise CorruptError(f"stored shard table: {exc}") from exc
-
-    def shard_table(self, shards: Optional[int]) -> shardmod.ShardTable:
-        """The stored table, whose count a given ``shards`` must match, or
-        a new one of ``shards`` (4 if not given) when none is stored."""
-        table = self.load_table(DEFAULT_SHARDS if shards is None else shards)
         if shards is not None and shards != table.num_shards:
             raise SSChainError(
                 f"--shards {shards} disagrees with the stored table's {table.num_shards} shards"
             )
+        return table
+
+    def stored_table(self) -> shardmod.ShardTable:
+        table = self.load_table()
+        if table is None:
+            raise SSChainError(f"no shard table in {self.root / DB_NAME}; run chain init")
+        return table
+
+    def shard_table(self, shards: Optional[int]) -> shardmod.ShardTable:
+        """The stored table, or a new one of ``shards`` (4 if not given)
+        when none is stored."""
+        table = self.load_table(shards)
+        if table is None:
+            count = DEFAULT_SHARDS if shards is None else shards
+            table = shardmod.ShardTable(count, self.shard_store, self.store("trie"))
         return table
 
     def save_table(self, table: shardmod.ShardTable) -> None:
@@ -273,8 +285,8 @@ def cmd_dag_add(args: argparse.Namespace, ws: Workspace) -> int:
         added = [(dagmod.dag_put(store, DagNode(data=path.read_bytes())), path.name)]
     _emit(
         args,
-        [{"cid": str(cid), "name": name} for cid, name in added],
-        [f"added {cid} {name}" for cid, name in added],
+        [{"cid": cid_text(cid), "name": name} for cid, name in added],
+        [f"added {cid_text(cid)} {name}" for cid, name in added],
     )
     return 0
 
@@ -284,7 +296,7 @@ def cmd_dag_get(args: argparse.Namespace, ws: Workspace) -> int:
     doc = {
         "data": node.data.hex(),
         "links": [
-            {"Name": link.name, "Cid": str(link.cid), "Size": link.size}
+            {"Name": link.name, "Cid": cid_text(link.cid), "Size": link.size}
             for link in node.links
         ],
     }
@@ -300,28 +312,19 @@ def cmd_dag_cat(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_name_publish(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = NameRegistry(ws.store("objects"), ws.store("names"))
-    record = dagmod.name_publish(registry, args.node_id, args.cid)
+    sequence = dagmod.name_publish(ws.store("objects"), ws.store("names"), args.node_id, args.cid)
+    node_id, target = args.node_id.hex(), cid_text(args.cid)
     _emit(
         args,
-        {
-            "node_id": record.node_id.hex(),
-            "sequence": record.sequence,
-            "target": str(record.target),
-        },
-        [f"Published to {record.node_id.hex()}: /ss/{record.target}"],
+        {"node_id": node_id, "sequence": sequence, "target": target},
+        [f"Published to {node_id}: /ss/{target}"],
     )
     return 0
 
 
 def cmd_name_resolve(args: argparse.Namespace, ws: Workspace) -> int:
-    registry = NameRegistry(ws.store("objects"), ws.store("names"))
-    target = dagmod.name_resolve(registry, args.node_id)
-    _emit(
-        args,
-        {"node_id": args.node_id.hex(), "target": str(target)},
-        [f"/ss/{target}"],
-    )
+    target = cid_text(dagmod.name_resolve(ws.store("names"), args.node_id))
+    _emit(args, {"node_id": args.node_id.hex(), "target": target}, [f"/ss/{target}"])
     return 0
 
 
@@ -354,9 +357,13 @@ def cmd_trie_root(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_shard_map(args: argparse.Namespace, ws: Workspace) -> int:
-    num_shards = ws.shard_table(args.shards).num_shards
+    table = ws.load_table(args.shards)  # a new table is not built just to be read
+    if table is None:
+        num_shards = DEFAULT_SHARDS if args.shards is None else args.shards
+    else:
+        num_shards = table.num_shards
     shard = shardmod.shard_of(args.address, num_shards)
-    width = num_shards.bit_length() - 1  # one shard has no prefix bits
+    width = shardmod.prefix_width(num_shards)  # one shard has no prefix bits
     prefix = format(shard, f"0{width}b") if width else ""
     suffix = f" (prefix {prefix})" if prefix else ""
     _emit(
@@ -391,7 +398,7 @@ def cmd_shard_join(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def cmd_shard_leave(args: argparse.Namespace, ws: Workspace) -> int:
-    table = ws.load_table()
+    table = ws.stored_table()
     moves = table.node_leave(args.node_id)
     ws.save_table(table)
     _emit(
@@ -418,7 +425,7 @@ def cmd_chain_init(args: argparse.Namespace, ws: Workspace) -> int:
 
 
 def _load_chain(ws: Workspace) -> chainmod.Chain:
-    return chainmod.Chain.load(ws.load_table())
+    return chainmod.Chain.load(ws.stored_table())
 
 
 def cmd_chain_apply(args: argparse.Namespace, ws: Workspace) -> int:

@@ -5,10 +5,11 @@ to other nodes. Its canonical serialization is the RLP list
 
     [data, [[name, cid, size], ...]]
 
-with links sorted by name and sizes in minimal big-endian form, and its
-``Cid`` is the SHA-256 digest of those bytes, printed as ``ss1-<hex>``.
-Identical content always produces the same Cid, so storing the same
-payload twice costs one entry.
+with links sorted by name and sizes in minimal big-endian form. Its Cid
+(content id) is the SHA-256 digest of those bytes, and is passed around
+as those 32 bytes; :func:`cid_text` and :func:`parse_cid` own its text
+form ``ss1-<hex>``. Identical content always produces the same Cid, so
+storing the same payload twice costs one entry.
 
 Account states serialize to a small fixed-shape JSON document whose
 field hashes make every field individually checkable. Its byte form is a
@@ -20,9 +21,9 @@ nodes wrap a root and link back to the prior version through their
 ``prev`` link, giving a rollback trail. A chain writes one version per
 touched account per block, after the block's body and credits, chained
 to the version the previous block left, so the trail steps block by
-block. A ``NameRegistry`` maps a publisher's node id to its latest
+block. :func:`name_publish` binds a publisher's node id to its latest
 root, latest-sequence-wins, as RLP ``[sequence, target digest]`` under
-the node id in its ``records``.
+the node id in a ``records`` store.
 
 A version node is the DAG node ``[b"", [[b"prev", prev, prev_size],
 [b"root", root, root_size]]]`` (no ``prev`` link on a first version),
@@ -45,7 +46,7 @@ extra data, extra links or a padded size, is not a version node.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -62,7 +63,7 @@ from .encoding import (
     rlp_encode,
 )
 from .errors import CorruptError, NotFoundError, SSChainError
-from .store import KvStore, MemoryKvStore
+from .store import KvStore
 
 
 class DagError(SSChainError):
@@ -88,32 +89,32 @@ class CidFormatError(DagError, ValueError):
 CID_PREFIX = "ss1-"
 
 
-@dataclass(frozen=True, slots=True)
-class Cid:
-    """Content identifier: the digest of a node's canonical bytes."""
+def cid_text(cid: Digest) -> str:
+    """The ``ss1-<hex>`` text form of a Cid."""
+    return CID_PREFIX + cid.hex()
 
-    digest: Digest
 
-    def __str__(self) -> str:
-        return CID_PREFIX + self.digest.hex()
+def parse_cid(text: str) -> Digest:
+    """The Cid whose text form is ``text``.
 
-    @classmethod
-    def parse(cls, text: str) -> "Cid":
-        if not text.startswith(CID_PREFIX):
-            raise CidFormatError(f"cid must start with {CID_PREFIX!r}: {text!r}")
-        try:
-            digest = bytes.fromhex(text[len(CID_PREFIX) :])
-        except ValueError:
-            raise CidFormatError(f"cid hex part is malformed: {text!r}") from None
-        if len(digest) != DIGEST_SIZE:
-            raise CidFormatError(f"cid digest must be {DIGEST_SIZE} bytes: {text!r}")
-        return cls(digest)
+    Raises:
+        CidFormatError: no ``ss1-`` prefix, or not 32 bytes of hex after it.
+    """
+    if not text.startswith(CID_PREFIX):
+        raise CidFormatError(f"cid must start with {CID_PREFIX!r}: {text!r}")
+    try:
+        digest = bytes.fromhex(text[len(CID_PREFIX) :])
+    except ValueError:
+        raise CidFormatError(f"cid hex part is malformed: {text!r}") from None
+    if len(digest) != DIGEST_SIZE:
+        raise CidFormatError(f"cid digest must be {DIGEST_SIZE} bytes: {text!r}")
+    return digest
 
 
 @dataclass(frozen=True, slots=True)
 class Link:
     name: str
-    cid: Cid
+    cid: Digest
     size: int
 
 
@@ -136,29 +137,15 @@ class AccountState:
     balance: str
     code: bytes = b""
 
-    @property
-    def seq_number_hash(self) -> str:
-        return hash256(self.seq_number.encode()).hex()
-
-    @property
-    def balance_hash(self) -> str:
-        return hash256(self.balance.encode()).hex()
-
-    @property
-    def code_hash(self) -> str:
-        """Hex digest of the code, or the empty string for no code."""
-        return hash256(self.code).hex() if self.code else ""
-
-    @property
-    def data_hash(self) -> str:
-        """Digest over the concatenated hex texts of the three field hashes."""
-        return self._field_hashes()[3]
-
     def _field_hashes(self) -> tuple[str, str, str, str]:
-        """(seqNumberHash, balanceHash, codeHash, dataHash), each hashed once."""
-        seq_hash = self.seq_number_hash
-        balance_hash = self.balance_hash
-        code_hash = self.code_hash
+        """(seqNumberHash, balanceHash, codeHash, dataHash) as hex texts.
+
+        The code hash is the empty string for no code, and the data hash
+        is the digest of the other three texts concatenated.
+        """
+        seq_hash = hash256(self.seq_number.encode()).hex()
+        balance_hash = hash256(self.balance.encode()).hex()
+        code_hash = hash256(self.code).hex() if self.code else ""
         data_hash = hash256((seq_hash + balance_hash + code_hash).encode()).hex()
         return seq_hash, balance_hash, code_hash, data_hash
 
@@ -220,8 +207,9 @@ _ACCOUNT_JSON = """{
 """
 
 
-def dag_put(store: KvStore, node: DagNode) -> Cid:
-    """Store ``node`` canonically; children must already be present.
+def dag_put(store: KvStore, node: DagNode) -> Digest:
+    """Store ``node`` canonically and return its Cid; children must
+    already be present.
 
     Raises:
         DuplicateNameError: two links share a name.
@@ -234,12 +222,12 @@ def dag_put(store: KvStore, node: DagNode) -> Cid:
     for link in node.links:
         if link.size < 0:
             raise DagError(f"link {link.name!r} has negative size {link.size}")
-        if not store.has(link.cid.digest):
-            raise DanglingLinkError(f"link {link.name!r} -> {link.cid} not in store")
-    return Cid(store.put(_encode_node(node)))
+        if not store.has(link.cid):
+            raise DanglingLinkError(f"link {link.name!r} -> {cid_text(link.cid)} not in store")
+    return store.put(_encode_node(node))
 
 
-def dag_get(store: KvStore, cid: Cid) -> DagNode:
+def dag_get(store: KvStore, cid: Digest) -> DagNode:
     """Load a node and re-verify its digest before decoding.
 
     Raises:
@@ -250,8 +238,9 @@ def dag_get(store: KvStore, cid: Cid) -> DagNode:
     return _decode_node(_get_verified(store, cid))
 
 
-def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Cid:
-    """Store each payload as a leaf, then one directory node linking them all.
+def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Digest:
+    """Store each payload as a leaf, then one directory node linking them
+    all; return the directory's Cid.
 
     Links carry the file name and payload size; the directory Cid depends
     only on the name/content set, not on input order.
@@ -269,18 +258,18 @@ def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Cid:
     return dag_put(store, DagNode(links=tuple(sorted(links, key=lambda l: l.name))))
 
 
-def version_put(store: KvStore, root: Cid, prev: Optional[Cid] = None) -> Cid:
+def version_put(store: KvStore, root: Digest, prev: Optional[Digest] = None) -> Digest:
     """Wrap ``root`` in a version node, optionally chained to ``prev``.
 
     Raises:
         NotFoundError: root or prev absent.
     """
-    root_size = len(store.get(root.digest))
-    prev_size = len(store.get(prev.digest)) if prev is not None else 0
-    return Cid(store.put(_encode_version(root, root_size, prev, prev_size)))
+    root_size = len(store.get(root))
+    prev_size = len(store.get(prev)) if prev is not None else 0
+    return store.put(_encode_version(root, root_size, prev, prev_size))
 
 
-def version_root(store: KvStore, version: Cid) -> Cid:
+def version_root(store: KvStore, version: Digest) -> Digest:
     """The content root a version node wraps.
 
     Raises:
@@ -291,8 +280,8 @@ def version_root(store: KvStore, version: Cid) -> Cid:
 
 
 def version_append(
-    store: KvStore, payload: bytes, prev: Optional[Cid] = None
-) -> Optional[Cid]:
+    store: KvStore, payload: bytes, prev: Optional[Digest] = None
+) -> Optional[Digest]:
     """Store ``payload`` as a leaf and wrap it in a version chained to ``prev``.
 
     ``prev`` is read once, and its digest verified as :func:`dag_get`
@@ -305,85 +294,72 @@ def version_append(
         CorruptError: prev fails its digest or is not a version node.
     """
     leaf = _encode_node(DagNode(data=payload))
-    leaf_cid = Cid(store.put(leaf))
+    leaf_cid = store.put(leaf)
     prev_size = 0
     if prev is not None:
         raw = _get_verified(store, prev)
         if _parse_version(raw, prev)[0] == leaf_cid:
             return None
         prev_size = len(raw)
-    return Cid(store.put(_encode_version(leaf_cid, len(leaf), prev, prev_size)))
+    return store.put(_encode_version(leaf_cid, len(leaf), prev, prev_size))
 
 
-@dataclass(frozen=True, slots=True)
-class NameRecord:
-    node_id: Digest
-    target: Cid
-    sequence: int
-
-
-@dataclass
-class NameRegistry:
-    """Node id -> latest Cid in ``store``, as named entries of ``records``."""
-
-    store: KvStore
-    records: KvStore = field(default_factory=MemoryKvStore)
-
-
-def name_publish(registry: NameRegistry, node_id: Digest, target: Cid) -> NameRecord:
-    """Bind ``node_id`` to ``target`` with the next sequence number.
+def name_publish(store: KvStore, records: KvStore, node_id: Digest, target: Digest) -> int:
+    """Bind ``node_id`` to ``target``, a Cid in ``store``, in ``records``;
+    return the binding's sequence number, one past the prior binding's.
 
     Raises:
         CorruptError: the stored record for ``node_id`` is malformed.
-        UnknownCidError: target not present in the registry's store.
+        UnknownCidError: target not present in ``store``.
     """
-    prior = _name_record(registry, node_id)
-    if not registry.store.has(target.digest):
-        raise UnknownCidError(f"cannot publish unstored {target}")
-    record = NameRecord(node_id, target, (prior.sequence if prior else 0) + 1)
-    registry.records.put_named(node_id, rlp_encode([int_to_bytes(record.sequence), target.digest]))
-    return record
+    prior = _name_record(records, node_id)
+    if not store.has(target):
+        raise UnknownCidError(f"cannot publish unstored {cid_text(target)}")
+    sequence = (prior[0] if prior else 0) + 1
+    records.put_named(node_id, rlp_encode([int_to_bytes(sequence), target]))
+    return sequence
 
 
-def name_resolve(registry: NameRegistry, node_id: Digest) -> Cid:
-    """Latest Cid published by ``node_id``.
+def name_resolve(records: KvStore, node_id: Digest) -> Digest:
+    """Latest Cid ``node_id`` bound in ``records``.
 
     Raises:
         NotFoundError: nothing published under this id.
         CorruptError: the stored record is malformed.
     """
-    record = _name_record(registry, node_id)
+    record = _name_record(records, node_id)
     if record is None:
         raise NotFoundError(f"no name published by {node_id.hex()}")
-    return record.target
+    return record[1]
 
 
-def _name_record(registry: NameRegistry, node_id: Digest) -> Optional[NameRecord]:
-    """The record stored for ``node_id``, if any; CorruptError if malformed."""
+def _name_record(records: KvStore, node_id: Digest) -> Optional[tuple[int, Digest]]:
+    """(sequence, target) stored for ``node_id``, if any; CorruptError if
+    malformed."""
     try:
-        raw = registry.records.get(node_id)
+        raw = records.get(node_id)
     except NotFoundError:
         return None
     try:
         sequence, target = rlp_decode(raw)
         if isinstance(sequence, bytes) and sequence and isinstance(target, bytes):
             if len(target) == DIGEST_SIZE:
-                return NameRecord(node_id, Cid(target), int_from_bytes(sequence))
+                return int_from_bytes(sequence), target
     except ValueError:
         pass
     raise CorruptError(f"stored name record for {node_id.hex()} is malformed")
 
 
-def _get_verified(store: KvStore, cid: Cid) -> bytes:
-    raw = store.get(cid.digest)
-    if hash256(raw) != cid.digest:
-        raise CorruptError(f"content of {cid} does not match its digest")
+def _get_verified(store: KvStore, cid: Digest) -> bytes:
+    raw = store.get(cid)
+    if hash256(raw) != cid:
+        raise CorruptError(f"content of {cid_text(cid)} does not match its digest")
     return raw
 
 
 def _encode_node(node: DagNode) -> bytes:
     triples: list[RlpItem] = [
-        [link.name.encode(), link.cid.digest, int_to_bytes(link.size)]
+        [link.name.encode(), link.cid, int_to_bytes(link.size)]
         for link in sorted(node.links, key=lambda l: l.name)
     ]
     return rlp_encode([node.data, triples])
@@ -409,7 +385,7 @@ def _decode_node(raw: bytes) -> DagNode:
         if len(digest) != DIGEST_SIZE or not isinstance(size, bytes):
             raise CorruptError("dag link cid or size is malformed")
         try:
-            links.append(Link(name.decode(), Cid(digest), int_from_bytes(size)))
+            links.append(Link(name.decode(), digest, int_from_bytes(size)))
         except (UnicodeDecodeError, CodecError) as exc:
             raise CorruptError(f"dag link name or size is malformed: {exc}") from exc
     names = [link.name for link in links]
@@ -426,7 +402,7 @@ _LINK_FIXED = len(_ROOT_FIELD) + DIGEST_SIZE
 
 
 def _encode_version(
-    root: Cid, root_size: int, prev: Optional[Cid], prev_size: int
+    root: Digest, root_size: int, prev: Optional[Digest], prev_size: int
 ) -> bytes:
     """A version node's bytes, as the module docstring lays them out.
 
@@ -439,7 +415,7 @@ def _encode_version(
     return bytes((0xF8, 3 + len(links), 0x80, 0xF8, len(links))) + links
 
 
-def _version_link(field: bytes, cid: Cid, size: int) -> bytes:
+def _version_link(field: bytes, cid: Digest, size: int) -> bytes:
     """RLP of one ``[name, cid, size]`` triple; ``field`` is the name part."""
     if 0 < size < 0x80:
         size_item = bytes((size,))
@@ -447,10 +423,10 @@ def _version_link(field: bytes, cid: Cid, size: int) -> bytes:
         size_raw = int_to_bytes(size)
         size_item = bytes((0x80 + len(size_raw),)) + size_raw
     head = bytes((0xC0 + _LINK_FIXED + len(size_item),))
-    return head + field + cid.digest + size_item
+    return head + field + cid + size_item
 
 
-def _parse_version(raw: bytes, cid: Cid) -> tuple[Cid, int, Optional[Cid], int]:
+def _parse_version(raw: bytes, cid: Digest) -> tuple[Digest, int, Optional[Digest], int]:
     """(root, root size, prev or None, prev size) of the version node ``cid``.
 
     The link fields are read at their fixed offsets and re-encoded; the
@@ -466,11 +442,11 @@ def _parse_version(raw: bytes, cid: Cid) -> tuple[Cid, int, Optional[Cid], int]:
         prev, prev_size, at = _read_link(raw, 5)
     root, root_size, _ = _read_link(raw, at)
     if _encode_version(root, root_size, prev, prev_size) != raw:
-        raise CorruptError(f"{cid} is not a version node")
+        raise CorruptError(f"{cid_text(cid)} is not a version node")
     return root, root_size, prev, prev_size
 
 
-def _read_link(raw: bytes, at: int) -> tuple[Cid, int, int]:
+def _read_link(raw: bytes, at: int) -> tuple[Digest, int, int]:
     """(cid, size, end) of the link triple whose head is at ``at``, unchecked.
 
     A size field longer than 8 bytes is read as its first 8, so it cannot
@@ -478,7 +454,7 @@ def _read_link(raw: bytes, at: int) -> tuple[Cid, int, int]:
     """
     at += 1 + _LINK_FIXED
     head = raw[at] if at < len(raw) else 0
-    cid = Cid(raw[at - DIGEST_SIZE : at])
+    cid = raw[at - DIGEST_SIZE : at]
     if head < 0x80:
         return cid, head, at + 1
     end = at + 1 + min(head - 0x80, 8)

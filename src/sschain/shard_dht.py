@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 from .encoding import DIGEST_SIZE, Digest, hash256, rlp_encode
 from .errors import NotFoundError, SSChainError
-from .merkle_dag import AccountState, Cid, dag_get, version_append, version_root
+from .merkle_dag import AccountState, dag_get, version_append, version_root
 from .mpt import Trie
 from .store import KvStore, MemoryKvStore
 
@@ -82,7 +82,7 @@ MAX_SHARDS = 1 << 16
 shard and its store, so a count is bounded before any is made."""
 
 
-def _prefix_width(num_shards: int) -> int:
+def prefix_width(num_shards: int) -> int:
     """Prefix bits naming a shard among ``num_shards``: log2 of the count.
 
     Raises:
@@ -98,7 +98,7 @@ def _prefix_width(num_shards: int) -> int:
 
 def shard_of_position(position: int, num_shards: int) -> int:
     """Index of the shard holding ``position``: its top prefix bits."""
-    return position >> (RING_BITS - _prefix_width(num_shards))
+    return position >> (RING_BITS - prefix_width(num_shards))
 
 
 def shard_of(address: bytes, num_shards: int) -> int:
@@ -109,7 +109,7 @@ def shard_of(address: bytes, num_shards: int) -> int:
         NotPowerOfTwoError: num_shards is not a power of two >= 1.
         ShardError: num_shards exceeds ``MAX_SHARDS``.
     """
-    width = _prefix_width(num_shards)
+    width = prefix_width(num_shards)
     if width == 0:
         return 0
     return ring_position(address) >> (RING_BITS - width)
@@ -216,7 +216,7 @@ class ShardTable:
         store_factory: Optional[StoreFactory] = None,
         trie_store: Optional[KvStore] = None,
     ):
-        _prefix_width(num_shards)
+        prefix_width(num_shards)
         factory = store_factory or (lambda _index: MemoryKvStore())
         self.num_shards = num_shards
         self.shards = [Shard(factory(index)) for index in range(num_shards)]
@@ -282,11 +282,11 @@ class ShardTable:
         keys, successor = _arc(shard.store, list(shard.members.values()), node.position)
         return tuple(Move(key, node_id, successor.node_id) for key in keys)
 
-    def pointer(self, address: bytes) -> Optional[Cid]:
+    def pointer(self, address: bytes) -> Optional[Digest]:
         """Version Cid :attr:`trie` holds for ``address``, if any."""
         return _version(self.trie, address)
 
-    def read_account(self, address: bytes, *, trie: Trie) -> Optional[tuple[AccountState, Cid]]:
+    def read_account(self, address: bytes, *, trie: Trie) -> Optional[tuple[AccountState, Digest]]:
         """(state, version Cid) stored under ``address`` in ``trie``, if any."""
         version = _version(trie, address)
         if version is None:
@@ -302,8 +302,8 @@ class ShardTable:
         state: AccountState,
         *,
         trie: Trie,
-        prev_cid: Optional[Cid],
-    ) -> tuple[Trie, Cid, bool]:
+        prev_cid: Optional[Digest],
+    ) -> tuple[Trie, Digest, bool]:
         """Write one account version against an explicit trie handle.
 
         Returns (new trie, version Cid, changed). When the new state equals
@@ -319,7 +319,7 @@ class ShardTable:
         version_cid = version_append(store, state.to_json_bytes(), prev_cid)
         if version_cid is None:
             return trie, prev_cid, False
-        return trie.insert(address, version_cid.digest), version_cid, True
+        return trie.insert(address, version_cid), version_cid, True
 
     def register(self, address: bytes) -> None:
         """Add ``address``'s lookup key to its shard's registry, which the
@@ -329,7 +329,7 @@ class ShardTable:
 
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
-    ) -> Cid:
+    ) -> Digest:
         """Write a new state version for ``address`` into :attr:`trie`,
         chained to the one it holds, registering an account it creates;
         returns its Cid.
@@ -402,10 +402,10 @@ def table_from_config(
     return table
 
 
-def _version(trie: Trie, address: bytes) -> Optional[Cid]:
+def _version(trie: Trie, address: bytes) -> Optional[Digest]:
     """The version Cid ``trie`` holds for ``address``, if any."""
     try:
-        return Cid(trie.get(address))
+        return trie.get(address)
     except NotFoundError:
         return None
 

@@ -27,7 +27,6 @@ from sschain.encoding import (
 from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import (
     AccountState,
-    Cid,
     DagNode,
     dag_build_directory,
     dag_get,
@@ -199,7 +198,7 @@ def test_criterion_4_dag_properties() -> str:
                 tamper_store._entries[key] = bytes(mutated)
                 flips += 1
                 try:
-                    dag_get(tamper_store, Cid(key))
+                    dag_get(tamper_store, key)
                 except CorruptError:
                     detected += 1
         tamper_store._entries[key] = original

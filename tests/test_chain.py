@@ -31,7 +31,7 @@ from sschain.chain import (
 )
 from sschain.encoding import hash256, int_to_bytes, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
-from sschain.merkle_dag import AccountState, Cid
+from sschain.merkle_dag import AccountState
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
 from sschain.shard_dht import ShardTable, pipeline_key
 from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
@@ -444,7 +444,7 @@ class TestApplyBlock:
         head = Trie(chain.table.trie_store, chain.head.header.state_root)
         for address, versions in ((addr(1), 2), (addr(2), 1)):
             pointer = chain.table.pointer(address)
-            assert pointer == Cid(head.get(address))
+            assert pointer == head.get(address)
             assert len(version_trail(chain.table.shard_for(address).store, pointer)) == versions
 
     def test_block_writes_each_touched_account_once(self) -> None:
@@ -601,7 +601,7 @@ def assert_lookups_read_head(table: ShardTable, present: list[bytes], absent: li
     """``pointer`` agrees with the head trie, and each present account's
     lookup key is in its shard's registry."""
     for address in present:
-        assert table.pointer(address) == Cid(table.trie.get(address))
+        assert table.pointer(address) == table.trie.get(address)
         assert pipeline_key(address) in table.shard_for(address).store.named_keys()
     for address in absent:
         assert table.pointer(address) is None

@@ -21,7 +21,7 @@ from sschain import chain as chainmod
 from sschain import cli
 from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
-from sschain.merkle_dag import AccountState, Cid, NameRegistry, dag_build_directory, name_publish
+from sschain.merkle_dag import AccountState, cid_text, dag_build_directory, name_publish, parse_cid
 from sschain.mpt import EMPTY_ROOT
 from sschain.shard_dht import ShardTable, pipeline_key, shard_of
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -169,7 +169,7 @@ class TestDag:
 
         root_cid = out[4].split()[1]
         expected = dag_build_directory(MemoryKvStore(), list(payloads.items()))
-        assert root_cid == str(expected)
+        assert root_cid == cid_text(expected)
         assert main(["--store", store, "dag", "get", root_cid]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [link["Name"] for link in doc["links"]] == sorted(payloads)
@@ -262,8 +262,8 @@ class TestName:
     def test_records_published_by_the_library_resolve(self, store, tmp_path, capsys) -> None:
         cid = self._add(store, tmp_path, capsys, "v1")
         db = open_database(Path(store, "sschain.db"))
-        registry = NameRegistry(FileKvStore(db, "objects"), FileKvStore(db, "names"))
-        name_publish(registry, bytes.fromhex(NODE_1), Cid.parse(cid))
+        objects, names = FileKvStore(db, "objects"), FileKvStore(db, "names")
+        name_publish(objects, names, bytes.fromhex(NODE_1), parse_cid(cid))
         db.close()
         assert main(["--store", store, "name", "resolve", NODE_1]) == 0
         assert lines_of(capsys) == [f"/ss/{cid}"]
@@ -328,6 +328,32 @@ class TestShard:
         argv = ["--store", str(missing), "shard", "map", ADDR_A, "--shards", "131072"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: shard count 131072 exceeds 65536\n"
+        assert not missing.exists()
+
+    def test_map_builds_no_table_when_none_is_stored(self, tmp_path, capsys, monkeypatch) -> None:
+        """Without a stored table the count alone names the shard: no table
+        of 65,536 shards and stores is built to print one line."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shard table was built")
+
+        monkeypatch.setattr(ShardTable, "__init__", refuse)
+        argv = ["--store", str(tmp_path / "none"), "shard", "map", "00aa11bb", "--shards", "65536"]
+        assert main(argv) == 0
+        assert lines_of(capsys) == ["00aa11bb -> shard 63922 (prefix 1111100110110010)"]
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["chain", "init", "--shards", "3"], "shard count must be a power of two: 3"),
+            (["shard", "join", NODE_1, "--shards", "131072"], "shard count 131072 exceeds 65536"),
+        ],
+        ids=["chain-init", "shard-join"],
+    )
+    def test_refused_count_creates_no_workspace(self, tmp_path, capsys, argv, err) -> None:
+        missing = tmp_path / "none"
+        assert main(["--store", str(missing), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not missing.exists()
 
     def test_join_moved_lines(self, store, capsys) -> None:
@@ -1097,7 +1123,7 @@ class Recorded(Exception):
 
 
 class TestCommandTable:
-    CID = str(Cid(hash256(b"cli-table")))
+    CID = cid_text(hash256(b"cli-table"))
     LINES = [
         ["store", "put", "-"],
         ["store", "get", NODE_1],

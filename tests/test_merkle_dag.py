@@ -13,19 +13,19 @@ from sschain.encoding import hash256, rlp_encode
 from sschain.errors import CorruptError, NotFoundError
 from sschain.merkle_dag import (
     AccountState,
-    Cid,
     CidFormatError,
     DagNode,
     DanglingLinkError,
     DuplicateNameError,
     Link,
-    NameRegistry,
     UnknownCidError,
+    cid_text,
     dag_build_directory,
     dag_get,
     dag_put,
     name_publish,
     name_resolve,
+    parse_cid,
     _encode_node,
     _encode_version,
     _parse_version,
@@ -44,18 +44,27 @@ FOUR_FILES = [
 ]
 
 
-class TestCid:
-    def test_text_round_trip(self) -> None:
-        cid = Cid(hash256(b"x"))
-        assert str(cid).startswith("ss1-")
-        assert Cid.parse(str(cid)) == cid
+# Each malformed Cid text and what its error says is wrong with it.
+BAD_CID_TEXT = {
+    "bare": "must start with 'ss1-'",
+    "ss1-zz": "hex part is malformed",
+    "ss1-abcd": "digest must be 32 bytes",
+    "ss2-" + "00" * 32: "must start with 'ss1-'",
+}
 
-    @pytest.mark.parametrize(
-        "bad", ["bare", "ss1-zz", "ss1-abcd", "ss2-" + "00" * 32]
-    )
+
+class TestCid:
+    @given(st.binary(min_size=32, max_size=32))
+    def test_text_round_trip(self, cid: bytes) -> None:
+        text = cid_text(cid)
+        assert text == "ss1-" + cid.hex()
+        assert parse_cid(text) == cid
+
+    @pytest.mark.parametrize("bad", list(BAD_CID_TEXT))
     def test_parse_rejects(self, bad: str) -> None:
-        with pytest.raises(CidFormatError):
-            Cid.parse(bad)
+        with pytest.raises(CidFormatError) as excinfo:
+            parse_cid(bad)
+        assert str(excinfo.value) == f"cid {BAD_CID_TEXT[bad]}: {bad!r}"
 
 
 class TestPutGet:
@@ -75,13 +84,14 @@ class TestPutGet:
     def test_leaf_cid_is_serialization_digest(self) -> None:
         store = MemoryKvStore()
         cid = dag_put(store, DagNode(data=b"leaf"))
-        assert cid.digest == hash256(store.get(cid.digest))
+        assert cid == hash256(store.get(cid))
 
     def test_dangling_link_rejected(self) -> None:
         store = MemoryKvStore()
-        ghost = Link("ghost", Cid(hash256(b"unstored")), 4)
-        with pytest.raises(DanglingLinkError):
+        ghost = Link("ghost", hash256(b"unstored"), 4)
+        with pytest.raises(DanglingLinkError) as excinfo:
             dag_put(store, DagNode(links=(ghost,)))
+        assert str(excinfo.value) == f"link 'ghost' -> ss1-{ghost.cid.hex()} not in store"
 
     def test_duplicate_link_names_rejected(self) -> None:
         store = MemoryKvStore()
@@ -92,18 +102,19 @@ class TestPutGet:
 
     def test_get_missing(self) -> None:
         with pytest.raises(NotFoundError):
-            dag_get(MemoryKvStore(), Cid(hash256(b"missing")))
+            dag_get(MemoryKvStore(), hash256(b"missing"))
 
 
 class TestTamperEvidence:
     def test_single_corrupt_byte_detected(self) -> None:
         store = MemoryKvStore()
         cid = dag_put(store, DagNode(data=b"account state bytes"))
-        raw = bytearray(store._entries[cid.digest])
+        raw = bytearray(store._entries[cid])
         raw[3] ^= 0xFF
-        store._entries[cid.digest] = bytes(raw)
-        with pytest.raises(CorruptError):
+        store._entries[cid] = bytes(raw)
+        with pytest.raises(CorruptError) as excinfo:
             dag_get(store, cid)
+        assert str(excinfo.value) == f"content of ss1-{cid.hex()} does not match its digest"
 
     def test_every_single_bit_flip_detected(self) -> None:
         store = MemoryKvStore()
@@ -118,7 +129,7 @@ class TestTamperEvidence:
                 mutated[byte_index] ^= 1 << bit
                 store._entries[key] = bytes(mutated)
                 with pytest.raises(CorruptError):
-                    dag_get(store, Cid(key))
+                    dag_get(store, key)
                 flips += 1
             store._entries[key] = raw
             checked += 1
@@ -173,7 +184,7 @@ class TestAccountUpdate:
         assert root3 != root
         # untouched entries are the same stored bytes
         for name in ("acct-b.dat", "acct-d.dat"):
-            assert store.get(before[name].digest) == store.get(after[name].digest)
+            assert store.get(before[name]) == store.get(after[name])
 
     def test_old_root_still_readable(self) -> None:
         store = MemoryKvStore()
@@ -213,10 +224,10 @@ class TestAccountUpdate:
         assert len(store) == before
 
 
-def version_trail(store: KvStore, head: Cid) -> list[Cid]:
+def version_trail(store: KvStore, head: bytes) -> list[bytes]:
     """Version Cids from ``head`` back along each ``prev`` link, newest first."""
     trail = []
-    cursor: Cid | None = head
+    cursor: bytes | None = head
     while cursor is not None:
         trail.append(cursor)
         cursor = next((l.cid for l in dag_get(store, cursor).links if l.name == "prev"), None)
@@ -255,18 +266,18 @@ class TestVersionHistory:
         root = dag_build_directory(store, FOUR_FILES)
         head = version_put(store, root)
         # drop the prev target after the fact to simulate a lost object
-        del store._entries[head.digest]
+        del store._entries[head]
         with pytest.raises(NotFoundError):
             version_append(store, AccountState("1", "4.0").to_json_bytes(), prev=head)
 
 
 LINK_SIZES = [0, 1, 127, 128, 255, 256, 65535, 65536]
-ROOT = Cid(hash256(b"root"))
-PREV = Cid(hash256(b"prev"))
+ROOT = hash256(b"root")
+PREV = hash256(b"prev")
 
 
 def generic_version(
-    root: Cid, root_size: int, prev: Cid | None, prev_size: int
+    root: bytes, root_size: int, prev: bytes | None, prev_size: int
 ) -> bytes:
     """A version node through the generic DAG encoder."""
     links = [Link("root", root, root_size)]
@@ -296,9 +307,9 @@ class TestVersionCodec:
     def test_oracle_property(
         self, root: bytes, root_size: int, prev: bytes | None, prev_size: int
     ) -> None:
-        fields = (Cid(root), root_size, None, 0)
+        fields = (root, root_size, None, 0)
         if prev is not None:
-            fields = (Cid(root), root_size, Cid(prev), prev_size)
+            fields = (root, root_size, prev, prev_size)
         raw = _encode_version(*fields)
         assert raw == generic_version(*fields)
         assert _parse_version(raw, ROOT) == fields
@@ -327,11 +338,11 @@ class TestVersionCodec:
 WRITER = NodeIdentity.derive(hash256(b"writer"), 1, book=True, authority=True)
 
 
-def store_not_a_version(store: MemoryKvStore, kind: str) -> Cid:
+def store_not_a_version(store: MemoryKvStore, kind: str) -> bytes:
     """Store a node that is not a version node and return its Cid."""
     payload = AccountState("0", "5.0").to_json_bytes()
     leaf = dag_put(store, DagNode(data=payload))
-    root_link = Link("root", leaf, len(store.get(leaf.digest)))
+    root_link = Link("root", leaf, len(store.get(leaf)))
     if kind == "account leaf":
         return leaf
     if kind == "directory":
@@ -343,7 +354,7 @@ def store_not_a_version(store: MemoryKvStore, kind: str) -> Cid:
         return dag_put(store, DagNode(links=(root_link, extra)))
     assert kind == "padded size"
     size = b"\x00" + root_link.size.to_bytes(2, "big")
-    return Cid(store.put(rlp_encode([b"", [[b"root", leaf.digest, size]]])))
+    return store.put(rlp_encode([b"", [[b"root", leaf, size]]]))
 
 
 NOT_VERSION_KINDS = [
@@ -360,8 +371,9 @@ class TestNotAVersionNode:
     def test_version_root_refuses(self, kind: str) -> None:
         store = MemoryKvStore()
         cid = store_not_a_version(store, kind)
-        with pytest.raises(CorruptError, match="is not a version node"):
+        with pytest.raises(CorruptError) as excinfo:
             version_root(store, cid)
+        assert str(excinfo.value) == f"ss1-{cid.hex()} is not a version node"
 
     @pytest.mark.parametrize("kind", NOT_VERSION_KINDS)
     def test_write_account_refuses_prev(self, kind: str) -> None:
@@ -375,44 +387,43 @@ class TestNotAVersionNode:
 
 
 class TestNameRegistry:
+    """Name records: node id -> latest Cid, as named entries of ``records``."""
+
     def test_publish_then_resolve(self) -> None:
-        store = MemoryKvStore()
-        registry = NameRegistry(store)
+        store, records = MemoryKvStore(), MemoryKvStore()
         target = dag_put(store, DagNode(data=b"content"))
         node_id = hash256(b"publisher")
-        record = name_publish(registry, node_id, target)
-        assert record.sequence == 1
-        assert name_resolve(registry, node_id) == target
+        assert name_publish(store, records, node_id, target) == 1
+        assert name_resolve(records, node_id) == target
 
     def test_latest_wins_with_sequence(self) -> None:
-        store = MemoryKvStore()
-        registry = NameRegistry(store)
+        store, records = MemoryKvStore(), MemoryKvStore()
         node_id = hash256(b"publisher")
         targets = [dag_put(store, DagNode(data=bytes([i]))) for i in range(1, 4)]
-        for target in targets:
-            record = name_publish(registry, node_id, target)
-        assert record.sequence == 3
-        assert name_resolve(registry, node_id) == targets[-1]
+        sequences = [name_publish(store, records, node_id, target) for target in targets]
+        assert sequences == [1, 2, 3]
+        assert name_resolve(records, node_id) == targets[-1]
 
     def test_unpublished(self) -> None:
-        registry = NameRegistry(MemoryKvStore())
         with pytest.raises(NotFoundError):
-            name_resolve(registry, hash256(b"nobody"))
+            name_resolve(MemoryKvStore(), hash256(b"nobody"))
 
     def test_unstored_target_rejected(self) -> None:
-        registry = NameRegistry(MemoryKvStore())
-        with pytest.raises(UnknownCidError):
-            name_publish(registry, hash256(b"id"), Cid(hash256(b"ghost")))
+        records, ghost = MemoryKvStore(), hash256(b"ghost")
+        with pytest.raises(UnknownCidError) as excinfo:
+            name_publish(MemoryKvStore(), records, hash256(b"id"), ghost)
+        assert str(excinfo.value) == f"cannot publish unstored ss1-{ghost.hex()}"
+        assert len(records) == 0
 
     def test_record_is_a_named_entry_of_records(self) -> None:
         store, records = MemoryKvStore(), MemoryKvStore()
         target = dag_put(store, DagNode(data=b"content"))
         node_id = hash256(b"publisher")
-        name_publish(NameRegistry(store, records), node_id, target)
-        name_publish(NameRegistry(store, records), node_id, target)
+        name_publish(store, records, node_id, target)
+        name_publish(store, records, node_id, target)
         assert records.named_keys() == [node_id]
-        assert records.get(node_id) == rlp_encode([b"\x02", target.digest])
-        assert name_resolve(NameRegistry(store, records), node_id) == target
+        assert records.get(node_id) == rlp_encode([b"\x02", target])
+        assert name_resolve(records, node_id) == target
 
     @pytest.mark.parametrize(
         "raw",
@@ -420,22 +431,21 @@ class TestNameRegistry:
         ids=["not-rlp", "short-target", "padded-sequence"],
     )
     def test_malformed_record(self, raw: bytes) -> None:
-        registry = NameRegistry(MemoryKvStore())
+        records = MemoryKvStore()
         node_id = hash256(b"publisher")
-        registry.records.put_named(node_id, raw)
+        records.put_named(node_id, raw)
         message = f"stored name record for {node_id.hex()} is malformed"
         with pytest.raises(CorruptError, match=message):
-            name_resolve(registry, node_id)
+            name_resolve(records, node_id)
 
     def test_publishers_isolated(self) -> None:
-        store = MemoryKvStore()
-        registry = NameRegistry(store)
+        store, records = MemoryKvStore(), MemoryKvStore()
         t1 = dag_put(store, DagNode(data=b"one"))
         t2 = dag_put(store, DagNode(data=b"two"))
-        name_publish(registry, hash256(b"p1"), t1)
-        name_publish(registry, hash256(b"p2"), t2)
-        assert name_resolve(registry, hash256(b"p1")) == t1
-        assert name_resolve(registry, hash256(b"p2")) == t2
+        name_publish(store, records, hash256(b"p1"), t1)
+        name_publish(store, records, hash256(b"p2"), t2)
+        assert name_resolve(records, hash256(b"p1")) == t1
+        assert name_resolve(records, hash256(b"p2")) == t2
 
 
 # Text for the account document's string fields, weighted towards the
@@ -465,15 +475,15 @@ class TestAccountState:
             assert doc[field] == expected
 
     def test_field_hashes_recompute(self) -> None:
-        state = AccountState("3", "0.5", code=b"\x60\x00")
-        assert state.seq_number_hash == hash256(b"3").hex()
-        assert state.balance_hash == hash256(b"0.5").hex()
-        assert state.code_hash == hash256(b"\x60\x00").hex()
-        preimage = (state.seq_number_hash + state.balance_hash + state.code_hash).encode()
-        assert state.data_hash == hash256(preimage).hex()
+        doc = json.loads(AccountState("3", "0.5", code=b"\x60\x00").to_json_bytes())["result"]
+        assert doc["seqNumberHash"] == hash256(b"3").hex()
+        assert doc["balanceHash"] == hash256(b"0.5").hex()
+        assert doc["codeHash"] == hash256(b"\x60\x00").hex()
+        preimage = (doc["seqNumberHash"] + doc["balanceHash"] + doc["codeHash"]).encode()
+        assert doc["dataHash"] == hash256(preimage).hex()
 
     def test_empty_code_hash_is_empty_string(self) -> None:
-        assert AccountState("0", "0.0").code_hash == ""
+        assert json.loads(AccountState("0", "0.0").to_json_bytes())["result"]["codeHash"] == ""
 
     def test_json_round_trip(self) -> None:
         state = AccountState("42", "999.9", code=b"\xde\xad")
@@ -497,15 +507,17 @@ class TestAccountState:
             with pytest.raises(UnicodeEncodeError):
                 state.to_json_bytes()
             return
+        hashes = [hash256(seq.encode()).hex(), hash256(balance.encode()).hex()]
+        hashes.append(hash256(code).hex() if code else "")
         doc = {
             "result": {
                 "seqNumber": seq,
                 "balance": balance,
                 "code": code.hex(),
-                "seqNumberHash": state.seq_number_hash,
-                "balanceHash": state.balance_hash,
-                "codeHash": state.code_hash,
-                "dataHash": state.data_hash,
+                "seqNumberHash": hashes[0],
+                "balanceHash": hashes[1],
+                "codeHash": hashes[2],
+                "dataHash": hash256("".join(hashes).encode()).hex(),
             }
         }
         raw = state.to_json_bytes()

@@ -15,7 +15,6 @@ from sschain import shard_dht
 from sschain.errors import CorruptError, NotFoundError
 from sschain.merkle_dag import (
     AccountState,
-    Cid,
     dag_get,
     version_put,
     version_root,
@@ -343,7 +342,7 @@ class CountingStore(MemoryKvStore):
 class TestWriteAccount:
     ADDRESS = b"\x66" * 20
 
-    def first_version(self) -> tuple[ShardTable, CountingStore, Cid]:
+    def first_version(self) -> tuple[ShardTable, CountingStore, bytes]:
         table = ShardTable(1, store_factory=lambda _sid: CountingStore())
         _, cid, _ = table.write_account(
             AUTH, self.ADDRESS, AccountState("0", "5.0"), trie=table.trie, prev_cid=None
@@ -363,9 +362,9 @@ class TestWriteAccount:
 
     def test_corrupt_previous_version_rejected(self) -> None:
         table, store, prev = self.first_version()
-        raw = bytearray(store._entries[prev.digest])
+        raw = bytearray(store._entries[prev])
         raw[-1] ^= 1
-        store._entries[prev.digest] = bytes(raw)
+        store._entries[prev] = bytes(raw)
         with pytest.raises(CorruptError):
             table.write_account(
                 AUTH, self.ADDRESS, AccountState("1", "4.0"), trie=table.trie, prev_cid=prev

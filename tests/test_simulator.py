@@ -12,7 +12,7 @@ from typing import Optional
 import pytest
 
 from sschain.chain import Transaction, tenths_from_text, text_from_tenths
-from sschain.merkle_dag import AccountState, Cid, version_append
+from sschain.merkle_dag import AccountState, version_append
 from sschain.mpt import Trie
 from sschain.shard_dht import shard_of
 from sschain.simulator import (
@@ -282,7 +282,7 @@ class TestRunExperiment:
         state = {address: (0, INITIAL_BALANCE_TENTHS) for address in addresses}
         store = MemoryKvStore()
 
-        def append(address: bytes, prev: Optional[Cid]) -> Optional[Cid]:
+        def append(address: bytes, prev: Optional[bytes]) -> Optional[bytes]:
             seq, tenths = state[address]
             document = AccountState(str(seq), text_from_tenths(tenths)).to_json_bytes()
             return version_append(store, document, prev)
@@ -316,7 +316,7 @@ class TestRunExperiment:
 
         trie = Trie(MemoryKvStore())
         for address, version in versions.items():
-            trie = trie.insert(address, version.digest)
+            trie = trie.insert(address, version)
         report = run_experiment(config)
         assert report.windows == expected_windows
         assert report.final_state_root == trie.commit()
