@@ -590,7 +590,7 @@ class Chain:
         table = self.table
         replay = ShardTable(
             table.num_shards,
-            lambda index: _Overlay(table.shards[index].store),
+            lambda index: _Overlay(table.store(index)),
             _Overlay(store),
         )
         trie, _, rejected, _, _ = self._execute(

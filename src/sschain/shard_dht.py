@@ -11,15 +11,17 @@ leaving moves only the keys on its own arc, from just after its
 predecessor up to its own position. A change reads its shard's registry
 once and returns the moves of exactly those keys.
 
-A ``ShardTable`` holds one isolated key-value store per shard plus the
-global account trie, whose ``trie`` handle is the one current state (a
-chain moves it block by block). ``shard_update`` writes an account's
-state into its shard as a small version DAG chained to the version in
-``trie``, and inserts it in ``trie``, which is committed only when
-``state_root`` is read. The trie leaf is the account's one lookup
-pointer, which ``pointer`` reads. The shard store keeps only a registry
-of its accounts' lookup keys, one named entry per account written when
-the account first appears, which the ring remaps among member nodes.
+A ``ShardTable`` holds the member nodes, the global account trie, whose
+``trie`` handle is the one current state (a chain moves it block by
+block), and one isolated key-value store per shard, made when the shard
+is first used, so no cost grows with the shard count. ``shard_update``
+writes an account's state into its shard as a small version DAG chained
+to the version in ``trie``, and inserts it in ``trie``, which is
+committed only when ``state_root`` is read. The trie leaf is the
+account's one lookup pointer, which ``pointer`` reads. The shard store
+keeps only a registry of its accounts' lookup keys, one named entry per
+account written when the account first appears, which the ring remaps
+among member nodes.
 The lookup key is the fixed pipeline
 
     hash256(rlp_encode(hp_encode(hex_encode(address), leaf)))
@@ -78,8 +80,10 @@ def ring_position(data: bytes) -> int:
 
 
 MAX_SHARDS = 1 << 16
-"""Largest shard count, 64 times the paper's 1,024; a table holds every
-shard and its store, so a count is bounded before any is made."""
+"""Largest shard count, 64 times the paper's 1,024. A table makes a
+shard's store only on its first use, so the bound is not for it: it
+keeps the simulator's per-shard lists and its ``per-shard loads`` line
+small, and ``--shards`` promises it."""
 
 
 def prefix_width(num_shards: int) -> int:
@@ -178,36 +182,19 @@ def pipeline_key(address: bytes) -> Digest:
     return hash256(rlp_encode(b"\x20" + address))
 
 
-class Shard:
-    """One node group: members keyed by node id, plus a private store."""
-
-    __slots__ = ("members", "store")
-
-    def __init__(self, store: KvStore):
-        self.members: dict[Digest, NodeIdentity] = {}
-        self.store = store
-
-    def add_member(self, node: NodeIdentity) -> None:
-        """Insert ``node``.
-
-        Raises:
-            DuplicateNodeError: its id is already a member.
-        """
-        if node.node_id in self.members:
-            raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
-        self.members[node.node_id] = node
-
-
 StoreFactory = Callable[[int], KvStore]
-"""Makes the store of the shard with the given index."""
+"""Makes the store of the shard with the given index; a table calls it at
+most once per index, when that shard is first used."""
 
 
 class ShardTable:
-    """All shards, listed by index, plus the global account trie;
-    ``trie`` is the handle at the current state, committed or not.
+    """The member nodes by id, the stores of the shards used so far by
+    index, and the global account trie; ``trie`` is the handle at the
+    current state, committed or not.
 
     Routing is pure (an address's shard never depends on membership);
-    membership only decides which node inside the shard owns a key.
+    membership only decides which node inside the shard owns a key. A
+    member's shard is its ``shard`` field.
     """
 
     def __init__(
@@ -217,9 +204,10 @@ class ShardTable:
         trie_store: Optional[KvStore] = None,
     ):
         prefix_width(num_shards)
-        factory = store_factory or (lambda _index: MemoryKvStore())
         self.num_shards = num_shards
-        self.shards = [Shard(factory(index)) for index in range(num_shards)]
+        self.members: dict[Digest, NodeIdentity] = {}
+        self.stores: dict[int, KvStore] = {}
+        self._store_factory = store_factory or (lambda _index: MemoryKvStore())
         self.trie_store = trie_store if trie_store is not None else MemoryKvStore()
         self.trie = Trie(self.trie_store)
 
@@ -228,17 +216,15 @@ class ShardTable:
         """Root of the current state, committing it on first request."""
         return self.trie.commit()
 
-    def members(self) -> list[NodeIdentity]:
-        return [n for shard in self.shards for n in shard.members.values()]
+    def store(self, index: int) -> KvStore:
+        """The store of shard ``index``, made on its first use."""
+        store = self.stores.get(index)
+        if store is None:
+            store = self.stores[index] = self._store_factory(index)
+        return store
 
-    def find_node(self, node_id: Digest) -> Optional[NodeIdentity]:
-        """The member with ``node_id``, looked up in the one shard its
-        ring position names, where every member sits."""
-        shard = self.shards[shard_of_position(ring_position(node_id), self.num_shards)]
-        return shard.members.get(node_id)
-
-    def shard_for(self, address: bytes) -> Shard:
-        return self.shards[shard_of(address, self.num_shards)]
+    def store_for(self, address: bytes) -> KvStore:
+        return self.store(shard_of(address, self.num_shards))
 
     def node_join(self, node: NodeIdentity) -> tuple[Move, ...]:
         """Add a node to its prefix shard; return the moves of the keys on
@@ -254,12 +240,13 @@ class ShardTable:
             raise ShardError(
                 f"node labeled for shard {node.shard} but belongs to {expected}"
             )
-        shard = self.shards[expected]
-        others = list(shard.members.values())
-        shard.add_member(node)
+        if node.node_id in self.members:
+            raise DuplicateNodeError(f"node {node.node_id.hex()} already joined")
+        others = [n for n in self.members.values() if n.shard == expected]
+        self.members[node.node_id] = node
         if not others:
             return ()
-        keys, successor = _arc(shard.store, others, node.position)
+        keys, successor = _arc(self.store(expected), others, node.position)
         return tuple(Move(key, successor.node_id, node.node_id) for key in keys)
 
     def node_leave(self, node_id: Digest) -> tuple[Move, ...]:
@@ -270,16 +257,16 @@ class ShardTable:
             NotFoundError: unknown node id.
             ShardEmptyError: node is the last member of its shard.
         """
-        node = self.find_node(node_id)
+        node = self.members.get(node_id)
         if node is None:
             raise NotFoundError(f"node {node_id.hex()} is not a member")
-        shard = self.shards[node.shard]
-        if len(shard.members) == 1:
+        others = [n for n in self.members.values() if n.shard == node.shard and n is not node]
+        if not others:
             raise ShardEmptyError(
                 f"node {node_id.hex()} is the last member of shard {node.shard}"
             )
-        del shard.members[node_id]
-        keys, successor = _arc(shard.store, list(shard.members.values()), node.position)
+        del self.members[node_id]
+        keys, successor = _arc(self.store(node.shard), others, node.position)
         return tuple(Move(key, node_id, successor.node_id) for key in keys)
 
     def pointer(self, address: bytes) -> Optional[Digest]:
@@ -291,7 +278,7 @@ class ShardTable:
         version = _version(trie, address)
         if version is None:
             return None
-        store = self.shard_for(address).store
+        store = self.store_for(address)
         leaf = dag_get(store, version_root(store, version))
         return AccountState.from_json_bytes(leaf.data), version
 
@@ -315,7 +302,7 @@ class ShardTable:
             NotAuthorizedError: requester lacks book or authority.
         """
         _authorize(requester)
-        store = self.shard_for(address).store
+        store = self.store_for(address)
         version_cid = version_append(store, state.to_json_bytes(), prev_cid)
         if version_cid is None:
             return trie, prev_cid, False
@@ -325,7 +312,7 @@ class ShardTable:
         """Add ``address``'s lookup key to its shard's registry, which the
         ring remaps among member nodes; once per account, when its first
         version is kept."""
-        self.shard_for(address).store.put_named(pipeline_key(address), address)
+        self.store_for(address).put_named(pipeline_key(address), address)
 
     def shard_update(
         self, requester: NodeIdentity, address: bytes, new_state: AccountState
@@ -356,7 +343,7 @@ _NODE = re.compile(r"[0-9a-fA-F]{%d} [01] [01]" % (2 * DIGEST_SIZE))
 def table_to_config(table: ShardTable) -> str:
     """Text form: shard count plus one line per member node."""
     lines = [f"shards {table.num_shards}"]
-    for node in sorted(table.members(), key=lambda n: n.node_id):
+    for node in sorted(table.members.values(), key=lambda n: n.node_id):
         lines.append(
             f"node {node.node_id.hex()} {int(node.book)} {int(node.authority)}"
         )
@@ -370,7 +357,7 @@ def table_from_config(
 ) -> ShardTable:
     """Parse :func:`table_to_config` output and rebuild the membership.
 
-    Members are loaded as data, each straight into its shard: rebuilding
+    Members are loaded as data, straight into the member table: rebuilding
     a membership moves no key, so no move report is worked out.
 
     Raises:
@@ -397,8 +384,9 @@ def table_from_config(
         raise ShardError("table config missing the shards line")
     table = ShardTable(num_shards, store_factory, trie_store)
     for node_id, book, authority in nodes:
-        node = NodeIdentity.derive(node_id, num_shards, book, authority)
-        table.shards[node.shard].add_member(node)
+        if node_id in table.members:
+            raise DuplicateNodeError(f"node {node_id.hex()} already joined")
+        table.members[node_id] = NodeIdentity.derive(node_id, num_shards, book, authority)
     return table
 
 

@@ -244,13 +244,12 @@ def test_criterion_5_shard_distribution() -> str:
     writer = NodeIdentity.derive(hash256(b"writer"), 1, book=True, authority=True)
     for i in range(100):
         table.shard_update(writer, rng.randbytes(20), AccountState("0", "1.0"))
-    shard = table.shards[0]
 
     def owners() -> dict[bytes, bytes]:
-        ring = list(shard.members.values())
+        ring = list(table.members.values())
         return {
             key: assign_key(ring, int.from_bytes(key, "big")).node_id
-            for key in shard.store.named_keys()
+            for key in table.store(0).named_keys()
         }
 
     before = owners()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sschain import chain as chainmod
 from sschain.chain import (
     _AMOUNT_RE,
     _amount,
@@ -33,7 +34,7 @@ from sschain.encoding import hash256, int_to_bytes, rlp_decode, rlp_encode
 from sschain.errors import CorruptError, NotFoundError, SSChainError
 from sschain.merkle_dag import AccountState
 from sschain.mpt import EMPTY_ROOT, RootNotFoundError, Trie
-from sschain.shard_dht import ShardTable, pipeline_key
+from sschain.shard_dht import MAX_SHARDS, ShardTable, pipeline_key, shard_of
 from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
 
 from test_merkle_dag import version_trail
@@ -445,14 +446,14 @@ class TestApplyBlock:
         for address, versions in ((addr(1), 2), (addr(2), 1)):
             pointer = chain.table.pointer(address)
             assert pointer == head.get(address)
-            assert len(version_trail(chain.table.shard_for(address).store, pointer)) == versions
+            assert len(version_trail(chain.table.store_for(address), pointer)) == versions
 
     def test_block_writes_each_touched_account_once(self) -> None:
         """An account that sends three times and receives once in a block
         gains one version, chained to the one the block started from, and
         the block validates."""
         chain = build_chain({addr(1): "10.0", addr(3): "5.0"})
-        store = chain.table.shard_for(addr(1)).store
+        store = chain.table.store_for(addr(1))
         before = version_trail(store, chain.table.pointer(addr(1)))
         block = chain.apply_block(
             [
@@ -602,7 +603,7 @@ def assert_lookups_read_head(table: ShardTable, present: list[bytes], absent: li
     lookup key is in its shard's registry."""
     for address in present:
         assert table.pointer(address) == table.trie.get(address)
-        assert pipeline_key(address) in table.shard_for(address).store.named_keys()
+        assert pipeline_key(address) in table.store_for(address).named_keys()
     for address in absent:
         assert table.pointer(address) is None
 
@@ -673,6 +674,32 @@ class TestRollback:
 
 
 class TestValidateBlock:
+    def test_replay_wraps_only_the_shards_its_block_touches(self, monkeypatch) -> None:
+        """On a table of the most shards, with six funded accounts in six
+        shards, a block between two of them is replayed through overlays
+        of those two shards' stores and the trie store, and no other
+        store is made."""
+        chain = build_chain({addr(i): "10.0" for i in range(1, 7)}, MAX_SHARDS)
+        table = chain.table
+        block = chain.apply_block([Transaction(addr(1), addr(2), "1.0", 0)])
+        funded = {shard_of(addr(i), MAX_SHARDS) for i in range(1, 7)}
+        touched = [shard_of(addr(i), MAX_SHARDS) for i in (1, 2)]
+        assert len(funded) == 6 and sorted(table.stores) == sorted(funded)
+        bases: list[KvStore] = []
+        overlay = chainmod._Overlay
+
+        class Recording(overlay):
+            def __init__(self, base: KvStore) -> None:
+                bases.append(base)
+                super().__init__(base)
+
+        monkeypatch.setattr(chainmod, "_Overlay", Recording)
+        assert chain.validate_block(block)
+        assert sorted(map(id, bases)) == sorted(
+            map(id, [table.trie_store] + [table.stores[index] for index in touched])
+        )
+        assert sorted(table.stores) == sorted(funded)
+
     def test_every_produced_block_validates(self) -> None:
         chain, _ = TestRollback()._three_blocks()
         for block in chain.blocks[1:]:
@@ -787,7 +814,7 @@ class TestValidateBlock:
         header = BlockHeader(genesis.digest(), 1, 1, hash256(b"wrong root"), tx_root(body))
 
         def registries() -> list[list[bytes]]:
-            return [shard.store.named_keys() for shard in table.shards]
+            return [table.store(i).named_keys() for i in range(table.num_shards)]
 
         before = registries()
         assert sum(map(len, before)) == 2
@@ -795,7 +822,7 @@ class TestValidateBlock:
         assert registries() == before
         chain.rollback(0)
         chain.apply_block(body)
-        assert pipeline_key(addr(9)) in table.shard_for(addr(9)).store.named_keys()
+        assert pipeline_key(addr(9)) in table.store_for(addr(9)).named_keys()
         assert sum(map(len, registries())) == 3
 
     @pytest.mark.parametrize("backend", ["memory", "file"])
@@ -821,7 +848,8 @@ class TestValidateBlock:
         chain = Chain(table)
 
         def sizes() -> list[int]:
-            return [len(table.trie_store)] + [len(s.store) for s in table.shards]
+            stores = [table.store(i) for i in range(table.num_shards)]
+            return [len(table.trie_store)] + [len(store) for store in stores]
 
         before = sizes()
         assert chain.validate_block(Block(header, body)) is (case == "accepted")
@@ -832,7 +860,7 @@ class TestValidateBlock:
         table = chain.table
 
         def live() -> tuple:
-            keys = [shard.store.named_keys() for shard in table.shards]
+            keys = [table.store(i).named_keys() for i in range(table.num_shards)]
             return table.pointer(addr(1)), table.state_root, keys
 
         before = live()
@@ -1174,7 +1202,7 @@ class TestStateOwner:
     def test_update_after_rollback_builds_on_the_rolled_back_state(self) -> None:
         chain, roots = TestRollback()._three_blocks()
         chain.rollback(0)
-        shard_store = chain.table.shard_for(addr(1)).store
+        shard_store = chain.table.store_for(addr(1))
         entries = len(shard_store)
         chain.table.shard_update(chain.producer, addr(1), AccountState("0", "10.0"))
         assert len(shard_store) == entries

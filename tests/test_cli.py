@@ -23,7 +23,15 @@ from sschain.cli import SHARD_TABLE_KEY, TRIE_ROOT_KEY, Workspace, main
 from sschain.encoding import hash256, rlp_encode
 from sschain.merkle_dag import AccountState, cid_text, dag_build_directory, name_publish, parse_cid
 from sschain.mpt import EMPTY_ROOT
-from sschain.shard_dht import ShardTable, pipeline_key, shard_of
+from sschain.shard_dht import (
+    NodeIdentity,
+    ShardTable,
+    assign_key,
+    pipeline_key,
+    ring_position,
+    shard_of,
+    shard_of_position,
+)
 from sschain.store import FileKvStore, MemoryKvStore, open_database
 
 ADDR_A = hash256(b"cli-a")[:20].hex()
@@ -415,6 +423,77 @@ class TestShard:
         )
         assert Path(store, "sschain.db").read_bytes() == before
         assert main(["--store", store, *argv, "--shards", "4"]) == 0
+
+
+class TestMostShards:
+    """On a workspace of 65,536 shards, each command asks the workspace for
+    the stores of only the shards it touches, and prints what it would
+    print at any other count."""
+
+    SHARDS = 65536
+
+    def _nodes_in(self, shard: int, key: bytes) -> tuple[str, str]:
+        """Two node ids in ``shard``, the one that owns ``key`` among the
+        two second."""
+        found = []
+        i = 0
+        while len(found) < 2:
+            node_id = hash256(f"most-{i}".encode())
+            if shard_of_position(ring_position(node_id), self.SHARDS) == shard:
+                found.append(NodeIdentity.derive(node_id, self.SHARDS))
+            i += 1
+        owner = assign_key(found, ring_position(key))
+        first, second = sorted(found, key=lambda n: n is owner)
+        return first.node_id.hex(), second.node_id.hex()
+
+    def test_each_command_requests_only_its_shards(self, store, capsysbinary, monkeypatch) -> None:
+        a, b = bytes.fromhex(ADDR_A), bytes.fromhex(ADDR_B)
+        shard_a, shard_b = shard_of(a, self.SHARDS), shard_of(b, self.SHARDS)
+        assert shard_a != shard_b
+        requested: list[int] = []
+        shard_store = Workspace.shard_store
+        monkeypatch.setattr(
+            Workspace,
+            "shard_store",
+            lambda ws, index: requested.append(index) or shard_store(ws, index),
+        )
+
+        def run(*argv: str) -> bytes:
+            requested.clear()
+            assert main(["--store", store, *argv]) == 0
+            return capsysbinary.readouterr().out
+
+        # The same funding and block on a one-shard library table: a state
+        # root does not depend on the shard count.
+        table = ShardTable(1)
+        table.shard_update(chainmod.default_producer(1), a, AccountState("0", "50.0"))
+        library = chainmod.Chain(table)
+        genesis = library.genesis_root.hex()
+        block = library.apply_block([chainmod.Transaction(a, b, "3.5", 0)]).header.state_root
+
+        out = run("chain", "init", "--shards", str(self.SHARDS), "--fund", f"{ADDR_A}=50.0")
+        assert out.decode() == f"head 0 root {genesis}\n"
+        assert requested == [shard_a]
+        out = run("shard", "map", ADDR_A)
+        assert out.decode() == f"{ADDR_A} -> shard {shard_a} (prefix {shard_a:016b})\n"
+        assert requested == []
+        assert run("chain", "query", ADDR_A) == AccountState("0", "50.0").to_json_bytes()
+        assert requested == [shard_a]
+        out = run("chain", "apply", "--tx", f"{ADDR_A}:{ADDR_B}:3.5:0")
+        assert out.decode() == f"block 1 root {block.hex()} accepted 1 rejected 0\n"
+        assert sorted(requested) == sorted([shard_a, shard_b])
+        key = pipeline_key(a).hex()
+        first, second = self._nodes_in(shard_a, pipeline_key(a))
+        assert run("shard", "join", first).decode() == f"joined {first} shard {shard_a}\n"
+        assert requested == []
+        assert run("shard", "join", second).decode() == (
+            f"joined {second} shard {shard_a}\nMOVED {key} {first} {second}\n"
+        )
+        assert requested == [shard_a]
+        assert run("shard", "leave", second).decode() == (
+            f"left {second}\nMOVED {key} {second} {first}\n"
+        )
+        assert requested == [shard_a]
 
 
 class TestChain:

@@ -379,7 +379,7 @@ class TestNotAVersionNode:
     def test_write_account_refuses_prev(self, kind: str) -> None:
         table = ShardTable(1)
         address = b"\x66" * 20
-        prev = store_not_a_version(table.shard_for(address).store, kind)
+        prev = store_not_a_version(table.store_for(address), kind)
         with pytest.raises(CorruptError, match="is not a version node"):
             table.write_account(
                 WRITER, address, AccountState("1", "4.0"), trie=table.trie, prev_cid=prev

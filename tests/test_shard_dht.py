@@ -29,7 +29,6 @@ from sschain.shard_dht import (
     NodeIdentity,
     NotAuthorizedError,
     NotPowerOfTwoError,
-    Shard,
     ShardEmptyError,
     ShardError,
     ShardTable,
@@ -81,7 +80,7 @@ def read_state(table: ShardTable, address: bytes) -> AccountState:
     """Full inquiry pipeline: pointer -> version node -> leaf -> document."""
     pointer = table.pointer(address)
     assert pointer is not None
-    store = table.shard_for(address).store
+    store = table.store_for(address)
     leaf = dag_get(store, version_root(store, pointer))
     return AccountState.from_json_bytes(leaf.data)
 
@@ -261,17 +260,45 @@ PLAIN = NodeIdentity.derive(hashlib.sha256(b"reader").digest(), 4)
 
 
 class TestShardTable:
-    def test_creates_all_shards(self) -> None:
-        table = ShardTable(8)
-        assert len(table.shards) == 8
-        assert len({id(shard.store) for shard in table.shards}) == 8
+    @staticmethod
+    def _recording(made: list[int]) -> Callable[[int], KvStore]:
+        return lambda index: made.append(index) or MemoryKvStore()
 
-    def test_store_factory_gets_each_index_in_order(self) -> None:
+    def test_makes_no_store_up_front(self) -> None:
         made: list[int] = []
-        table = ShardTable(8, lambda index: made.append(index) or MemoryKvStore())
-        assert made == list(range(8))
+        table = ShardTable(MAX_SHARDS, self._recording(made))
+        assert made == [] and table.stores == {}
+
+    def test_update_makes_only_its_shards_store(self) -> None:
+        made: list[int] = []
+        table = ShardTable(MAX_SHARDS, self._recording(made))
         address = b"\x11" * 20
-        assert table.shard_for(address) is table.shards[shard_of(address, 8)]
+        table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        assert made == [shard_of(address, MAX_SHARDS)]
+        assert list(table.stores) == made
+
+    def test_store_made_once(self) -> None:
+        made: list[int] = []
+        table = ShardTable(8, self._recording(made))
+        address = b"\x11" * 20
+        table.shard_update(AUTH, address, AccountState("1", "5.0"))
+        store = table.store_for(address)
+        table.shard_update(AUTH, address, AccountState("2", "4.0"))
+        assert table.store(shard_of(address, 8)) is store
+        assert table.store_for(address) is store
+        assert made == [shard_of(address, 8)]
+
+    def test_each_shard_gets_its_own_store(self) -> None:
+        made: list[int] = []
+        table = ShardTable(8, self._recording(made))
+        stores = [table.store(index) for index in range(8)]
+        assert len({id(store) for store in stores}) == 8
+        assert made == list(range(8))
+        for index in range(8):
+            address = next(
+                bytes([i]) * 20 for i in range(256) if shard_of(bytes([i]) * 20, 8) == index
+            )
+            assert table.store_for(address) is stores[index]
 
     def test_update_then_read_back(self) -> None:
         table = ShardTable(4)
@@ -279,7 +306,7 @@ class TestShardTable:
         state = AccountState("1", "5.0")
         version_cid = table.shard_update(AUTH, address, state)
         assert table.pointer(address) == version_cid
-        assert table.shard_for(address).store.named_keys() == [pipeline_key(address)]
+        assert table.store_for(address).named_keys() == [pipeline_key(address)]
         assert read_state(table, address) == state
 
     def test_unchanged_state_keeps_version(self) -> None:
@@ -297,7 +324,7 @@ class TestShardTable:
         root1 = table.state_root
         cid2 = table.shard_update(AUTH, address, AccountState("2", "4.0"))
         assert table.state_root != root1 and cid2 != cid1
-        store = table.shard_for(address).store
+        store = table.store_for(address)
         assert version_trail(store, table.pointer(address)) == [cid2, cid1]
 
     def test_write_requires_authority(self) -> None:
@@ -309,16 +336,18 @@ class TestShardTable:
         table = ShardTable(4)
         address = b"\x44" * 20
         assert table.pointer(address) is None
-        assert pipeline_key(address) not in table.shard_for(address).store.named_keys()
+        assert pipeline_key(address) not in table.store_for(address).named_keys()
 
     def test_shard_stores_isolated(self) -> None:
         table = ShardTable(2)
         in_zero = next(bytes([i]) * 20 for i in range(256) if shard_of(bytes([i]) * 20, 2) == 0)
         in_one = next(bytes([i]) * 20 for i in range(256) if shard_of(bytes([i]) * 20, 2) == 1)
         table.shard_update(AUTH, in_zero, AccountState("1", "1.0"))
-        assert len(table.shards[1].store) == 0
+        zero = table.store(0)
+        size = len(zero)
+        assert list(table.stores) == [0] and size > 0
         table.shard_update(AUTH, in_one, AccountState("1", "1.0"))
-        assert len(table.shards[1].store) > 0
+        assert len(table.store(1)) > 0 and len(zero) == size
 
     def test_trie_root_tracks_writes(self) -> None:
         table = ShardTable(4)
@@ -347,7 +376,7 @@ class TestWriteAccount:
         _, cid, _ = table.write_account(
             AUTH, self.ADDRESS, AccountState("0", "5.0"), trie=table.trie, prev_cid=None
         )
-        return table, table.shard_for(self.ADDRESS).store, cid
+        return table, table.store_for(self.ADDRESS), cid
 
     def test_reads_previous_version_once(self) -> None:
         table, store, prev = self.first_version()
@@ -385,8 +414,7 @@ class TestMembership:
         table = ShardTable(4)
         node = make_nodes(1, 4)[0]
         table.node_join(node)
-        assert table.find_node(node.node_id) == node
-        assert node in table.members()
+        assert table.members == {node.node_id: node}
 
     def test_join_wrong_shard_rejected(self) -> None:
         table = ShardTable(4)
@@ -401,7 +429,7 @@ class TestMembership:
         node = next(n for n in make_nodes(40, 8) if n.shard == 0)
         table = ShardTable(4)
         assert table.node_join(node) == ()
-        assert node.node_id in table.shards[0].members
+        assert table.members == {node.node_id: node}
 
     def test_join_nonzero_label_from_another_count_rejected(self) -> None:
         """A nonzero shard among 8 is never the same index among 4, so a
@@ -412,7 +440,7 @@ class TestMembership:
         for node in nodes:
             with pytest.raises(ShardError, match="but belongs to"):
                 table.node_join(node)
-        assert table.members() == []
+        assert table.members == {}
 
     def test_duplicate_join_rejected(self) -> None:
         table = ShardTable(4)
@@ -446,20 +474,28 @@ class TestMigration:
         return table
 
     @staticmethod
-    def _owners(shard: Shard) -> dict[bytes, bytes]:
-        ring = list(shard.members.values())
+    def _owners(table: ShardTable, index: int) -> dict[bytes, bytes]:
+        """Brute-force owner of each key in shard ``index``'s registry,
+        among the members whose ring position names that shard; none
+        while the shard has no member."""
+        ring = [
+            n
+            for n in table.members.values()
+            if shard_of_position(n.position, table.num_shards) == index
+        ]
+        if not ring:
+            return {}
         return {
             key: assign_key(ring, int.from_bytes(key, "big")).node_id
-            for key in shard.store.named_keys()
+            for key in table.store(index).named_keys()
         }
 
     def test_join_moves_match_brute_force(self) -> None:
         table = self._populated_table(6, 80)
-        shard = table.shards[0]
-        before = self._owners(shard)
+        before = self._owners(table, 0)
         newcomer = NodeIdentity.derive(hashlib.sha256(b"late").digest(), 1)
         moves = table.node_join(newcomer)
-        after = self._owners(shard)
+        after = self._owners(table, 0)
         expected = {
             key: (before[key], after[key]) for key in before if before[key] != after[key]
         }
@@ -470,11 +506,10 @@ class TestMigration:
 
     def test_leave_moves_match_brute_force(self) -> None:
         table = self._populated_table(6, 80)
-        shard = table.shards[0]
-        leaver = sorted(shard.members.values(), key=lambda n: n.position)[2]
-        before = self._owners(shard)
+        leaver = sorted(table.members.values(), key=lambda n: n.position)[2]
+        before = self._owners(table, 0)
         moves = table.node_leave(leaver.node_id)
-        after = self._owners(shard)
+        after = self._owners(table, 0)
         expected = {
             key: (before[key], after[key]) for key in before if before[key] != after[key]
         }
@@ -531,10 +566,14 @@ class TestArcOracle:
     brute-force diff of the :func:`assign_key` owners before and after."""
 
     @staticmethod
-    def _check(shard: Shard, change: Callable[[], tuple[Move, ...]]) -> tuple:
-        before = TestMigration._owners(shard) if shard.members else {}
+    def _check(
+        table: ShardTable, change: Callable[[], tuple[Move, ...]], index: int = 0
+    ) -> tuple:
+        """Runs ``change`` on shard ``index`` and checks its moves against
+        the brute-force owners of that shard's keys before and after."""
+        before = TestMigration._owners(table, index)
         moves = change()
-        after = TestMigration._owners(shard) if before else {}
+        after = TestMigration._owners(table, index)
         expected = tuple(
             (key, before[key], after[key]) for key in sorted(before) if before[key] != after[key]
         )
@@ -561,13 +600,12 @@ class TestArcOracle:
             forced += [_key_at(node.position), _key_at(node.position + 1)]
         with _backend(kind) as store:
             table = ShardTable(1, lambda _sid: store)
-            shard = table.shards[0]
             for key in dict.fromkeys(keys + forced):
                 store.put_named(key, b"registered")
             for node in nodes:
-                self._check(shard, lambda: table.node_join(node))
+                self._check(table, lambda: table.node_join(node))
             for node in leavers:
-                self._check(shard, lambda: table.node_leave(node.node_id))
+                self._check(table, lambda: table.node_leave(node.node_id))
 
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_edge_cases(self, kind: str) -> None:
@@ -579,22 +617,79 @@ class TestArcOracle:
         lowest = ring[0]
         with _backend(kind) as store:
             table = ShardTable(1, lambda _sid: store)
-            shard = table.shards[0]
             for key in [_key_at(node.position) for node in ring] + [_key_at(0), _key_at(-1)]:
                 store.put_named(key, b"registered")
-            assert self._check(shard, lambda: table.node_join(ring[2])) == ()
-            one_member = [move[0] for move in self._check(shard, lambda: table.node_join(ring[3]))]
+            assert self._check(table, lambda: table.node_join(ring[2])) == ()
+            one_member = [move[0] for move in self._check(table, lambda: table.node_join(ring[3]))]
             assert _key_at(ring[3].position) in one_member
             assert _key_at(ring[2].position) not in one_member
             for node in (ring[4], ring[1]):
-                self._check(shard, lambda: table.node_join(node))
+                self._check(table, lambda: table.node_join(node))
             wrapped = sorted([_key_at(0), _key_at(-1), _key_at(lowest.position)])
-            assert self._check(shard, lambda: table.node_join(lowest)) == tuple(
+            assert self._check(table, lambda: table.node_join(lowest)) == tuple(
                 (key, ring[1].node_id, lowest.node_id) for key in wrapped
             )
-            assert self._check(shard, lambda: table.node_leave(lowest.node_id)) == tuple(
+            assert self._check(table, lambda: table.node_leave(lowest.node_id)) == tuple(
                 (key, lowest.node_id, ring[1].node_id) for key in wrapped
             )
+
+
+class TestMembersAcrossShards:
+    """One member table serves every shard: a change counts, moves and
+    reports only the members and keys of its own shard."""
+
+    SHARDS = 4
+
+    def _table(self, per_shard: list[int]) -> tuple[ShardTable, list[NodeIdentity]]:
+        """A table with ``per_shard[i]`` members in shard ``i`` and registry
+        keys in every shard; also returns the nodes left out, in order."""
+        table = ShardTable(self.SHARDS)
+        spare = []
+        for node in make_nodes(80, self.SHARDS, seed="across"):
+            if sum(n.shard == node.shard for n in table.members.values()) < per_shard[node.shard]:
+                table.node_join(node)
+            else:
+                spare.append(node)
+        rng = random.Random(3)
+        for i in range(60):
+            table.shard_update(AUTH, rng.randbytes(20), AccountState("0", f"{i}.0"))
+        counts = [0] * self.SHARDS
+        for node in table.members.values():
+            counts[node.shard] += 1
+        assert counts == per_shard
+        assert all(table.store(i).named_keys() for i in range(self.SHARDS))
+        return table, spare
+
+    def test_last_member_of_its_shard_cannot_leave(self) -> None:
+        table, _ = self._table([3, 1, 3, 3])
+        (lone,) = [n for n in table.members.values() if n.shard == 1]
+        with pytest.raises(ShardEmptyError, match=f"{lone.node_id.hex()} is the last member of shard 1"):
+            table.node_leave(lone.node_id)
+        assert table.members[lone.node_id] == lone
+        other = next(n for n in table.members.values() if n.shard == 0)
+        TestArcOracle._check(table, lambda: table.node_leave(other.node_id), 0)
+        assert other.node_id not in table.members
+
+    def test_join_into_empty_shard_moves_nothing(self) -> None:
+        table, spare = self._table([3, 3, 0, 3])
+        first, second = [n for n in spare if n.shard == 2][:2]
+        assert table.node_join(first) == ()
+        assert table.members[first.node_id] == first
+        moved = TestArcOracle._check(table, lambda: table.node_join(second), 2)
+        assert {src for _, src, _ in moved} <= {first.node_id}
+
+    def test_moves_match_brute_force_per_shard(self) -> None:
+        table, spare = self._table([2, 2, 2, 2])
+        moved = 0
+        for node in spare[:16]:
+            moved += len(TestArcOracle._check(table, lambda: table.node_join(node), node.shard))
+        for index in range(self.SHARDS):
+            for node in [n for n in table.members.values() if n.shard == index][1:]:
+                moved += len(
+                    TestArcOracle._check(table, lambda: table.node_leave(node.node_id), index)
+                )
+        assert moved > 0
+        assert sorted(n.shard for n in table.members.values()) == list(range(self.SHARDS))
 
 
 class TestConfig:
@@ -604,16 +699,16 @@ class TestConfig:
             table.node_join(node)
         restored = table_from_config(table_to_config(table))
         assert restored.num_shards == 4
-        for shard, restored_shard in zip(table.shards, restored.shards, strict=True):
-            assert sorted(shard.members) == sorted(restored_shard.members)
+        assert restored.members == table.members
+        assert restored.stores == {}
 
     def test_roles_preserved(self) -> None:
         table = ShardTable(2)
         node = NodeIdentity.derive(hashlib.sha256(b"r").digest(), 2, book=True, authority=True)
         table.node_join(node)
         restored = table_from_config(table_to_config(table))
-        again = restored.find_node(node.node_id)
-        assert again is not None and again.book and again.authority
+        again = restored.members[node.node_id]
+        assert again.book and again.authority
 
     def test_load_works_out_no_assignments(self, monkeypatch: pytest.MonkeyPatch) -> None:
         """Loading a membership inserts each member into its shard; no
@@ -626,9 +721,7 @@ class TestConfig:
         monkeypatch.setattr(shard_dht, "_arc", lambda *args: calls.append(args) or arc(*args))
         restored = table_from_config(table_to_config(table))
         assert calls == []
-        assert sorted(restored.members(), key=lambda n: n.node_id) == sorted(
-            table.members(), key=lambda n: n.node_id
-        )
+        assert restored.members == table.members
 
     def test_malformed_line_rejected(self) -> None:
         with pytest.raises(ShardError):
