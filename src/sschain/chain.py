@@ -315,16 +315,12 @@ def _read_block(store: KvStore, header: BlockHeader) -> Block:
 
 class _Overlay(MemoryKvStore):
     """A replay's store: reads fall through to ``base``, writes stay here
-    and go when it does, so ``base`` is left as it was. Its ``len`` counts
-    an entry in both twice; a trie reads it only to tell an empty store."""
+    and go when it does, so ``base`` is left as it was. A read is checked
+    against its key as any store's is, whichever of the two holds it."""
 
     def __init__(self, base: KvStore) -> None:
         super().__init__()
         self.base = base
-        self.verify_on_read = base.verify_on_read
-
-    def __len__(self) -> int:
-        return len(self.base) + len(self._entries)
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         return super()._read(key) or self.base._read(key)

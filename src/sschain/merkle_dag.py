@@ -228,14 +228,15 @@ def dag_put(store: KvStore, node: DagNode) -> Digest:
 
 
 def dag_get(store: KvStore, cid: Digest) -> DagNode:
-    """Load a node and re-verify its digest before decoding.
+    """Load and decode a node; the store has checked its bytes against
+    the cid.
 
     Raises:
         NotFoundError: cid absent.
         CorruptError: stored bytes do not hash to the cid or do not
             decode as a canonical node.
     """
-    return _decode_node(_get_verified(store, cid))
+    return _decode_node(store.get(cid))
 
 
 def dag_build_directory(store: KvStore, files: list[tuple[str, bytes]]) -> Digest:
@@ -270,13 +271,14 @@ def version_put(store: KvStore, root: Digest, prev: Optional[Digest] = None) -> 
 
 
 def version_root(store: KvStore, version: Digest) -> Digest:
-    """The content root a version node wraps.
+    """The content root a version node wraps, read once through the
+    store, which checks the node's bytes against ``version``.
 
     Raises:
         NotFoundError: version absent.
         CorruptError: node fails its digest or is not a version node.
     """
-    return _parse_version(_get_verified(store, version), version)[0]
+    return _parse_version(store.get(version), version)[0]
 
 
 def version_append(
@@ -284,10 +286,10 @@ def version_append(
 ) -> Optional[Digest]:
     """Store ``payload`` as a leaf and wrap it in a version chained to ``prev``.
 
-    ``prev`` is read once, and its digest verified as :func:`dag_get`
-    does. Returns None when ``prev`` already wraps identical content; only
-    the (already present) leaf is written then. The version node is the
-    one :func:`version_put` would write for the same leaf and ``prev``.
+    ``prev`` is read once, through the store, which checks it against its
+    digest. Returns None when ``prev`` already wraps identical content;
+    only the (already present) leaf is written then. The version node is
+    the one :func:`version_put` would write for the same leaf and ``prev``.
 
     Raises:
         NotFoundError: prev absent.
@@ -297,7 +299,7 @@ def version_append(
     leaf_cid = store.put(leaf)
     prev_size = 0
     if prev is not None:
-        raw = _get_verified(store, prev)
+        raw = store.get(prev)
         if _parse_version(raw, prev)[0] == leaf_cid:
             return None
         prev_size = len(raw)
@@ -348,13 +350,6 @@ def _name_record(records: KvStore, node_id: Digest) -> Optional[tuple[int, Diges
     except ValueError:
         pass
     raise CorruptError(f"stored name record for {node_id.hex()} is malformed")
-
-
-def _get_verified(store: KvStore, cid: Digest) -> bytes:
-    raw = store.get(cid)
-    if hash256(raw) != cid:
-        raise CorruptError(f"content of {cid_text(cid)} does not match its digest")
-    return raw
 
 
 def _encode_node(node: DagNode) -> bytes:

@@ -37,10 +37,12 @@ clean-node cache of geth's trie database, scoped to one handle. A memo
 therefore holds at most one commit's nodes plus one block's reads and
 does not grow with history; as nodes are content-addressed, it is right
 on any branch. A handle opened from a root starts on an empty memo, so
-it reads, and verifies, every node through the store. A trie whose keys
-are all known at once is better built by ``commit_items``, which sorts
-their nibble paths, or by ``commit_sorted``, for a caller that already
-holds them in order (a block's transaction indexes). The one builder
+it reads every node through the store, which checks each against its
+digest; a root the store lacks raises ``RootNotFoundError`` without
+counting the store, empty or not. A trie whose keys are all known at
+once is better built by ``commit_items``, which sorts their nibble
+paths, or by ``commit_sorted``, for a caller that already holds them in
+order (a block's transaction indexes). The one builder
 behind both encodes each node once, straight from the sorted paths,
 finding each node's children by bisecting them, and writes the same
 bytes without making node objects.
@@ -86,10 +88,6 @@ class EmptyKeyError(TrieError):
 
 class EmptyValueError(TrieError):
     """Values must be non-empty; the trie has no delete."""
-
-
-class StoreEmptyError(TrieError):
-    """A root digest was given but the backing store holds nothing."""
 
 
 class RootNotFoundError(TrieError):
@@ -152,8 +150,9 @@ class Trie:
         """Open a trie. With a root digest, the root node is loaded eagerly.
 
         Raises:
-            StoreEmptyError: root given but the store has no entries.
-            RootNotFoundError: root digest absent from the store.
+            RootNotFoundError: root digest absent from the store, empty
+                or not.
+            CorruptError: root bytes do not hash to the root digest.
             TrieDecodeError: root bytes are not a valid node.
         """
         self.store = store
@@ -165,8 +164,6 @@ class Trie:
         try:
             raw = store.get(root_hash)
         except NotFoundError:
-            if len(store) == 0:
-                raise StoreEmptyError("cannot load a root from an empty store") from None
             raise RootNotFoundError(f"root {root_hash.hex()} not in store") from None
         self._root = _decode_node(_parse_rlp(raw))
 

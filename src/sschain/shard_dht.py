@@ -411,7 +411,8 @@ def _arc(
     """Sorted registry keys on the arc a node at ``position`` owns among
     ``others``, (predecessor, position], which wraps past the top of the
     ring when the predecessor sits above it; and its clockwise successor,
-    which owns those keys without it. The registry is read once."""
+    which owns those keys without it. The registry is read once, in key
+    order."""
     ring = sorted(others, key=lambda n: (n.position, n.node_id))
     idx = bisect_left([n.position for n in ring], position)
     # Keys are digests, so as bytes they order as their positions do.
@@ -421,4 +422,4 @@ def _arc(
         keys = [k for k in store.named_keys() if low < k <= high]
     else:  # the arc wraps: every key but those on (position, low]
         keys = [k for k in store.named_keys() if not high < k <= low]
-    return sorted(keys), ring[idx % len(ring)]
+    return keys, ring[idx % len(ring)]

@@ -11,15 +11,18 @@ Two kinds of entry share one namespace:
   keys). These are exempt from the hash-on-read check and may be
   overwritten.
 
+:meth:`KvStore.get` hashes every content-addressed entry it returns, on
+every backend, and is the one place that does: a reader above the store
+can trust any content read without hashing it again.
+
 The file backend is one space (``trie``, ``shards/0``, ...) of the
 ``kv`` table of a SQLite database, one row per entry; its ``named``
-column is NULL for content-addressed entries and a named entry's
-first-write rank otherwise. Only :func:`open_database` knows that
-schema: it creates it and records the format, 3, in ``PRAGMA
-user_version``; a database in another format, such as format 2 with its
-``workspace`` and ``names`` tables, is refused.
-Verification on read is always on for the file backend (bytes on disk
-are outside the process's control) and never on for the in-memory one.
+column is NULL for content-addressed entries and 1 for a named entry (a
+database written by an earlier release holds a rank there instead, which
+reads the same). Only :func:`open_database` knows that schema: it
+creates it and records the format, 3, in ``PRAGMA user_version``; a
+database in another format, such as format 2 with its ``workspace`` and
+``names`` tables, is refused.
 
 There is no delete: the chain layer keeps every historical node readable
 for rollback.
@@ -44,17 +47,12 @@ _KV_SCHEMA = (
     f"PRAGMA user_version = {STORE_VERSION}",
 )
 # A content put leaves an existing entry alone unless it was named; a
-# named put overwrites the value and keeps the entry's first-write rank.
+# named put overwrites the value.
 _PUT_CONTENT = (
     "INSERT INTO kv VALUES (?1, ?2, ?3, NULL) ON CONFLICT (space, key) DO UPDATE"
     " SET value = excluded.value, named = NULL WHERE named IS NOT NULL"
 )
-_PUT_NAMED = (
-    "INSERT INTO kv VALUES (?1, ?2, ?3, 1 + ifnull((SELECT named FROM kv"
-    " WHERE space = ?1 AND named IS NOT NULL ORDER BY named DESC LIMIT 1), 0))"
-    " ON CONFLICT (space, key) DO UPDATE SET value = excluded.value,"
-    " named = ifnull(named, excluded.named)"
-)
+_PUT_NAMED = "REPLACE INTO kv VALUES (?, ?, ?, 1)"
 
 
 class StoreError(SSChainError):
@@ -67,8 +65,6 @@ class EmptyValueError(StoreError):
 
 class KvStore(ABC):
     """Digest-keyed store; see the module docstring for entry kinds."""
-
-    verify_on_read: bool
 
     def put(self, value: bytes) -> Digest:
         """Store ``value`` under its own hash and return that key.
@@ -100,15 +96,15 @@ class KvStore(ABC):
 
         Raises:
             NotFoundError: if the key is absent.
-            CorruptError: if verification is on and a content-addressed
-                entry no longer hashes to its key.
+            CorruptError: if a content-addressed entry no longer hashes
+                to its key.
         """
         _check_key(key)
         found = self._read(key)
         if found is None:
             raise NotFoundError(f"no entry for {key.hex()}")
         value, named = found
-        if self.verify_on_read and not named and hash256(value) != key:
+        if not named and hash256(value) != key:
             raise CorruptError(f"entry {key.hex()} fails its content hash")
         return value
 
@@ -119,7 +115,7 @@ class KvStore(ABC):
 
     @abstractmethod
     def named_keys(self) -> list[Digest]:
-        """Keys of all named entries, in first-write order."""
+        """Keys of all named entries, in key order."""
 
     @abstractmethod
     def __len__(self) -> int:
@@ -134,30 +130,29 @@ class KvStore(ABC):
 
 
 class MemoryKvStore(KvStore):
-    """Process-local store; trusted, so it never verifies on read."""
-
-    verify_on_read = False
+    """Process-local store. It verifies its reads as the file store does,
+    so a corrupted entry is caught wherever the bytes were kept."""
 
     def __init__(self) -> None:
         self._entries: dict[Digest, bytes] = {}
-        self._named: dict[Digest, None] = {}
+        self._named: set[Digest] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def named_keys(self) -> list[Digest]:
-        return list(self._named)
+        return sorted(self._named)
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
         """A new content key costs one membership test and one dict store."""
         if named:
             self._entries[key] = value
-            self._named.setdefault(key)
+            self._named.add(key)
         elif key not in self._entries:
             self._entries[key] = value
         elif key in self._named:
             self._entries[key] = value
-            del self._named[key]
+            self._named.remove(key)
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         value = self._entries.get(key)
@@ -168,8 +163,6 @@ class FileKvStore(KvStore):
     """One space of the ``kv`` table in a SQLite database; survives reopen.
     Writes join ``db``'s open transaction, if any, and threads may share
     it: each statement and its fetch run under the connection's lock."""
-
-    verify_on_read = True
 
     def __init__(self, db: sqlite3.Connection, space: str):
         self.db = db
@@ -182,9 +175,11 @@ class FileKvStore(KvStore):
             return self.db.execute(query, (self.space,)).fetchone()[0]
 
     def named_keys(self) -> list[Digest]:
-        query = "SELECT key FROM kv WHERE space = ? AND named IS NOT NULL ORDER BY named"
+        # The covering index kv_named answers this alone; with ORDER BY key
+        # SQLite would scan the whole space by primary key instead.
+        query = "SELECT key FROM kv WHERE space = ? AND named IS NOT NULL"
         with self._lock:
-            return [key for (key,) in self.db.execute(query, (self.space,))]
+            return sorted(key for (key,) in self.db.execute(query, (self.space,)))
 
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
         with self._lock:

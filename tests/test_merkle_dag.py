@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sschain.merkle_dag
+import sschain.store
 from sschain.encoding import hash256, rlp_encode
 from sschain.errors import CorruptError, NotFoundError
 from sschain.merkle_dag import (
@@ -34,7 +36,7 @@ from sschain.merkle_dag import (
     version_root,
 )
 from sschain.shard_dht import NodeIdentity, ShardTable
-from sschain.store import KvStore, MemoryKvStore
+from sschain.store import FileKvStore, KvStore, MemoryKvStore, open_database
 
 FOUR_FILES = [
     ("acct-a.dat", AccountState("6", "13.0").to_json_bytes()),
@@ -114,7 +116,7 @@ class TestTamperEvidence:
         store._entries[cid] = bytes(raw)
         with pytest.raises(CorruptError) as excinfo:
             dag_get(store, cid)
-        assert str(excinfo.value) == f"content of ss1-{cid.hex()} does not match its digest"
+        assert str(excinfo.value) == f"entry {cid.hex()} fails its content hash"
 
     def test_every_single_bit_flip_detected(self) -> None:
         store = MemoryKvStore()
@@ -134,6 +136,24 @@ class TestTamperEvidence:
             store._entries[key] = raw
             checked += 1
         assert checked == len(node_keys) and flips > 0
+
+    def test_dag_read_hashes_its_bytes_once(self, tmp_path, monkeypatch) -> None:
+        """The store checks a DAG read; the DAG does not check it again."""
+        db = open_database(tmp_path / "kv.db")
+        store = FileKvStore(db, "kv")
+        cid = dag_put(store, DagNode(data=b"account state bytes"))
+        version = version_put(store, cid)
+        hashed: list[bytes] = []
+        for module in (sschain.store, sschain.merkle_dag):
+            real = module.hash256
+            monkeypatch.setattr(
+                module, "hash256", lambda data, real=real: hashed.append(data) or real(data)
+            )
+        assert dag_get(store, cid).data == b"account state bytes"
+        assert version_root(store, version) == cid
+        db.close()
+        leaf = _encode_node(DagNode(data=b"account state bytes"))
+        assert hashed == [leaf, _encode_version(cid, len(leaf), None, 0)]
 
 
 class TestDirectory:

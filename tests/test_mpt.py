@@ -15,7 +15,6 @@ from sschain.mpt import (
     EmptyKeyError,
     EmptyValueError,
     RootNotFoundError,
-    StoreEmptyError,
     Trie,
     TrieDecodeError,
     _decode_node,
@@ -134,22 +133,34 @@ class TestCommitAndReload:
         assert len(store) - size <= 10
 
     def test_open_errors(self, tmp_path) -> None:
-        empty = MemoryKvStore()
-        with pytest.raises(StoreEmptyError):
-            Trie(empty, hash256(b"some root"))
+        """A missing root is the same error, with the same text, whether
+        the store is empty or not."""
+        missing = hash256(b"missing root")
+        message = f"root {missing.hex()} not in store"
+        with pytest.raises(RootNotFoundError) as empty:
+            Trie(MemoryKvStore(), missing)
+        assert str(empty.value) == message
         store = MemoryKvStore()
         store.put(b"unrelated")
-        with pytest.raises(RootNotFoundError):
-            Trie(store, hash256(b"missing root"))
+        with pytest.raises(RootNotFoundError) as non_empty:
+            Trie(store, missing)
+        assert str(non_empty.value) == message
 
     def test_open_at_existing_root_does_not_count_store(self) -> None:
+        """Opening a trie never counts its store: not at a stored root,
+        nor at a missing one, in an empty store or a full one."""
+
         class NoLenStore(MemoryKvStore):
             def __len__(self) -> int:
-                raise AssertionError("Trie opened an existing root via len(store)")
+                raise AssertionError("Trie opened a root via len(store)")
 
+        with pytest.raises(RootNotFoundError):
+            Trie(NoLenStore(), hash256(b"missing root"))
         store = NoLenStore()
         root = build(store, [(b"k1", b"v1"), (b"k2", b"v2")]).commit()
         assert Trie(store, root).get(b"k2") == b"v2"
+        with pytest.raises(RootNotFoundError):
+            Trie(store, hash256(b"missing root"))
 
     def test_decode_error_on_garbage_root(self) -> None:
         store = MemoryKvStore()

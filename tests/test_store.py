@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from sschain.chain import _Overlay
 from sschain.encoding import hash256
 from sschain.errors import CorruptError, NotFoundError
 from sschain.store import (
@@ -78,12 +79,39 @@ class TestNamedEntries:
         store.put_named(key, b"v2")
         assert store.get(key) == b"v2"
 
-    def test_named_keys_listed_in_first_write_order(self, store) -> None:
+    def test_named_keys_listed_in_key_order(self, store) -> None:
         keys = [hash256(bytes([i])) for i in range(5)]
+        assert keys != sorted(keys)
         for key in keys:
             store.put_named(key, b"x")
         store.put_named(keys[0], b"y")
-        assert store.named_keys() == keys
+        assert store.named_keys() == sorted(keys)
+
+    def test_named_keys_in_key_order_over_first_write_ranks(self, db) -> None:
+        """An earlier release stored each named entry's first-write rank
+        in ``named``; such a database lists its keys in key order too,
+        and a named put over a ranked entry keeps it named."""
+        keys = [hash256(bytes([i])) for i in range(5)]
+        rows = [("kv", key, b"x", rank) for rank, key in enumerate(keys, 1)]
+        db.executemany("INSERT INTO kv VALUES (?, ?, ?, ?)", rows)
+        store = FileKvStore(db, "kv")
+        content = store.put(b"content")
+        assert store.named_keys() == sorted(keys)
+        store.put_named(keys[3], b"y")
+        assert store.named_keys() == sorted(keys)
+        assert [store.get(key) for key in keys] == [b"x", b"x", b"x", b"y", b"x"]
+        assert store.get(content) == b"content"
+
+    def test_named_keys_read_the_covering_index(self, db) -> None:
+        store = FileKvStore(db, "kv")
+        store.put_named(hash256(b"slot"), b"pointer")
+        statements: list[str] = []
+        db.set_trace_callback(statements.append)
+        store.named_keys()
+        db.set_trace_callback(None)
+        (statement,) = statements
+        (plan,) = [row[-1] for row in db.execute(f"EXPLAIN QUERY PLAN {statement}")]
+        assert "USING COVERING INDEX kv_named" in plan
 
     def test_named_exempt_from_verification(self, db) -> None:
         s = FileKvStore(db, "kv")
@@ -116,13 +144,50 @@ class TestNamedEntries:
         assert store.named_keys() == []
 
 
+def _flipped(value: bytes) -> bytes:
+    return bytes([value[0] ^ 0x20]) + value[1:]
+
+
+@pytest.fixture(params=["memory", "file", "overlay"])
+def tamperable(request, db):
+    """(writer, reader, flip): ``flip(key)`` flips a byte of the entry
+    where ``writer`` keeps it, in its dict or in the database, and
+    ``reader`` reads it, through a validation overlay in the third case."""
+    if request.param == "file":
+        store = FileKvStore(db, "kv")
+
+        def flip(key: bytes) -> None:
+            (value,) = db.execute("SELECT value FROM kv WHERE key = ?", (key,)).fetchone()
+            db.execute("UPDATE kv SET value = ? WHERE key = ?", (_flipped(value), key))
+
+        return store, store, flip
+    base = MemoryKvStore()
+
+    def flip(key: bytes) -> None:
+        base._entries[key] = _flipped(base._entries[key])
+
+    return base, base if request.param == "memory" else _Overlay(base), flip
+
+
 class TestVerifyOnRead:
-    def test_detects_corruption(self, db) -> None:
-        s = FileKvStore(db, "kv")
-        key = s.put(b"genuine bytes")
-        db.execute("UPDATE kv SET value = ? WHERE key = ?", (b"Genuine bytes", key))
-        with pytest.raises(CorruptError):
-            s.get(key)
+    """Every backend checks each content entry it returns."""
+
+    def test_detects_corruption(self, tamperable) -> None:
+        writer, reader, flip = tamperable
+        key = writer.put(b"genuine bytes")
+        assert reader.get(key) == b"genuine bytes"
+        flip(key)
+        with pytest.raises(CorruptError) as excinfo:
+            reader.get(key)
+        assert str(excinfo.value) == f"entry {key.hex()} fails its content hash"
+        assert reader.has(key)
+
+    def test_named_entry_exempt(self, tamperable) -> None:
+        writer, reader, flip = tamperable
+        key = hash256(b"slot")
+        writer.put_named(key, b"pointer")
+        flip(key)
+        assert reader.get(key) == b"Pointer"
 
 
 class TestFilePersistence:
