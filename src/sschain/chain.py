@@ -29,7 +29,7 @@ head pointer and reopens the table's trie at its root.
 A chain is stored in the table's trie store and nowhere else: each
 header under its own digest, so a ``parent_hash`` is the key of the
 parent; each body as the transaction trie ``tx_root`` commits, built
-from its index keys in their known order, each transaction framed
+from the body's length by index arithmetic, each transaction framed
 directly; and the head header's digest in one named entry under
 :data:`HEAD_KEY`.
 ``apply_block`` writes a header and its body, ``export`` only the head
@@ -49,10 +49,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from .encoding import (
     DIGEST_SIZE,
     Digest,
-    Nibbles,
     RlpItem,
     hash256,
-    hex_encode,
     int_from_bytes,
     int_to_bytes,
     rlp_decode,
@@ -61,7 +59,7 @@ from .encoding import (
 )
 from .errors import CorruptError, NotFoundError, SSChainError
 from .merkle_dag import AccountState
-from .mpt import Trie, commit_sorted
+from .mpt import Trie, commit_indexed
 from .shard_dht import NodeIdentity, ShardTable
 from .store import KvStore, MemoryKvStore
 
@@ -224,19 +222,16 @@ class Block:
 
 def tx_root(txs: Iterable[Transaction], store: Optional[KvStore] = None) -> Digest:
     """Trie root over index -> transaction, both RLP-encoded, committed
-    into ``store`` (a throwaway one if none is given) by the trie's one
-    bottom-up builder, as geth's ``DeriveSha`` does.
+    into ``store`` (a throwaway one if none is given), as geth's
+    ``DeriveSha`` does.
 
-    Nothing is sorted: the index keys go in the order their RLP sorts,
-    1-127, then 0 (``0x80``), then 128 and up (``0x81`` and one byte,
-    ``0x82`` and two, ...). :func:`_encode_tx` frames each transaction
-    directly to the bytes of ``rlp_encode(tx.to_rlp_item())``.
+    :func:`mpt.commit_indexed` builds the trie from the count alone, by
+    index arithmetic: nothing is sorted and no key is made for a leaf.
+    :func:`_encode_tx` frames each transaction directly to the bytes of
+    ``rlp_encode(tx.to_rlp_item())``.
     """
-    values = [_encode_tx(tx) for tx in txs]
-    if values:
-        values.insert(127, values.pop(0))  # index 0 sorts after 1-127
     store = MemoryKvStore() if store is None else store
-    return commit_sorted(store, _index_paths(len(values)), values)
+    return commit_indexed(store, [_encode_tx(tx) for tx in txs])
 
 
 def _encode_tx(tx: Transaction) -> bytes:
@@ -251,28 +246,9 @@ def _encode_tx(tx: Transaction) -> bytes:
     return b"".join((head, b"\x94", tx.sender, b"\x94", tx.receiver, amount, seq_item))
 
 
-def _index_paths(count: int) -> list[Nibbles]:
-    """Nibble paths of the RLP keys of the indexes below ``count``, in
-    key order: 1-127, 0, then each longer key as the nibbles of its
-    leading bytes, made once per 256 indexes, and of its last byte."""
-    paths = _BYTE_PATHS[1 : min(count, 128)]
-    if count:
-        paths.append(_BYTE_PATHS[0x80])
-    index = 128
-    while index < count:
-        stop = min(count, (index | 0xFF) + 1)
-        leading = hex_encode(_tx_key(index)[:-1])
-        paths += [leading + _BYTE_PATHS[i & 0xFF] for i in range(index, stop)]
-        index = stop
-    return paths
-
-
 def _tx_key(index: int) -> bytes:
     return rlp_encode(int_to_bytes(index))
 
-
-_BYTE_PATHS = [hex_encode(bytes([byte])) for byte in range(256)]
-"""The two nibbles of each byte."""
 
 _SMALL_INTS = [rlp_encode(int_to_bytes(value)) for value in range(128)]
 """RLP of each integer below 128: ``0x80`` for 0, else the byte itself."""

@@ -164,7 +164,7 @@ def rlp_encode(item: RlpItem) -> bytes:
         if length == 1 and item[0] <= SINGLE_BYTE_MAX:
             return item
         if length <= SHORT_PAYLOAD_MAX:
-            return SHORT_STRING_HEADS[length] + item
+            return _SHORT_STRING_HEADS[length] + item
         return _long_head(length, LONG_STRING_BASE) + item
     if isinstance(item, (list, tuple)):
         payload = b"".join([rlp_encode(child) for child in item])
@@ -202,7 +202,7 @@ def rlp_decode(data: bytes) -> RlpItem:
 _HEX_DIGITS = b"0123456789abcdef"
 _HEX_DIGIT_TO_NIBBLE = bytes.maketrans(_HEX_DIGITS, bytes(range(16)))
 _NIBBLE_TO_HEX_DIGIT = bytes.maketrans(bytes(range(16)), _HEX_DIGITS)
-SHORT_STRING_HEADS = [
+_SHORT_STRING_HEADS = [
     bytes([SHORT_STRING_PREFIX + n]) for n in range(SHORT_PAYLOAD_MAX + 1)
 ]
 """Prefix of a string of each length up to 55 bytes, save one byte below

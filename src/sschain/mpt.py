@@ -39,13 +39,17 @@ does not grow with history; as nodes are content-addressed, it is right
 on any branch. A handle opened from a root starts on an empty memo, so
 it reads every node through the store, which checks each against its
 digest; a root the store lacks raises ``RootNotFoundError`` without
-counting the store, empty or not. A trie whose keys are all known at
-once is better built by ``commit_items``, which sorts their nibble
-paths, or by ``commit_sorted``, for a caller that already holds them in
-order (a block's transaction indexes). The one builder
-behind both encodes each node once, straight from the sorted paths,
-finding each node's children by bisecting them, and writes the same
-bytes without making node objects.
+counting the store, empty or not.
+
+A trie whose keys are all known at once is better built bottom-up, each
+node encoded once and no node object made, to the root and entries that
+inserts and a commit would write. Two builders do that.
+``commit_items`` takes any keys, such as the simulator's merged state:
+it sorts their nibble paths and finds each node's children by bisecting
+them. ``commit_indexed`` takes a block body, its values keyed by the RLP
+of their indexes: that trie's shape depends on the count alone, so it is
+built by index arithmetic with no key made, and each run of stored
+sibling leaves is written by one ``KvStore.put_many``.
 
 The committed root digest is a pure function of the key-value content:
 insertion order never affects it. The empty trie commits to the fixed
@@ -355,28 +359,130 @@ def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest
     counts, as with inserts. The root and the store entries written are
     those of inserting every pair into an empty :class:`Trie` and
     committing it, the empty node included.
+
+    The trie is encoded bottom-up from the sorted nibble paths, each node
+    once and straight to bytes by the encoder ``Trie.commit`` uses, as
+    geth's ``StackTrie`` does; no node objects are made. A node's
+    children are found by bisecting the sorted paths, and a leaf's bytes
+    before its value are encoded once per suffix and value length, so a
+    leaf costs about one concatenation, its hash and its store write.
     """
     entries = {hex_encode(key): value for key, value in items}
     paths = sorted(entries)
-    return commit_sorted(store, paths, [entries[path] for path in paths])
-
-
-def commit_sorted(store: KvStore, paths: list[Nibbles], values: list[bytes]) -> Digest:
-    """Commit the trie holding ``values[i]`` under the nibble path
-    ``paths[i]``; return its root. The paths must be distinct and sorted.
-
-    The trie is encoded bottom-up, each node once and straight to bytes
-    by the encoder ``Trie.commit`` uses, as geth's ``StackTrie`` does;
-    no node objects are made. A node's children are found by bisecting
-    the sorted paths, and a leaf's bytes before its value are encoded
-    once per suffix and value length, so a leaf costs about one
-    concatenation, its hash and its store write.
-    """
+    values = [entries[path] for path in paths]
     if not paths:
         return store.put(_EMPTY_NODE)
     if len(paths) == 1:
         return store.put(_encode_leaf(paths[0], values[0]))
     return store.put(_build_sorted(paths, values, 0, len(paths), 0, store.put, {}))
+
+
+def commit_indexed(store: KvStore, values: list[bytes]) -> Digest:
+    """Commit the trie holding ``values[i]`` under the key
+    ``rlp_encode(int_to_bytes(i))`` for each index ``i``, as a block
+    body's transaction trie does; return its root. Values must be
+    non-empty. The root and the store entries written are those of
+    :func:`commit_items` over the same pairs.
+
+    No RLP index key is a prefix of another, and the trie's shape
+    depends on the count alone: the keys 1-127 sit under their high
+    nibble, and key 0 (``0x80``) and each class of ``L``-byte indexes
+    (``0x80 + L`` and the index's bytes) under nibble 8. Within a class
+    the node over the indexes ``[a, b)`` branches at the top nibble
+    where ``a`` and ``b - 1`` differ, so the trie is built by index
+    arithmetic alone. Each run of up to 16 sibling leaves, the nodes
+    that end their keys, is framed in one pass and written by one
+    :meth:`KvStore.put_many`.
+    """
+    count = len(values)
+    if count < 2:
+        return store.put(_encode_leaf(b"\x08\x00", values[0]) if values else _EMPTY_NODE)
+    build = _IndexedBuild(store, values)
+    refs = [_EMPTY_NODE] * 16
+    build.fill(refs, 1, min(count, 128), 2, 0)
+    if count <= 128:
+        refs[8] = build.ref(_encode_leaf(b"\x00", values[0]))
+    else:
+        classes = [build.ref(_encode_leaf(b"", values[0]))] + [_EMPTY_NODE] * 15
+        length, lo = 1, 128
+        while lo < count:
+            hi = min(count, 1 << 8 * length)
+            classes[length] = build.ref(build.node(lo, hi, 2 * length, 0))
+            length, lo = length + 1, hi
+        refs[8] = build.ref(_encode_branch(classes, None))
+    return store.put(_encode_branch(refs, None))
+
+
+class _IndexedBuild:
+    """One :func:`commit_indexed` build: the values, the store's writers,
+    and, when every value is at least a digest long, so that no leaf
+    embeds in its parent, the bytes before the value of a leaf that ends
+    its key, by value length."""
+
+    __slots__ = ("values", "put", "put_many", "heads")
+
+    def __init__(self, store: KvStore, values: list[bytes]):
+        self.values = values
+        self.put = store.put
+        self.put_many = store.put_many
+        lengths = set(map(len, values))
+        self.heads: Optional[dict[int, bytes]] = None
+        if min(lengths) >= DIGEST_SIZE:
+            self.heads = {length: _leaf_head(b"", bytes(length)) for length in lengths}
+
+    def ref(self, encoded: bytes) -> bytes:
+        """How a parent embeds a child of these bytes, writing it if it
+        reaches 32 bytes."""
+        return encoded if len(encoded) < DIGEST_SIZE else _DIGEST_HEAD + self.put(encoded)
+
+    def node(self, a: int, b: int, width: int, depth: int) -> bytes:
+        """Encoding of the node over the indexes ``[a, b)``, keyed by
+        their ``width`` nibbles, which all share their first ``depth``."""
+        if b - a == 1:
+            return _encode_leaf(_index_nibbles(a, width)[depth:], self.values[a])
+        position = width - 1 - (((a ^ (b - 1)).bit_length() - 1) >> 2)
+        if position == width - 1:
+            branch = self.last_nibble_branch(a, b)
+        else:
+            refs = [_EMPTY_NODE] * 16
+            self.fill(refs, a, b, width, position)
+            branch = _encode_branch(refs, None)
+        if position == depth:
+            return branch
+        return _encode_extension(_index_nibbles(a, width)[depth:position], self.ref(branch))
+
+    def fill(self, refs: list[bytes], a: int, b: int, width: int, position: int) -> None:
+        """Set the slots of ``refs``, a branch at nibble ``position`` short
+        of the last, to the children over ``[a, b)``, one per value of
+        that nibble."""
+        shift = 4 * (width - 1 - position)
+        lo = a
+        while lo < b:
+            hi = min(b, ((lo >> shift) + 1) << shift)
+            refs[(lo >> shift) & 15] = self.ref(self.node(lo, hi, width, position + 1))
+            lo = hi
+
+    def last_nibble_branch(self, a: int, b: int) -> bytes:
+        """Encoding of the branch over ``[a, b)``, indexes that differ in
+        their last nibble alone, so that each child is a leaf that ends
+        its key. Stored leaves are framed in one pass, written in one
+        batch, and their digests joined straight into the payload."""
+        run = self.values[a:b]
+        if self.heads is None:
+            children = [self.ref(_encode_leaf(b"", value)) for value in run]
+        else:
+            keys = self.put_many([self.heads[len(value)] + value for value in run])
+            children = [_DIGEST_HEAD, _DIGEST_HEAD.join(keys)]
+        # the empty slots before and after the run, and no value
+        payload = b"".join(
+            (_EMPTY_NODE * (a & 15), *children, _EMPTY_NODE * (16 - ((b - 1) & 15)))
+        )
+        return rlp_list_head(len(payload)) + payload
+
+
+def _index_nibbles(index: int, width: int) -> Nibbles:
+    """The ``width`` nibbles of ``index``, big-endian."""
+    return hex_encode(index.to_bytes(width // 2, "big"))
 
 
 def _build_sorted(

@@ -13,7 +13,10 @@ Two kinds of entry share one namespace:
 
 :meth:`KvStore.get` hashes every content-addressed entry it returns, on
 every backend, and is the one place that does: a reader above the store
-can trust any content read without hashing it again.
+can trust any content read without hashing it again. Writes derive keys
+here too: :meth:`KvStore.put_many` writes a batch of content entries,
+each under the ``hash256`` of its bytes as ``put`` would, in one dict
+update on a memory store and one ``executemany`` on a file store.
 
 The file backend is one space (``trie``, ``shards/0``, ...) of the
 ``kv`` table of a SQLite database, one row per entry; its ``named``
@@ -80,6 +83,19 @@ class KvStore(ABC):
         self._write(key, value, named=False)
         return key
 
+    def put_many(self, values: list[bytes]) -> list[Digest]:
+        """Store each value as :meth:`put` does, in one batch; return
+        their keys in order.
+
+        Raises:
+            EmptyValueError: if any value is empty; nothing is written.
+        """
+        if not all(values):
+            raise EmptyValueError("cannot store an empty value")
+        keys = list(map(hash256, values))
+        self._write_content(keys, values)
+        return keys
+
     def put_named(self, key: Digest, value: bytes) -> None:
         """Store ``value`` under an arbitrary digest ``key``, overwriting.
 
@@ -125,6 +141,10 @@ class KvStore(ABC):
     def _write(self, key: Digest, value: bytes, named: bool) -> None: ...
 
     @abstractmethod
+    def _write_content(self, keys: list[Digest], values: list[bytes]) -> None:
+        """Write each value as a content entry under its key."""
+
+    @abstractmethod
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         """(value, whether the entry is named), or None if absent."""
 
@@ -153,6 +173,13 @@ class MemoryKvStore(KvStore):
         elif key in self._named:
             self._entries[key] = value
             self._named.remove(key)
+
+    def _write_content(self, keys: list[Digest], values: list[bytes]) -> None:
+        """One dict update: a key already present holds the same bytes,
+        unless it was named, and then it becomes content."""
+        self._entries.update(zip(keys, values))
+        if self._named:
+            self._named.difference_update(keys)
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         value = self._entries.get(key)
@@ -184,6 +211,11 @@ class FileKvStore(KvStore):
     def _write(self, key: Digest, value: bytes, named: bool) -> None:
         with self._lock:
             self.db.execute(_PUT_NAMED if named else _PUT_CONTENT, (self.space, key, value))
+
+    def _write_content(self, keys: list[Digest], values: list[bytes]) -> None:
+        rows = [(self.space, key, value) for key, value in zip(keys, values)]
+        with self._lock:
+            self.db.executemany(_PUT_CONTENT, rows)
 
     def _read(self, key: Digest) -> tuple[bytes, bool] | None:
         query = "SELECT value, named IS NOT NULL FROM kv WHERE space = ? AND key = ?"

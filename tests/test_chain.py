@@ -41,7 +41,8 @@ from test_merkle_dag import version_trail
 
 
 class PutLog(MemoryKvStore):
-    """A memory store that also keeps every value put into it."""
+    """A memory store that also keeps every value put into it, one at a
+    time or in a batch."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -50,6 +51,10 @@ class PutLog(MemoryKvStore):
     def put(self, value: bytes) -> bytes:
         self.puts.add(value)
         return super().put(value)
+
+    def put_many(self, values: list[bytes]) -> list[bytes]:
+        self.puts.update(values)
+        return super().put_many(values)
 
 
 def addr(i: int) -> bytes:

@@ -8,7 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sschain.encoding import hash256, hex_encode, hp_encode, rlp_decode, rlp_encode
+from sschain.encoding import (
+    hash256, hex_encode, hp_encode, int_to_bytes, rlp_decode, rlp_encode
+)
 from sschain.errors import CorruptError, NotFoundError
 from sschain.mpt import (
     EMPTY_ROOT,
@@ -19,6 +21,7 @@ from sschain.mpt import (
     TrieDecodeError,
     _decode_node,
     _parse_rlp,
+    commit_indexed,
     commit_items,
 )
 from sschain.store import FileKvStore, MemoryKvStore, open_database
@@ -408,7 +411,8 @@ class TestCommitItems:
 
 
 class EntryLog(MemoryKvStore):
-    """A memory store that also keeps each content entry put into it."""
+    """A memory store that also keeps each content entry put into it, one
+    at a time or in a batch."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -418,6 +422,11 @@ class EntryLog(MemoryKvStore):
         key = super().put(value)
         self.entries[key] = value
         return key
+
+    def put_many(self, values: list[bytes]) -> list[bytes]:
+        keys = super().put_many(values)
+        self.entries.update(zip(keys, values))
+        return keys
 
 
 def reference_entries(mapping: dict[bytes, bytes]) -> tuple[bytes, dict[bytes, bytes]]:
@@ -536,3 +545,81 @@ class TestNodeBytes:
             trie = trie.insert(key, value)
         assert trie.commit() == merged_root
         assert store.entries == {**first_entries, **merged_entries}
+
+
+def indexed_pairs(values: list[bytes]) -> list[tuple[bytes, bytes]]:
+    """Each value under the RLP of its index, as a block body keys it."""
+    return [(rlp_encode(int_to_bytes(index)), value) for index, value in enumerate(values)]
+
+
+def stored(store) -> dict[bytes, bytes]:
+    """Every entry of a memory or file store, by key."""
+    if isinstance(store, FileKvStore):
+        query = "SELECT key, value FROM kv WHERE space = ?"
+        return dict(store.db.execute(query, (store.space,)))
+    return dict(store._entries)
+
+
+def body_values(count: int, lengths: tuple[int, int]) -> list[bytes]:
+    rng = random.Random(count)
+    return [rng.randbytes(rng.randint(*lengths)) for _ in range(count)]
+
+
+class TestCommitIndexed:
+    """The index-arithmetic build commits what the generic build commits
+    over the same ``rlp(index)`` keys: the same root and the same store
+    entries, on both backends."""
+
+    @pytest.fixture(params=["memory", "file"])
+    def new_store(self, request, tmp_path):
+        """A factory of empty stores of one backend, each file store in a
+        space of its own."""
+        if request.param == "memory":
+            yield MemoryKvStore
+            return
+        db = open_database(tmp_path / "kv.db")
+        spaces = iter(range(1000))
+        yield lambda: FileKvStore(db, f"body{next(spaces)}")
+        db.close()
+
+    def check(self, new_store, values: list[bytes]) -> None:
+        reference = MemoryKvStore()
+        root = commit_items(reference, indexed_pairs(values))
+        store = new_store()
+        assert commit_indexed(store, values) == root, len(values)
+        assert stored(store) == stored(reference), len(values)
+
+    @pytest.mark.parametrize(
+        "lengths", [(45, 80), (1, 40)], ids=["transaction-sized", "short"]
+    )
+    def test_every_count_to_300(self, new_store, lengths: tuple[int, int]) -> None:
+        """Index 0's key ``0x80`` sorts after 1-127, and 128 and 256 start
+        the two- and three-byte keys. Short values embed leaves in their
+        parents, and one-byte values below ``0x80`` encode as themselves."""
+        for count in range(301):
+            self.check(new_store, body_values(count, lengths))
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 4111, 4112, 4113, 65535, 65536, 65537])
+    def test_counts_across_nibble_and_key_length_bounds(self, new_store, count: int) -> None:
+        """A full last run of 16 leaves and one past it, extensions over
+        shared nibbles, and the step from three-byte to four-byte keys."""
+        self.check(new_store, body_values(count, (45, 80)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(min_size=1, max_size=1),
+                st.binary(min_size=2, max_size=31),
+                st.binary(min_size=32, max_size=70),
+            ),
+            max_size=300,
+        )
+    )
+    def test_any_values_match_the_reference(self, values: list[bytes]) -> None:
+        """Values of one byte, values under 32 bytes and longer ones, mixed,
+        against the reference built apart from ``mpt``."""
+        root, entries = reference_entries(dict(indexed_pairs(values)))
+        store = EntryLog()
+        assert commit_indexed(store, values) == root
+        assert store.entries == entries

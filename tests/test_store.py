@@ -144,6 +144,56 @@ class TestNamedEntries:
         assert store.named_keys() == []
 
 
+@pytest.fixture(params=["memory", "file", "overlay"])
+def new_store(request, db):
+    """A factory of empty stores of one kind: memory, file (each in a space
+    of its own) or a validation overlay over an empty memory store."""
+    if request.param == "memory":
+        return MemoryKvStore
+    if request.param == "file":
+        spaces = iter(range(100))
+        return lambda: FileKvStore(db, f"kv{next(spaces)}")
+    return lambda: _Overlay(MemoryKvStore())
+
+
+class TestPutMany:
+    """A batch put ends as the same puts one at a time would."""
+
+    VALUES = [b"value", b"payload", b"payload", b"\x01", b"\x80", bytes(200)]
+
+    @staticmethod
+    def contents(store, keys: list[bytes]) -> tuple:
+        return len(store), store.named_keys(), [store.get(key) for key in keys]
+
+    def test_matches_put(self, new_store) -> None:
+        """The same keys, in order, and the same entries: a re-put value
+        is one entry, and a value that was named becomes content."""
+        one, batch = new_store(), new_store()
+        for store in (one, batch):
+            store.put_named(hash256(b"value"), b"pointer")
+            store.put_named(hash256(b"slot"), b"kept")
+        keys = [one.put(value) for value in self.VALUES]
+        assert batch.put_many(self.VALUES) == keys
+        everything = [*keys, hash256(b"slot")]
+        assert self.contents(batch, everything) == self.contents(one, everything)
+        assert batch.named_keys() == [hash256(b"slot")]
+        assert batch.get(hash256(b"value")) == b"value"
+
+    def test_empty_value_writes_nothing(self, new_store) -> None:
+        store = new_store()
+        with pytest.raises(EmptyValueError):
+            store.put_many([b"first", b"", b"last"])
+        assert len(store) == 0
+        assert store.put_many([]) == [] and len(store) == 0
+
+    def test_overlay_batch_leaves_its_base_alone(self) -> None:
+        base = MemoryKvStore()
+        overlay = _Overlay(base)
+        keys = overlay.put_many(self.VALUES)
+        assert [overlay.get(key) for key in keys] == self.VALUES
+        assert len(base) == 0
+
+
 def _flipped(value: bytes) -> bytes:
     return bytes([value[0] ^ 0x20]) + value[1:]
 
