@@ -41,15 +41,13 @@ it reads every node through the store, which checks each against its
 digest; a root the store lacks raises ``RootNotFoundError`` without
 counting the store, empty or not.
 
-A trie whose keys are all known at once is better built bottom-up, each
-node encoded once and no node object made, to the root and entries that
-inserts and a commit would write. Two builders do that.
-``commit_items`` takes any keys, such as the simulator's merged state:
-it sorts their nibble paths and finds each node's children by bisecting
-them. ``commit_indexed`` takes a block body, its values keyed by the RLP
-of their indexes: that trie's shape depends on the count alone, so it is
-built by index arithmetic with no key made, and each run of stored
-sibling leaves is written by one ``KvStore.put_many``.
+Any keys go through ``Trie``: inserts, then a commit. A block body goes
+through ``commit_indexed``, which holds its values under the RLP of
+their indexes. That trie's shape depends on the count alone, so it is
+built bottom-up by index arithmetic, each node encoded once and no key
+or node object made, to the root and entries that inserts and a commit
+would write; each run of sibling leaves is written by one
+``KvStore.put_many``.
 
 The committed root digest is a pure function of the key-value content:
 insertion order never affects it. The empty trie commits to the fixed
@@ -60,9 +58,8 @@ There is no delete; replacing a key's value is the only update.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Optional, Union
 
 from .encoding import (
     DIGEST_SIZE,
@@ -134,10 +131,6 @@ _DIGEST_HEAD = rlp_encode(bytes(DIGEST_SIZE))[:1]
 
 EMPTY_ROOT: Digest = hash256(_EMPTY_NODE)
 """Root digest of the empty trie."""
-
-_NEXT_NIBBLE = [bytes([nibble + 1]) for nibble in range(16)]
-"""The one-nibble path just above each nibble, which bounds a child's
-paths when bisecting the sorted paths of its parent."""
 
 
 class Trie:
@@ -352,37 +345,17 @@ def _commit_ref(ref: Ref, store: KvStore, written: dict[Digest, Node]) -> tuple[
     return _DIGEST_HEAD + digest, digest
 
 
-def commit_items(store: KvStore, items: Iterable[tuple[bytes, bytes]]) -> Digest:
-    """Commit the trie holding ``key -> value`` for each pair; return its root.
-
-    Keys and values must be non-empty; of a repeated key the last value
-    counts, as with inserts. The root and the store entries written are
-    those of inserting every pair into an empty :class:`Trie` and
-    committing it, the empty node included.
-
-    The trie is encoded bottom-up from the sorted nibble paths, each node
-    once and straight to bytes by the encoder ``Trie.commit`` uses, as
-    geth's ``StackTrie`` does; no node objects are made. A node's
-    children are found by bisecting the sorted paths, and a leaf's bytes
-    before its value are encoded once per suffix and value length, so a
-    leaf costs about one concatenation, its hash and its store write.
-    """
-    entries = {hex_encode(key): value for key, value in items}
-    paths = sorted(entries)
-    values = [entries[path] for path in paths]
-    if not paths:
-        return store.put(_EMPTY_NODE)
-    if len(paths) == 1:
-        return store.put(_encode_leaf(paths[0], values[0]))
-    return store.put(_build_sorted(paths, values, 0, len(paths), 0, store.put, {}))
-
-
 def commit_indexed(store: KvStore, values: list[bytes]) -> Digest:
     """Commit the trie holding ``values[i]`` under the key
     ``rlp_encode(int_to_bytes(i))`` for each index ``i``, as a block
-    body's transaction trie does; return its root. Values must be
-    non-empty. The root and the store entries written are those of
-    :func:`commit_items` over the same pairs.
+    body's transaction trie does; return its root. The root and the
+    store entries written are those of inserting the same pairs into an
+    empty :class:`Trie` and committing it.
+
+    Every value must be at least 32 bytes, as every transaction encoding
+    is, so that every node of the trie reaches 32 bytes and is stored
+    under its digest, none embedded in its parent. A shorter value raises
+    ``TrieError`` before anything is written.
 
     No RLP index key is a prefix of another, and the trie's shape
     depends on the count alone: the keys 1-127 sit under their high
@@ -395,9 +368,11 @@ def commit_indexed(store: KvStore, values: list[bytes]) -> Digest:
     :meth:`KvStore.put_many`.
     """
     count = len(values)
-    if count < 2:
-        return store.put(_encode_leaf(b"\x08\x00", values[0]) if values else _EMPTY_NODE)
+    if not count:
+        return store.put(_EMPTY_NODE)
     build = _IndexedBuild(store, values)
+    if count == 1:
+        return store.put(_encode_leaf(b"\x08\x00", values[0]))
     refs = [_EMPTY_NODE] * 16
     build.fill(refs, 1, min(count, 128), 2, 0)
     if count <= 128:
@@ -415,25 +390,26 @@ def commit_indexed(store: KvStore, values: list[bytes]) -> Digest:
 
 class _IndexedBuild:
     """One :func:`commit_indexed` build: the values, the store's writers,
-    and, when every value is at least a digest long, so that no leaf
-    embeds in its parent, the bytes before the value of a leaf that ends
-    its key, by value length."""
+    and the bytes before the value of a leaf that ends its key, by value
+    length."""
 
     __slots__ = ("values", "put", "put_many", "heads")
 
     def __init__(self, store: KvStore, values: list[bytes]):
+        lengths = set(map(len, values))
+        if min(lengths) < DIGEST_SIZE:
+            raise TrieError(
+                f"block body values must be at least {DIGEST_SIZE} bytes, not {min(lengths)}"
+            )
         self.values = values
         self.put = store.put
         self.put_many = store.put_many
-        lengths = set(map(len, values))
-        self.heads: Optional[dict[int, bytes]] = None
-        if min(lengths) >= DIGEST_SIZE:
-            self.heads = {length: _leaf_head(b"", bytes(length)) for length in lengths}
+        self.heads = {n: _encode_leaf(b"", bytes(n))[:-n] for n in lengths}
 
     def ref(self, encoded: bytes) -> bytes:
-        """How a parent embeds a child of these bytes, writing it if it
-        reaches 32 bytes."""
-        return encoded if len(encoded) < DIGEST_SIZE else _DIGEST_HEAD + self.put(encoded)
+        """How a parent embeds a child of these bytes: by the digest they
+        are written under."""
+        return _DIGEST_HEAD + self.put(encoded)
 
     def node(self, a: int, b: int, width: int, depth: int) -> bytes:
         """Encoding of the node over the indexes ``[a, b)``, keyed by
@@ -465,74 +441,23 @@ class _IndexedBuild:
     def last_nibble_branch(self, a: int, b: int) -> bytes:
         """Encoding of the branch over ``[a, b)``, indexes that differ in
         their last nibble alone, so that each child is a leaf that ends
-        its key. Stored leaves are framed in one pass, written in one
-        batch, and their digests joined straight into the payload."""
-        run = self.values[a:b]
-        if self.heads is None:
-            children = [self.ref(_encode_leaf(b"", value)) for value in run]
-        else:
-            keys = self.put_many([self.heads[len(value)] + value for value in run])
-            children = [_DIGEST_HEAD, _DIGEST_HEAD.join(keys)]
-        # the empty slots before and after the run, and no value
-        payload = b"".join(
-            (_EMPTY_NODE * (a & 15), *children, _EMPTY_NODE * (16 - ((b - 1) & 15)))
-        )
+        its key. The leaves are framed in one pass, written in one batch,
+        and their digests joined straight into the payload."""
+        keys = self.put_many([self.heads[len(value)] + value for value in self.values[a:b]])
+        # the empty slots before the run, its digests, the empty slots
+        # after it, and no value
+        payload = b"".join((
+            _EMPTY_NODE * (a & 15),
+            _DIGEST_HEAD,
+            _DIGEST_HEAD.join(keys),
+            _EMPTY_NODE * (16 - ((b - 1) & 15)),
+        ))
         return rlp_list_head(len(payload)) + payload
 
 
 def _index_nibbles(index: int, width: int) -> Nibbles:
     """The ``width`` nibbles of ``index``, big-endian."""
     return hex_encode(index.to_bytes(width // 2, "big"))
-
-
-def _build_sorted(
-    paths: list[Nibbles], values: list[bytes], lo: int, hi: int, depth: int,
-    put: Callable[[bytes], Digest], leaf_heads: dict[tuple[Nibbles, int], bytes],
-) -> bytes:
-    """Encoding of the node holding ``paths[lo:hi]``, at least two sorted
-    paths sharing their first ``depth`` nibbles: a branch, behind an
-    extension over whatever more the first and last paths share. Children
-    that reach 32 bytes are written by ``put``; ``leaf_heads`` memoizes
-    :func:`_leaf_head` by leaf suffix and value length for one build."""
-    first, last = paths[lo], paths[hi - 1]
-    end, limit = depth, min(len(first), len(last))
-    while end < limit and first[end] == last[end]:
-        end += 1
-    value: Optional[bytes] = None
-    if len(first) == end:
-        value, lo = values[lo], lo + 1
-    refs = [_EMPTY_NODE] * 16
-    while lo < hi:
-        path = paths[lo]
-        nibble, stop = path[end], lo + 1
-        if stop < hi and paths[stop][end] == nibble:
-            stop = bisect_left(paths, path[:end] + _NEXT_NIBBLE[nibble], stop + 1, hi)
-            encoded = _build_sorted(paths, values, lo, stop, end + 1, put, leaf_heads)
-        else:  # a one-path child: its leaf, framed here
-            suffix, leaf_value = path[end + 1 :], values[lo]
-            shape = (suffix, len(leaf_value))
-            head = leaf_heads.get(shape)
-            if head is None:
-                head = leaf_heads[shape] = _leaf_head(suffix, leaf_value)
-            encoded = head + leaf_value if head else _encode_leaf(suffix, leaf_value)
-        refs[nibble] = encoded if len(encoded) < DIGEST_SIZE else _DIGEST_HEAD + put(encoded)
-        lo = stop
-    branch = _encode_branch(refs, value)
-    if end == depth:
-        return branch
-    if len(branch) >= DIGEST_SIZE:
-        branch = _DIGEST_HEAD + put(branch)
-    return _encode_extension(first[depth:end], branch)
-
-
-def _leaf_head(path: Nibbles, value: bytes) -> bytes:
-    """The bytes of a leaf at ``path`` that precede the value, for every
-    value of ``value``'s length; empty for a one-byte value, whose framing
-    depends on the byte."""
-    if len(value) == 1:
-        return b""
-    encoded = _encode_leaf(path, value)
-    return encoded[: len(encoded) - len(value)]
 
 
 def _encode_leaf(path: Nibbles, value: bytes) -> bytes:

@@ -41,7 +41,7 @@ from .chain import (
 from .encoding import hash256
 from .errors import SSChainError
 from .merkle_dag import AccountState
-from .mpt import commit_items
+from .mpt import Trie
 from .shard_dht import MAX_SHARDS, ShardTable, shard_of
 from .store import MemoryKvStore
 
@@ -302,7 +302,12 @@ def run_experiment(config: SimConfig) -> SimReport:
     for shard_index, processed, final in results:
         loads[shard_index] = processed
         merged.update(final)
-    final_root = commit_items(MemoryKvStore(), merged.items())
+    # The final state root: one fresh trie over every shard's final
+    # versions, built after ``wall`` is taken, so no job time includes it.
+    trie = Trie(MemoryKvStore())
+    for address, version in merged.items():
+        trie = trie.insert(address, version)
+    final_root = trie.commit()
 
     processed_total = sum(loads)
     return SimReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 
@@ -19,10 +20,10 @@ from sschain.mpt import (
     RootNotFoundError,
     Trie,
     TrieDecodeError,
+    TrieError,
     _decode_node,
     _parse_rlp,
     commit_indexed,
-    commit_items,
 )
 from sschain.store import FileKvStore, MemoryKvStore, open_database
 
@@ -373,43 +374,6 @@ class TestMapOracle:
             assert reloaded.get(key) == value
 
 
-class TestCommitItems:
-    """The bottom-up build commits what inserting key by key commits."""
-
-    def test_empty(self) -> None:
-        store = MemoryKvStore()
-        assert commit_items(store, []) == EMPTY_ROOT
-        assert store.get(EMPTY_ROOT) == rlp_encode(b"")
-
-    def test_prefix_keys_put_values_in_branches(self) -> None:
-        mapping = {
-            b"\x01": b"a", b"\x01\x02": b"b", b"\x01\x02\x03": b"c" * 40, b"\x02": b"d"
-        }
-        inserted, built = MemoryKvStore(), MemoryKvStore()
-        root = build(inserted, mapping.items()).commit()
-        assert commit_items(built, mapping.items()) == root
-        assert len(built) == len(inserted)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.dictionaries(
-            st.binary(min_size=1, max_size=3),
-            st.binary(min_size=1, max_size=40),
-            max_size=40,
-        )
-    )
-    def test_matches_insert_path(self, mapping: dict[bytes, bytes]) -> None:
-        """Short keys make prefix keys, so branches carry values, and long
-        values push nodes past the inline limit."""
-        inserted, built = MemoryKvStore(), MemoryKvStore()
-        root = build(inserted, mapping.items()).commit()
-        assert commit_items(built, reversed(mapping.items())) == root
-        assert len(built) == len(inserted)
-        reloaded = Trie(built, root)
-        for key, value in mapping.items():
-            assert reloaded.get(key) == value
-
-
 class EntryLog(MemoryKvStore):
     """A memory store that also keeps each content entry put into it, one
     at a time or in a batch."""
@@ -490,8 +454,8 @@ def node_forms(entries: dict[bytes, bytes]) -> set[str]:
 
 
 class TestNodeBytes:
-    """Both commit paths write exactly the entries of a reference that
-    encodes nodes as RLP structures, apart from the shared node encoder."""
+    """``Trie.commit`` writes exactly the entries of a reference that
+    encodes nodes as RLP structures, apart from the node encoder."""
 
     FORMS = {
         b"\x01": b"a",
@@ -506,10 +470,9 @@ class TestNodeBytes:
         assert node_forms(entries) == {
             "long list", "inline child", "branch value", "long value"
         }
-        built, inserted = EntryLog(), EntryLog()
-        assert commit_items(built, self.FORMS.items()) == root
+        inserted = EntryLog()
         assert build(inserted, self.FORMS.items()).commit() == root
-        assert built.entries == inserted.entries == entries
+        assert inserted.entries == entries
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -526,16 +489,12 @@ class TestNodeBytes:
         self, first: dict[bytes, bytes], more: dict[bytes, bytes]
     ) -> None:
         """Short keys make prefix keys and inline children; values past 55
-        bytes take the long string form. ``Trie.commit`` is checked across
-        a commit, more inserts over the collapsed handle, and a second
-        commit."""
+        bytes take the long string form. Both paths of ``Trie.commit`` are
+        checked: a commit of fresh inserts, then more inserts over the
+        collapsed handle and a second commit."""
         merged = {**first, **more}
         first_root, first_entries = reference_entries(first)
         merged_root, merged_entries = reference_entries(merged)
-
-        built = EntryLog()
-        assert commit_items(built, merged.items()) == merged_root
-        assert built.entries == merged_entries
 
         store = EntryLog()
         trie = build(store, first.items())
@@ -565,9 +524,24 @@ def body_values(count: int, lengths: tuple[int, int]) -> list[bytes]:
     return [rng.randbytes(rng.randint(*lengths)) for _ in range(count)]
 
 
+def entries_digest(entries: dict[bytes, bytes]) -> bytes:
+    """One digest of a store's entries, each fixed-size key joined to its
+    value, in order."""
+    return hash256(b"".join(sorted(key + value for key, value in entries.items())))
+
+
+@functools.cache
+def body_reference(count: int, lengths: tuple[int, int]) -> tuple[bytes, bytes]:
+    """Root and entries digest of the trie over ``body_values(count,
+    lengths)``, built apart from ``mpt``: computed once for both backends,
+    and kept small, as the largest bodies have 70,000 entries."""
+    root, entries = reference_entries(dict(indexed_pairs(body_values(count, lengths))))
+    return root, entries_digest(entries)
+
+
 class TestCommitIndexed:
-    """The index-arithmetic build commits what the generic build commits
-    over the same ``rlp(index)`` keys: the same root and the same store
+    """The index-arithmetic build commits what the reference commits over
+    the same ``rlp(index)`` keys: the same root and the same store
     entries, on both backends."""
 
     @pytest.fixture(params=["memory", "file"])
@@ -582,44 +556,58 @@ class TestCommitIndexed:
         yield lambda: FileKvStore(db, f"body{next(spaces)}")
         db.close()
 
-    def check(self, new_store, values: list[bytes]) -> None:
-        reference = MemoryKvStore()
-        root = commit_items(reference, indexed_pairs(values))
+    def check(self, new_store, count: int, lengths: tuple[int, int]) -> None:
+        root, digest = body_reference(count, lengths)
         store = new_store()
-        assert commit_indexed(store, values) == root, len(values)
-        assert stored(store) == stored(reference), len(values)
+        assert commit_indexed(store, body_values(count, lengths)) == root, count
+        assert entries_digest(stored(store)) == digest, count
 
     @pytest.mark.parametrize(
-        "lengths", [(45, 80), (1, 40)], ids=["transaction-sized", "short"]
+        "lengths", [(45, 80), (32, 40)], ids=["transaction-sized", "short"]
     )
     def test_every_count_to_300(self, new_store, lengths: tuple[int, int]) -> None:
         """Index 0's key ``0x80`` sorts after 1-127, and 128 and 256 start
-        the two- and three-byte keys. Short values embed leaves in their
-        parents, and one-byte values below ``0x80`` encode as themselves."""
+        the two- and three-byte keys. Short values reach down to the
+        32-byte minimum."""
         for count in range(301):
-            self.check(new_store, body_values(count, lengths))
+            self.check(new_store, count, lengths)
 
     @pytest.mark.parametrize("count", [4095, 4096, 4097, 4111, 4112, 4113, 65535, 65536, 65537])
     def test_counts_across_nibble_and_key_length_bounds(self, new_store, count: int) -> None:
         """A full last run of 16 leaves and one past it, extensions over
         shared nibbles, and the step from three-byte to four-byte keys."""
-        self.check(new_store, body_values(count, (45, 80)))
+        self.check(new_store, count, (45, 80))
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
             st.one_of(
-                st.binary(min_size=1, max_size=1),
-                st.binary(min_size=2, max_size=31),
-                st.binary(min_size=32, max_size=70),
+                st.binary(min_size=32, max_size=33),
+                st.binary(min_size=34, max_size=70),
             ),
             max_size=300,
         )
     )
     def test_any_values_match_the_reference(self, values: list[bytes]) -> None:
-        """Values of one byte, values under 32 bytes and longer ones, mixed,
-        against the reference built apart from ``mpt``."""
+        """Values of 32 and 33 bytes, the shortest a body may hold, and
+        longer ones past the long string form at 56, mixed, against the
+        reference built apart from ``mpt``."""
         root, entries = reference_entries(dict(indexed_pairs(values)))
         store = EntryLog()
         assert commit_indexed(store, values) == root
         assert store.entries == entries
+
+    def test_a_value_under_32_bytes_is_refused_before_any_write(self) -> None:
+        """At every count, one short value anywhere in the body refuses the
+        whole body, and the message names the minimum."""
+        for count, short in [(1, 0), (2, 1), (17, 16), (129, 0), (300, 200)]:
+            for length in (1, 31):
+                values = body_values(count, (32, 80))
+                values[short] = bytes(length)
+                store = EntryLog()
+                with pytest.raises(TrieError) as refused:
+                    commit_indexed(store, values)
+                assert str(refused.value) == (
+                    f"block body values must be at least 32 bytes, not {length}"
+                )
+                assert store.entries == {} and len(store) == 0
